@@ -54,7 +54,11 @@ EXACTNESS_GRID = 97
 
 
 def _default_precision() -> int:
-    return int(os.environ.get("ORDSTAT_PRECISION", "50"))
+    text = os.environ.get("ORDSTAT_PRECISION", "50")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"ORDSTAT_PRECISION must be an integer, got {text!r}") from None
 
 
 @dataclass
@@ -376,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     if args.precision is not None and args.precision < 4:
         print("error: --precision must be at least 4", file=sys.stderr)

@@ -18,7 +18,6 @@ content and live in documentation only.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -222,11 +221,6 @@ def compare(a: OrdValue, b: OrdValue, ctx: CompareContext | None = None) -> Orde
     if sa != sb:
         raise ShapeMismatchError(f"cannot compare shape {sa!r} with {sb!r}")
     return _compare_same_shape(a, b, ctx)
-
-
-def ord_sort_key(ctx: CompareContext | None = None):
-    """Sort key factory: ``sorted(values, key=ord_sort_key(ctx))``."""
-    return functools.cmp_to_key(lambda x, y: compare(x, y, ctx).value)
 
 
 def to_rational(value: OrdValue) -> Rational:

@@ -14,21 +14,27 @@ therefore a Monte Carlo p-value.
 Per-rank scores are fixed-precision decimals built once per (scheme, pool
 size, precision). The upper half of each score vector mirrors the lower
 half with flipped sign, so the antisymmetry score(i) = -score(N+1-i) holds
-bit for bit and mirror-image tie structure is preserved exactly. Sums of
-scores are computed exactly (the decimal context traps inexact rounding);
-distinct rank configurations whose sums agree to within the comparison
-precision are treated as genuine ties and flagged.
+bit for bit and mirror-image tie structure is preserved exactly. For
+enumeration each vector is also held as exact ints at a common decimal
+exponent, so score sums are exact int sums and a cascade key is a tuple of
+ints (the rank sum for wilcoxon); reported values are the same exact
+decimal sums. Distinct rank configurations whose sums agree to within the
+comparison precision are treated as genuine ties and flagged. Every
+attainable set is verified range-exact at every size, by an independent
+recount that bisects the sorted keys.
 """
 
 from __future__ import annotations
 
+import bisect
+import decimal
 import enum
 import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -257,22 +263,9 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     return tuple(decimals)
 
 
-def _exact_decimal_sum(terms, precision: int) -> Decimal:
-    # Trap Inexact so a silent rounding of a score sum is impossible.
-    with localcontext() as c:
-        c.prec = precision + 40
-        c.traps[Inexact] = True
-        total = Decimal(0)
-        for t in terms:
-            total += t
-    return total
-
-
 def score_sum(sample: TwoSample, scheme: Component, precision: int = DEFAULT_PRECISION) -> Score:
     """Sum of the scheme's scores over the first group's ranks."""
-    scores = scheme_scores(scheme, sample.pool, precision)
-    total = _exact_decimal_sum((scores[r - 1] for r in x_ranks(sample)), precision)
-    return Score(total, precision)
+    return _score_part(scheme_scores(scheme, sample.pool, precision), precision).value(x_ranks(sample))
 
 
 def student_t(sample: TwoSample, precision: int = DEFAULT_PRECISION) -> Score:
@@ -296,27 +289,114 @@ def student_t(sample: TwoSample, precision: int = DEFAULT_PRECISION) -> Score:
 
 
 # ---------------------------------------------------------------------------
-# Exact permutation enumeration
+# Exact integer cascade keys
 
 
-def _rank_value(ranks, components, vectors, precision: int) -> LexTuple:
-    parts = []
-    for comp, vec in zip(components, vectors):
-        if comp is Component.WILCOXON:
-            parts.append(Rank(sum(ranks)))
-        else:
-            parts.append(Score(_exact_decimal_sum((vec[r - 1] for r in ranks), precision), precision))
-    return LexTuple(tuple(parts))
+class _RankSum:
+    """Key part of the wilcoxon component: the rank sum, compared exactly."""
+
+    total = staticmethod(sum)
+
+    @staticmethod
+    def order(a: int, b: int, ctx: CompareContext) -> Ordering:
+        return Ordering.LT if a < b else Ordering.GT if a > b else Ordering.EQ
+
+    @staticmethod
+    def value(ranks) -> Rank:
+        return Rank(sum(ranks))
+
+    @staticmethod
+    def key_of(value: Rank) -> int:
+        return value.value
 
 
-def _rank_vectors(cascade: CascadeStatistic, pool: int, precision: int) -> tuple:
+# scaleb under this context only moves the exponent: it never rounds.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC)
+
+
+class _ScoreSum:
+    """Key part of a score component: score sums as exact ints.
+
+    Every score of the vector is an int multiple of 10**exponent, where
+    exponent is the smallest Decimal exponent among the scores and 0, so
+    rank-set sums are plain int sums and mirror negation stays exact.
+    """
+
+    def __init__(self, scores: tuple, precision: int):
+        self.precision = precision
+        # Index 0 stands for the Decimal(0) a sum starts from; ranks index the rest.
+        self.exponents = (0,) + tuple(d.as_tuple().exponent for d in scores)
+        self.exponent = min(self.exponents)
+        self.ints = tuple(int(d.scaleb(-self.exponent, _EXACT)) for d in (Decimal(0),) + scores)
+        self.total = lambda ranks, score=self.ints.__getitem__: sum(map(score, ranks))
+
+    def order(self, a: int, b: int, ctx: CompareContext) -> Ordering:
+        """order.compare on the two sums as Scores, decided from the ints where it is safe."""
+        if a == b:
+            return Ordering.EQ
+        diff, scale = abs(a - b), max(abs(a), abs(b))
+        # gap <= 0 exactly when diff / scale <= 10**(2 - precision), the Score threshold.
+        gap = diff * 10**self.precision - scale * 100
+        if abs(gap) * 10 ** (self.precision + 7) <= scale * 100:
+            # compare() rounds the relative distance to precision + 10 digits, a
+            # relative error below 10**-(precision + 8): this close to the
+            # threshold only the rounded test itself can decide.
+            return compare(self._score(a), self._score(b), ctx)
+        if gap <= 0:
+            ctx.flag_imprecise()
+            return Ordering.EQ
+        return Ordering.LT if a < b else Ordering.GT
+
+    def _score(self, total: int) -> Score:
+        return Score(Decimal(total).scaleb(self.exponent, _EXACT), self.precision)
+
+    def value(self, ranks) -> Score:
+        """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
+        exponent = min(0, *map(self.exponents.__getitem__, ranks))
+        coefficient = self.total(ranks) // 10 ** (exponent - self.exponent)
+        return Score(Decimal(coefficient).scaleb(exponent, _EXACT), self.precision)
+
+    def key_of(self, value: Score) -> int:
+        return int(value.value.scaleb(-self.exponent, _EXACT))
+
+
+@functools.lru_cache(maxsize=None)
+def _score_part(scores: tuple, precision: int) -> _ScoreSum:
+    return _ScoreSum(scores, precision)
+
+
+def _key_parts(cascade: CascadeStatistic, pool: int, precision: int) -> tuple:
     return tuple(
-        scheme_scores(c, pool, precision) if c is not Component.WILCOXON else None
+        _RankSum if c is Component.WILCOXON else _score_part(scheme_scores(c, pool, precision), precision)
         for c in cascade.components
     )
 
 
+def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
+    """Lexicographic order of two cascade keys, as order.compare on their values."""
+    for part, x, y in zip(parts, a, b):
+        if x != y:
+            o = part.order(x, y, ctx)
+            if o is not Ordering.EQ:
+                return o
+    return Ordering.EQ
+
+
+def _value(parts: tuple, ranks) -> LexTuple:
+    return LexTuple(tuple(part.value(ranks) for part in parts))
+
+
+def _key_of(parts: tuple, value: LexTuple) -> tuple:
+    return tuple(part.key_of(c) for part, c in zip(parts, value.components))
+
+
+# ---------------------------------------------------------------------------
+# Exact permutation enumeration
+
+
 def _check_enum_size(m: int, n: int, max_enum: int) -> int:
+    if m < 1 or n < 1:
+        raise RankTestError(f"both groups need at least one observation, got m={m}, n={n}")
     total = math.comb(m + n, m)
     if total > max_enum:
         raise SizeLimitError(f"C({m + n},{m}) = {total} exceeds the enumeration cap {max_enum}")
@@ -354,13 +434,18 @@ def exact_perm_pvalue(
     if cascade.has_student_t:
         raise TCascadeNotExactError("t cascades have no exact permutation p-value; use mc_gaussian_pvalue")
     total = _check_enum_size(sample.m, sample.n, max_enum)
-    vectors = _rank_vectors(cascade, sample.pool, precision)
-    observed = _rank_value(x_ranks(sample), cascade.components, vectors, precision)
+    parts = _key_parts(cascade, sample.pool, precision)
+    observed = x_ranks(sample)
+    steps = tuple((part.total, part.order, part.total(observed)) for part in parts)
     own = ctx if ctx is not None else CompareContext()
     count = 0
     for combo in itertools.combinations(range(1, sample.pool + 1), sample.m):
-        value = _rank_value(combo, cascade.components, vectors, precision)
-        if compare(value, observed, own) is not Ordering.GT:
+        # Later components are summed only where the earlier ones tie.
+        for key_total, order, want in steps:
+            o = order(key_total(combo), want, own)
+            if o is not Ordering.EQ:
+                break
+        if o is not Ordering.GT:
             count += 1
     return Fraction(count, total)
 
@@ -422,6 +507,20 @@ class AttainableSet:
         return len(self.groups) == self.total
 
 
+def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_enum: int) -> tuple:
+    """(key parts, ascending exact keys, rank sets in the same order) over all assignments."""
+    if cascade.has_student_t:
+        raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
+    _check_enum_size(m, n, max_enum)
+    parts = _key_parts(cascade, m + n, precision)
+    combos = list(itertools.combinations(range(1, m + n + 1), m))
+    keys = list(zip(*(map(part.total, combos) for part in parts)))
+    # Exact int keys sort natively and stably. Threshold (near-)equality is
+    # handled afterwards by adjacent grouping.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return parts, tuple(keys[i] for i in order), tuple(combos[i] for i in order)
+
+
 def permutation_distribution(
     m: int,
     n: int,
@@ -431,59 +530,82 @@ def permutation_distribution(
     ctx: CompareContext | None = None,
 ) -> PermutationDistribution:
     """Enumerate and sort the full cascade distribution (rank-based cascades only)."""
-    if cascade.has_student_t:
-        raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
-    total = _check_enum_size(m, n, max_enum)
-    pool = m + n
-    vectors = _rank_vectors(cascade, pool, precision)
-    combos = list(itertools.combinations(range(1, pool + 1), m))
-    values = [_rank_value(c, cascade.components, vectors, precision) for c in combos]
-    # Exact sort keys: ranks are ints, score sums exact decimals. Threshold
-    # (near-)equality is handled afterwards by adjacent grouping.
-    keys = [tuple(p.value for p in v.components) for v in values]
-    order = sorted(range(total), key=keys.__getitem__)
-    weight = Fraction(1, total)
+    parts, _, combos = _sorted_keys(m, n, cascade, precision, max_enum)
+    weight = Fraction(1, len(combos))
     return PermutationDistribution(
         m=m,
         n=n,
-        entries=tuple((values[i], weight) for i in order),
-        assignments=tuple(combos[i] for i in order),
+        entries=tuple((_value(parts, c), weight) for c in combos),
+        assignments=combos,
     )
 
 
-def _grouped(dist: PermutationDistribution, ctx: CompareContext) -> tuple:
-    groups = []
-    for value, _ in dist.entries:
-        if groups and compare(value, groups[-1][0], ctx) is Ordering.EQ:
-            groups[-1][1] += 1
-        else:
-            groups.append([value, 1])
-    out = []
-    cum = 0
-    pos = 0
-    for value, size in groups:
-        cum += size
-        out.append(TieGroup(value=value, members=dist.assignments[pos : pos + size], cum_count=cum))
-        pos += size
-    return tuple(out)
+def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> tuple:
+    # Each sorted key joins the current group when it compares EQ to the group's first key.
+    starts = []
+    for i, key in enumerate(keys):
+        if not starts or _order(parts, key, keys[starts[-1]], ctx) is not Ordering.EQ:
+            starts.append(i)
+    ends = starts[1:] + [len(keys)]
+    return tuple(
+        TieGroup(value=_value(parts, combos[a]), members=combos[a:b], cum_count=b) for a, b in zip(starts, ends)
+    )
 
 
-def _verify_range_exact(dist: PermutationDistribution, groups: tuple, total: int, ctx: CompareContext) -> None:
+def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, lo: int, hi: int, depth: int = 0) -> int:
+    """#{v in keys[lo:hi] : _order(v, key) is not GT}, by bisection.
+
+    keys[lo:hi] must be exactly equal on the components before ``depth``,
+    so they ascend on component ``depth``. Against a fixed value, that
+    component compares LT on a prefix, EQ on a window and GT on a suffix,
+    because the relative distance grows monotonically on each side. Each
+    window member that is not exactly equal is one imprecise comparison.
+    """
+    part, column, want = parts[depth], columns[depth], key[depth]
+    first = bisect.bisect_left(column, want, lo, hi)
+    last = bisect.bisect_right(column, want, first, hi)
+    exact = last - first
+    probe = CompareContext()  # locating the window is not a comparison of the recount
+
+    def order_at(i):
+        return part.order(column[i], want, probe)
+
+    if first > lo and order_at(first - 1) is not Ordering.LT:
+        first = bisect.bisect_left(
+            range(first), True, lo, first - 1, key=lambda i: order_at(i) is not Ordering.LT
+        )
+    if last < hi and order_at(last) is not Ordering.GT:
+        last = bisect.bisect_left(range(hi), True, last + 1, hi, key=lambda i: order_at(i) is Ordering.GT)
+    ctx.imprecise_ties += last - first - exact
+    count = first - lo
+    if depth + 1 == len(parts):
+        return count + last - first
+    while first < last:
+        block = bisect.bisect_right(column, column[first], first, last)
+        count += _count_not_above(parts, columns, key, ctx, first, block, depth + 1)
+        first = block
+    return count
+
+
+def _verify_range_exact(parts: tuple, keys: tuple, groups: tuple, ctx: CompareContext) -> None:
+    total = len(keys)
     if sum(g.size for g in groups) != total:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
-    for a, b in zip(groups, groups[1:]):
-        if compare(a.value, b.value, ctx) is not Ordering.LT:
+    group_keys = [_key_of(parts, g.value) for g in groups]
+    for a, b in zip(group_keys, group_keys[1:]):
+        if _order(parts, a, b, ctx) is not Ordering.LT:
             raise TheoremCheckError("attainable groups are not strictly ascending")
-    if total * len(groups) <= 2_000_000:
-        # Independent recount of P[value <= group value] at every group.
-        for g in groups:
-            count = sum(
-                1 for value, _ in dist.entries if compare(value, g.value, ctx) is not Ordering.GT
-            )
-            if count != g.cum_count:
-                raise TheoremCheckError(
-                    f"range-exactness failed at {g.cum_count}/{total}: recounted {count}"
-                )
+    # Independent recount of P[value <= group value] at every group; the
+    # groups up to each one must hold exactly that many assignments.
+    columns = tuple(zip(*keys))
+    held = 0
+    for g, key in zip(groups, group_keys):
+        count = _count_not_above(parts, columns, key, ctx, 0, total)
+        held += g.size
+        if count != g.cum_count:
+            raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: recounted {count}")
+        if held != g.cum_count:
+            raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: groups up to it hold {held}")
 
 
 def attainable_set(
@@ -495,16 +617,15 @@ def attainable_set(
 ) -> AttainableSet:
     """Grouped attainable p-values of a rank-based cascade, verified range-exact."""
     ctx = CompareContext()
-    dist = permutation_distribution(m, n, cascade, precision, max_enum, ctx)
-    total = math.comb(m + n, m)
-    groups = _grouped(dist, ctx)
-    _verify_range_exact(dist, groups, total, ctx)
+    parts, keys, combos = _sorted_keys(m, n, cascade, precision, max_enum)
+    groups = _grouped(parts, keys, combos, ctx)
+    _verify_range_exact(parts, keys, groups, ctx)
     return AttainableSet(
         m=m,
         n=n,
         cascade=cascade,
         precision=precision,
-        total=total,
+        total=len(keys),
         groups=groups,
         imprecise=ctx.imprecise,
     )

@@ -222,6 +222,22 @@ class TestTable:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("m,n", [("0", "3"), ("3", "0")])
+    def test_empty_group_exit_code(self, capsys, m, n):
+        code, out, err = run(capsys, "table", m, n, "wilcoxon")
+        assert code == 2
+        assert out == ""
+        assert "at least one observation" in err
+
+    def test_non_transitive_ties_fail_loudly(self, capsys):
+        # Laplace score sums that tie in exact arithmetic differ in their last
+        # digits, so they compare EQ only within the threshold, and the fyt
+        # component then reverses their exact sort order: the check fails loudly.
+        code, out, err = run(capsys, "table", "6", "6", "laplace,fyt", "--precision", "6")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("theorem check failed:")
+
     def test_fyt_reference_mismatches_reported(self, capsys):
         code, out, _ = run(capsys, "table", "6", "6", "wilcoxon,fyt")
         assert code == 0
@@ -274,6 +290,13 @@ class TestReportHygiene:
         code, _, err = run(capsys, "induce", "--trial", str(DATA / "three.json"),
                            "--precision", "2")
         assert code == 2
+
+    def test_precision_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORDSTAT_PRECISION", "abc")
+        code, out, err = run(capsys, "table", "3", "3", "wilcoxon")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ORDSTAT_PRECISION")
 
     def test_precision_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDSTAT_PRECISION", "40")

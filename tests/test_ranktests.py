@@ -1,24 +1,33 @@
+import itertools
 import math
-from decimal import Decimal
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordstat import (
     CascadeStatistic,
+    CompareContext,
     Component,
     DegenerateSpreadError,
     DuplicateObservationsError,
     InvalidCascadeError,
+    LexTuple,
     Ordering,
+    Rank,
+    RankTestError,
+    Score,
     SizeLimitError,
     TCascadeNotExactError,
+    TheoremCheckError,
     TwoSample,
     attainable_pvalues,
     attainable_set,
     compare,
     exact_perm_pvalue,
+    format_ord,
     mc_gaussian_pvalue,
     observed_cascade_value,
     rank_sum,
@@ -27,7 +36,20 @@ from ordstat import (
     student_t,
     x_ranks,
 )
-from ordstat.ranktests import compare_with_reference, reference_for
+from ordstat.ranktests import (
+    DEFAULT_MAX_ENUM,
+    RANK_SCHEMES,
+    TieGroup,
+    _count_not_above,
+    _grouped,
+    _key_of,
+    _ScoreSum,
+    _sorted_keys,
+    _verify_range_exact,
+    compare_with_reference,
+    permutation_distribution,
+    reference_for,
+)
 
 F = Fraction
 
@@ -361,3 +383,154 @@ class TestObservedValue:
         assert value.components[0].value == rank_sum(s)
         assert value.components[1].value == score_sum(s, Component.FYT).value
         assert value.components[2].value == student_t(s).value
+
+
+class TestEmptyGroups:
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
+    def test_rejected(self, m, n):
+        with pytest.raises(RankTestError):
+            attainable_set(m, n, W)
+        with pytest.raises(RankTestError):
+            permutation_distribution(m, n, W)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against brute force on Decimal values
+
+RANK_CASCADES = tuple(CascadeStatistic(c) for k in (1, 2, 3) for c in itertools.permutations(RANK_SCHEMES, k))
+PRECISIONS = (4, 6, 8, 12, 50)
+
+
+def decimal_value(ranks, cascade, pool, precision) -> LexTuple:
+    """Reference cascade value from exact Decimal score sums, independent of the int keys."""
+    parts = []
+    for comp in cascade.components:
+        if comp is Component.WILCOXON:
+            parts.append(Rank(sum(ranks)))
+            continue
+        scores = scheme_scores(comp, pool, precision)
+        with localcontext() as c:
+            c.prec = precision + 40
+            c.traps[Inexact] = True
+            total = Decimal(0)
+            for r in ranks:
+                total += scores[r - 1]
+        parts.append(Score(total, precision))
+    return LexTuple(tuple(parts))
+
+
+def pairwise_recount(values, group_value, ctx) -> int:
+    """The quadratic recount: every value compared with the group value."""
+    return sum(1 for v in values if compare(v, group_value, ctx) is not Ordering.GT)
+
+
+def check_grouping_and_recount(cascade, m, n, precision) -> int:
+    """Int-key sort, grouping and bisection recount equal the Decimal brute force; returns its imprecise ties."""
+    parts, keys, combos = _sorted_keys(m, n, cascade, precision, DEFAULT_MAX_ENUM)
+    assert sorted(combos) == list(itertools.combinations(range(1, m + n + 1), m))
+    values = [decimal_value(c, cascade, m + n, precision) for c in combos]
+    exact = [tuple(p.value for p in v.components) for v in values]
+    assert exact == sorted(exact)
+    ctx, ref = CompareContext(), CompareContext()
+    groups = _grouped(parts, keys, combos, ctx)
+    starts = []
+    for i, v in enumerate(values):
+        if not starts or compare(v, values[starts[-1]], ref) is not Ordering.EQ:
+            starts.append(i)
+    assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
+    assert ctx.imprecise_ties == ref.imprecise_ties
+    columns = tuple(zip(*keys))
+    for g, start in zip(groups, starts):
+        # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
+        assert format_ord(g.value) == format_ord(values[start])
+        fast, slow = CompareContext(), CompareContext()
+        got = _count_not_above(parts, columns, _key_of(parts, g.value), fast, 0, len(keys))
+        assert got == pairwise_recount(values, values[start], slow)
+        assert fast.imprecise_ties == slow.imprecise_ties
+    return ref.imprecise_ties
+
+
+def check_pvalues(cascade, m, n, precision, observed_sets) -> int:
+    """exact_perm_pvalue equals a compare count over every rank subset; returns the imprecise ties."""
+    pool = m + n
+    values = [decimal_value(c, cascade, pool, precision) for c in itertools.combinations(range(1, pool + 1), m)]
+    ties = 0
+    for observed in observed_sets:
+        sample = TwoSample(tuple(observed), tuple(r for r in range(1, pool + 1) if r not in observed))
+        ctx, ref = CompareContext(), CompareContext()
+        got = exact_perm_pvalue(sample, cascade, precision, ctx=ctx)
+        want = decimal_value(observed, cascade, pool, precision)
+        assert got == F(pairwise_recount(values, want, ref), len(values))
+        assert ctx.imprecise_ties == ref.imprecise_ties
+        assert format_ord(observed_cascade_value(sample, cascade, precision)) == format_ord(want)
+        ties += ref.imprecise_ties
+    return ties
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_every_cascade_exhaustively_at_two_by_three(self, precision):
+        for cascade in RANK_CASCADES:
+            check_grouping_and_recount(cascade, 2, 3, precision)
+            check_pvalues(cascade, 2, 3, precision, itertools.combinations(range(1, 6), 2))
+
+    @pytest.mark.parametrize(
+        "cascade,m,n,precision",
+        [
+            ("laplace", 3, 4, 4),
+            ("wilcoxon,fyt", 4, 5, 4),
+            ("fyt,laplace", 5, 5, 4),
+            ("wilcoxon,fyt,laplace", 5, 4, 4),
+            ("laplace,wilcoxon,fyt", 5, 5, 6),
+        ],
+    )
+    def test_with_imprecise_ties(self, cascade, m, n, precision):
+        cascade = CascadeStatistic.parse(cascade)
+        assert check_grouping_and_recount(cascade, m, n, precision) > 0
+        assert check_pvalues(cascade, m, n, precision, itertools.combinations(range(1, m + n + 1), m)) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(RANK_CASCADES), st.integers(1, 5), st.integers(1, 5), st.sampled_from(PRECISIONS))
+    def test_grouping_and_recount_match_pairwise(self, cascade, m, n, precision):
+        check_grouping_and_recount(cascade, m, n, precision)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(RANK_CASCADES),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from(PRECISIONS),
+        st.data(),
+    )
+    def test_pvalue_matches_brute_force(self, cascade, m, n, precision, data):
+        observed = sorted(data.draw(st.permutations(range(1, m + n + 1)))[:m])
+        check_pvalues(cascade, m, n, precision, [observed])
+
+    def test_score_order_equals_compare_at_the_threshold(self):
+        # At precision 4 the threshold is a relative distance of 1/100. 9900
+        # and 10000 sit exactly on it. 10**16 - 10**14 - 1 and 10**16 sit just
+        # above it, but compare() rounds their distance to 14 digits and
+        # finds them EQ: only the rounded test itself decides there.
+        part = _ScoreSum((Decimal("0.0001"),), 4)
+        ints = [*range(9890, 9910), *range(9990, 10010), *range(10090, 10110)]
+        ints += [10**16, 10**16 - 10**14 - 1, 10**16 - 10**14 - 2]
+        ints += [-v for v in ints]
+        for a in ints:
+            for b in ints:
+                fast, slow = CompareContext(), CompareContext()
+                want = compare(Score(Decimal(a).scaleb(-4), 4), Score(Decimal(b).scaleb(-4), 4), slow)
+                assert part.order(a, b, fast) is want
+                assert fast.imprecise_ties == slow.imprecise_ties
+
+    def test_corrupted_grouping_rejected_at_every_size(self):
+        # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
+        cascade = CascadeStatistic.parse("wilcoxon,vdw")
+        parts, keys, combos = _sorted_keys(8, 8, cascade, 50, DEFAULT_MAX_ENUM)
+        groups = _grouped(parts, keys, combos, CompareContext())
+        assert len(keys) * len(groups) > 2_000_000
+        _verify_range_exact(parts, keys, groups, CompareContext())
+        i = len(groups) // 2
+        a, b = groups[i], groups[i + 1]
+        merged = TieGroup(value=a.value, members=a.members + b.members, cum_count=a.cum_count)
+        with pytest.raises(TheoremCheckError):
+            _verify_range_exact(parts, keys, groups[:i] + (merged,) + groups[i + 2 :], CompareContext())
