@@ -42,6 +42,7 @@ from .ranktests import (
     DEFAULT_MAX_ENUM,
     attainable_set,
     compare_with_reference,
+    describe_mismatch,
     exact_perm_pvalue,
     format_tie_group,
     mc_gaussian_pvalue,
@@ -51,6 +52,7 @@ from .ranktests import (
 from .files import TrialParseError, format_rational, load_trial, load_two_sample, parse_rational
 
 EXACTNESS_GRID = 97
+MAX_PRECISION = 100
 
 
 def _default_precision() -> int:
@@ -104,11 +106,15 @@ def _digest_params(*parts) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
+def _flag_imprecise(report: RunReport, ctx: CompareContext) -> None:
+    if ctx.imprecise:
+        report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
+
+
 def _flag_common(report: RunReport, trial, ctx: CompareContext) -> None:
     for label in trial.zero_probability_labels():
         report.warn(f"zero-probability outcome: {label}")
-    if ctx.imprecise:
-        report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
+    _flag_imprecise(report, ctx)
 
 
 def cmd_induce(args) -> RunReport:
@@ -216,20 +222,18 @@ def cmd_twosample(args) -> RunReport:
     report.add("n", sample.n)
     report.add("cascade", cascade.label())
     report.add("mode", args.mode)
+    ctx = CompareContext()
     if args.mode == "exact":
-        ctx = CompareContext()
         pvalue = exact_perm_pvalue(sample, cascade, args.precision, args.max_enum, ctx)
         observed = observed_cascade_value(sample, cascade, args.precision)
         report.add("observed", format_ord(observed))
         report.add("enumerated", math.comb(sample.pool, sample.m))
         report.add("pvalue", format_rational(pvalue))
         report.headline = f"exact permutation p-value {format_rational(pvalue)}"
-        if ctx.imprecise:
-            report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
     else:
         if args.seed is None:
             raise RankTestError("Monte Carlo mode needs --seed for reproducibility")
-        result = mc_gaussian_pvalue(sample, cascade, args.draws, args.seed, args.precision)
+        result = mc_gaussian_pvalue(sample, cascade, args.draws, args.seed, args.precision, ctx)
         observed = observed_cascade_value(sample, cascade, args.precision)
         report.add("observed", format_ord(observed))
         report.add("draws", result.draws)
@@ -238,6 +242,7 @@ def cmd_twosample(args) -> RunReport:
         report.add("estimate-decimal", f"{result.estimate:.6f}")
         report.add("ci95", f"[{result.ci95[0]:.6f}, {result.ci95[1]:.6f}]")
         report.headline = f"Monte Carlo p-value estimate {result.estimate:.6f}"
+    _flag_imprecise(report, ctx)
     return report
 
 
@@ -270,14 +275,10 @@ def cmd_table(args) -> RunReport:
         report.add("reference.matches", str(not mismatches).lower())
         report.add("reference.mismatch-count", len(mismatches))
         for i, mm in enumerate(mismatches, start=1):
-            report.add(
-                f"reference.mismatch.{i}",
-                f"value={format_rational(mm.value)}"
-                f" ours={'attained' if mm.in_ours else 'absent'}"
-                f" reference={'listed' if mm.in_reference else 'absent'}",
-            )
-            for j, g in enumerate(mm.groups, start=1):
-                report.add(f"reference.mismatch.{i}.group.{j}", format_tie_group(g, att.total))
+            verdict, *groups = describe_mismatch(mm, att.total)
+            report.add(f"reference.mismatch.{i}", verdict)
+            for j, group in enumerate(groups, start=1):
+                report.add(f"reference.mismatch.{i}.group.{j}", group)
         if mismatches:
             report.warn(
                 f"exact enumeration disagrees with {reference.source} at"
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--precision", type=int, default=_default_precision(),
-                       help="significant decimal digits for scores (default: ORDSTAT_PRECISION or 50)")
+                       help=f"significant decimal digits for scores, 4 to {MAX_PRECISION}"
+                       " (default: ORDSTAT_PRECISION or 50)")
         p.add_argument("--plain", action="store_true", help="human summary instead of the key-value report")
 
     p = sub.add_parser("induce", help="induced p-values, classification, idempotence check")
@@ -386,8 +388,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.precision is not None and args.precision < 4:
-        print("error: --precision must be at least 4", file=sys.stderr)
+    if args.precision is not None and not 4 <= args.precision <= MAX_PRECISION:
+        print(f"error: --precision must be between 4 and {MAX_PRECISION}", file=sys.stderr)
         return 2
     args.command_echo = " ".join(argv)
     try:

@@ -14,12 +14,12 @@ therefore a Monte Carlo p-value.
 Per-rank scores are fixed-precision decimals built once per (scheme, pool
 size, precision). The upper half of each score vector mirrors the lower
 half with flipped sign, so the antisymmetry score(i) = -score(N+1-i) holds
-bit for bit and mirror-image tie structure is preserved exactly. For
-enumeration each vector is also held as exact ints at a common decimal
-exponent, so score sums are exact int sums and a cascade key is a tuple of
-ints (the rank sum for wilcoxon); reported values are the same exact
-decimal sums. Distinct rank configurations whose sums agree to within the
-comparison precision are treated as genuine ties and flagged. Every
+bit for bit and mirror-image tie structure is preserved exactly. Each
+vector is also held as exact ints at a common decimal exponent, so the rank
+components of a cascade key are exact int sums (the rank sum for wilcoxon),
+for enumeration, the observed value and Monte Carlo draws alike; only the t
+component of a draw is compared in floats. Rank sums within the comparison
+precision of each other are treated as genuine ties and flagged. Every
 attainable set is verified range-exact at every size, by an independent
 recount that bisects the sorted keys.
 """
@@ -366,10 +366,16 @@ def _score_part(scores: tuple, precision: int) -> _ScoreSum:
 
 
 def _key_parts(cascade: CascadeStatistic, pool: int, precision: int) -> tuple:
+    """One key part per rank component; a trailing t component has none."""
     return tuple(
         _RankSum if c is Component.WILCOXON else _score_part(scheme_scores(c, pool, precision), precision)
-        for c in cascade.components
+        for c in cascade.rank_components
     )
+
+
+def _steps(parts: tuple, observed) -> tuple:
+    """(sum, order, observed sum) per key part: the lazy comparison of a rank set with the observed one."""
+    return tuple((part.total, part.order, part.total(observed)) for part in parts)
 
 
 def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
@@ -405,15 +411,11 @@ def _check_enum_size(m: int, n: int, max_enum: int) -> int:
 
 def observed_cascade_value(sample: TwoSample, cascade: CascadeStatistic, precision: int = DEFAULT_PRECISION) -> LexTuple:
     """The cascade value of the sample as given (x-role = first group)."""
-    parts = []
-    for comp in cascade.components:
-        if comp is Component.WILCOXON:
-            parts.append(Rank(rank_sum(sample)))
-        elif comp is Component.STUDENT_T:
-            parts.append(student_t(sample, precision))
-        else:
-            parts.append(score_sum(sample, comp, precision))
-    return LexTuple(tuple(parts))
+    ranks = x_ranks(sample)
+    values = tuple(part.value(ranks) for part in _key_parts(cascade, sample.pool, precision))
+    if cascade.has_student_t:
+        values += (student_t(sample, precision),)
+    return LexTuple(values)
 
 
 def exact_perm_pvalue(
@@ -434,9 +436,7 @@ def exact_perm_pvalue(
     if cascade.has_student_t:
         raise TCascadeNotExactError("t cascades have no exact permutation p-value; use mc_gaussian_pvalue")
     total = _check_enum_size(sample.m, sample.n, max_enum)
-    parts = _key_parts(cascade, sample.pool, precision)
-    observed = x_ranks(sample)
-    steps = tuple((part.total, part.order, part.total(observed)) for part in parts)
+    steps = _steps(_key_parts(cascade, sample.pool, precision), x_ranks(sample))
     own = ctx if ctx is not None else CompareContext()
     count = 0
     for combo in itertools.combinations(range(1, sample.pool + 1), sample.m):
@@ -738,13 +738,12 @@ def format_tie_group(group: TieGroup, total: int) -> str:
 
 
 def describe_mismatch(mismatch: ReferenceMismatch, total: int) -> list:
-    """Deterministic report lines: the verdict plus the deciding tie groups."""
-    lines = [
+    """Deterministic report lines: the verdict, then one line per deciding tie group."""
+    verdict = (
         f"value={mismatch.value} ours={'attained' if mismatch.in_ours else 'absent'}"
         f" reference={'listed' if mismatch.in_reference else 'absent'}"
-    ]
-    lines.extend("  group " + format_tie_group(g, total) for g in mismatch.groups)
-    return lines
+    )
+    return [verdict] + [format_tie_group(g, total) for g in mismatch.groups]
 
 
 # ---------------------------------------------------------------------------
@@ -769,24 +768,14 @@ def _wilson_ci95(count: int, draws: int) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _float_cascade_value(values, m: int, components, float_vectors) -> tuple:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    rank_of = {idx: r for r, idx in enumerate(order, start=1)}
-    ranks = [rank_of[i] for i in range(m)]
-    xs = values[:m]
-    ys = values[m:]
-    parts = []
-    for comp, vec in zip(components, float_vectors):
-        if comp is Component.WILCOXON:
-            parts.append(sum(ranks))
-        elif comp is Component.STUDENT_T:
-            xbar = sum(xs) / len(xs)
-            ybar = sum(ys) / len(ys)
-            spread = math.sqrt(sum((v - xbar) ** 2 for v in xs) + sum((v - ybar) ** 2 for v in ys))
-            parts.append((xbar - ybar) / spread)
-        else:
-            parts.append(math.fsum(vec[r - 1] for r in ranks))
-    return tuple(parts)
+def _float_t(xs, ys) -> float:
+    """student_t's t as a float, from floats or exact Fractions."""
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    spread = math.sqrt(sum((v - xbar) ** 2 for v in xs) + sum((v - ybar) ** 2 for v in ys))
+    if spread == 0:
+        raise DegenerateSpreadError("pooled spread S is zero; t is undefined")
+    return float(xbar - ybar) / spread
 
 
 def mc_gaussian_pvalue(
@@ -795,32 +784,38 @@ def mc_gaussian_pvalue(
     num_draws: int,
     seed: int,
     precision: int = DEFAULT_PRECISION,
+    ctx: CompareContext | None = None,
 ) -> MonteCarloResult:
     """Gaussian-calibrated p-value estimate for a cascade ending in t.
 
     Draws num_draws pooled samples from the standard normal, assigns the
     first m draws to the x-role, and estimates P[cascade value <= observed].
-    Deterministic for a fixed seed. Both the observed value and the draws
-    are evaluated through the same float path so rank ties compare
-    consistently.
+    Deterministic for a fixed seed. The rank components use the exact int
+    keys under the order of exact mode: the observed ranks come from the
+    exact data, a draw's ranks from its float order, and imprecise score
+    ties are flagged on ``ctx``. The t component is compared in floats,
+    and only for draws whose rank components all tie with the observed ones.
     """
     if not cascade.has_student_t:
         raise InvalidCascadeError("the Gaussian Monte Carlo path is for t cascades; use exact_perm_pvalue")
     if num_draws < 1:
         raise RankTestError(f"num_draws must be >= 1, got {num_draws}")
-    pool = sample.pool
-    float_vectors = tuple(
-        [float(d) for d in scheme_scores(c, pool, precision)] if c.rank_based else None
-        for c in cascade.components
-    )
-    observed_values = [float(v) for v in sample.xs] + [float(v) for v in sample.ys]
-    observed = _float_cascade_value(observed_values, sample.m, cascade.components, float_vectors)
-    rng = random.Random(seed)
+    m, pool = sample.m, sample.pool
+    observed_t = _float_t(sample.xs, sample.ys)
+    steps = _steps(_key_parts(cascade, pool, precision), x_ranks(sample))
+    own = ctx if ctx is not None else CompareContext()
+    gauss = random.Random(seed).gauss
     count = 0
     for _ in range(num_draws):
-        draw = [rng.gauss(0.0, 1.0) for _ in range(pool)]
-        value = _float_cascade_value(draw, sample.m, cascade.components, float_vectors)
-        if value <= observed:
+        draw = [gauss(0.0, 1.0) for _ in range(pool)]
+        ranks = [r for r, i in enumerate(sorted(range(pool), key=draw.__getitem__), start=1) if i < m]
+        for key_total, order, want in steps:
+            o = order(key_total(ranks), want, own)
+            if o is not Ordering.EQ:
+                break
+        else:  # every rank component ties: t decides
+            o = Ordering.GT if _float_t(draw[:m], draw[m:]) > observed_t else Ordering.EQ
+        if o is not Ordering.GT:
             count += 1
     return MonteCarloResult(
         estimate=count / num_draws,

@@ -192,6 +192,27 @@ class TestTwoSampleCmd:
         report = parse_report(first)
         assert report["draws"] == "500"
 
+    @pytest.mark.parametrize("cascade", ["t", "wilcoxon,t"])
+    def test_mc_degenerate_spread_exit_code(self, capsys, cascade):
+        code, out, err = run(
+            capsys, "twosample", "--data", str(DATA / "pair.csv"),
+            "--cascade", cascade, "--mode", "mc", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "spread" in err
+
+    def test_mc_warns_imprecise_ties(self, capsys, tmp_path):
+        # Ranks 1,3,6,7 of 8: laplace sums that are equal in exact arithmetic tie within the threshold.
+        data = tmp_path / "ties.csv"
+        data.write_text("".join(f"{v} {'x' if v in (1, 3, 6, 7) else 'y'}\n" for v in range(1, 9)))
+        code, out, _ = run(capsys, "twosample", "--data", str(data), "--cascade", "laplace,t",
+                           "--mode", "mc", "--seed", "662", "--draws", "600")
+        assert code == 0
+        report = parse_report(out)
+        assert report["estimate"] == "26/75"
+        assert report["warning.1"] == "imprecise score ties: 18"
+
     def test_duplicate_observations(self, capsys):
         code, _, err = run(
             capsys, "twosample", "--data", str(DATA / "dup.csv"),
@@ -291,6 +312,12 @@ class TestReportHygiene:
                            "--precision", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("precision,want", [("100", 0), ("101", 2)])
+    def test_precision_cap(self, capsys, precision, want):
+        code, out, err = run(capsys, "table", "2", "2", "wilcoxon", "--precision", precision)
+        assert code == want
+        assert (out == "") is (want == 2)
+
     def test_precision_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDSTAT_PRECISION", "abc")
         code, out, err = run(capsys, "table", "3", "3", "wilcoxon")
@@ -303,3 +330,13 @@ class TestReportHygiene:
         code, out, _ = run(capsys, "induce", "--trial", str(DATA / "three.json"))
         assert code == 0
         assert parse_report(out)["precision"] == "40"
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.iterdir()))
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("cascade", ["t", "wilcoxon", "wilcoxon,fyt,t"])
+    def test_every_fixture_exits_cleanly(self, capsys, fixture, mode, cascade):
+        code, _, _ = run(capsys, "twosample", "--data", str(DATA / fixture), "--cascade", cascade,
+                         "--mode", mode, "--seed", "1", "--draws", "200")
+        assert code in (0, 2, 3, 4)

@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordstat import (
     CascadeStatistic,
@@ -375,6 +376,11 @@ class TestMonteCarlo:
         lo, hi = got.ci95
         assert 0 <= lo <= got.estimate <= hi <= 1
 
+    @pytest.mark.parametrize("cascade", ["t", "wilcoxon,t"])
+    def test_degenerate_spread_rejected(self, cascade):
+        with pytest.raises(DegenerateSpreadError):
+            mc_gaussian_pvalue(sample([1], [2]), CascadeStatistic.parse(cascade), 10, seed=1)
+
 
 class TestObservedValue:
     def test_components_line_up(self):
@@ -383,6 +389,7 @@ class TestObservedValue:
         assert value.components[0].value == rank_sum(s)
         assert value.components[1].value == score_sum(s, Component.FYT).value
         assert value.components[2].value == student_t(s).value
+        assert observed_cascade_value(s, CascadeStatistic.parse("t")) == LexTuple((student_t(s),))
 
 
 class TestEmptyGroups:
@@ -534,3 +541,85 @@ class TestIntegerKernel:
         merged = TieGroup(value=a.value, members=a.members + b.members, cum_count=a.cum_count)
         with pytest.raises(TheoremCheckError):
             _verify_range_exact(parts, keys, groups[:i] + (merged,) + groups[i + 2 :], CompareContext())
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo counts against brute force on Decimal values
+
+T_CASCADES = tuple(
+    CascadeStatistic(c + (Component.STUDENT_T,)) for k in (0, 1, 2) for c in itertools.permutations(RANK_SCHEMES, k)
+)
+
+
+def mc_reference(s: TwoSample, cascade, draws, seed, precision):
+    """(count, imprecise ties) of draws whose cascade value compares not GT with the observed one.
+
+    Rank components are exact Decimal sums compared by order.compare with
+    those of the exact observed ranks; t is compared in floats, against the
+    observed t at 50 digits, where the rank components tie.
+    """
+    ranked = cascade.rank_components
+    observed = decimal_value(ranking_oracle(s), CascadeStatistic(ranked), s.pool, precision) if ranked else None
+    observed_t = float(student_t(s, 50).value)
+    rng = random.Random(seed)
+    ctx, count = CompareContext(), 0
+    for _ in range(draws):
+        draw = [rng.gauss(0.0, 1.0) for _ in range(s.pool)]
+        xs, ys = draw[: s.m], draw[s.m :]
+        order = Ordering.EQ
+        if ranked:
+            ranks = sorted(sorted(draw).index(v) + 1 for v in xs)
+            order = compare(decimal_value(ranks, CascadeStatistic(ranked), s.pool, precision), observed, ctx)
+        if order is Ordering.EQ:
+            xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+            t = (xbar - ybar) / math.sqrt(sum((v - xbar) ** 2 for v in xs) + sum((v - ybar) ** 2 for v in ys))
+            order = Ordering.GT if t > observed_t else Ordering.EQ
+        count += order is not Ordering.GT
+    return count, ctx.imprecise_ties
+
+
+def check_mc(s, cascade, draws, seed, precision) -> int:
+    ctx = CompareContext()
+    got = mc_gaussian_pvalue(s, cascade, draws, seed, precision, ctx)
+    assert (got.count, ctx.imprecise_ties) == mc_reference(s, cascade, draws, seed, precision)
+    return got.count
+
+
+class TestMonteCarloKernel:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_every_cascade_at_four_by_four(self, precision):
+        # Ranks 1,3,6,7 of 8: laplace sums ln(2/9) - ln(4/9) here, equal in exact arithmetic to ln(4/9) - ln(8/9).
+        s = sample([1, 3, 6, 7], [2, 4, 5, 8])
+        for cascade in T_CASCADES:
+            check_mc(s, cascade, 300, 97, precision)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(T_CASCADES),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(PRECISIONS),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_counts_match_brute_force(self, cascade, m, n, precision, seed, data):
+        assume(m + n >= 3)
+        values = data.draw(st.permutations(range(1, m + n + 1)))
+        check_mc(sample(values[:m], values[m:]), cascade, 300, seed, precision)
+
+    def test_laplace_log_identity_ties(self):
+        # Float sums would order these exact laplace ties by rounding noise (and count 194).
+        s = sample([1, 3, 6, 7], [2, 4, 5, 8])
+        ctx = CompareContext()
+        got = mc_gaussian_pvalue(s, CascadeStatistic.parse("laplace,t"), 600, seed=662, ctx=ctx)
+        assert (got.count, ctx.imprecise_ties) == (208, 18)
+
+    def test_observed_ranks_from_exact_data(self):
+        # 1 + 10**-20 and 1 are one float: ranked in floats, W would read 4 (and the estimate 1275/4000).
+        s = TwoSample((1 + F(1, 10**20), F(3)), (F(1), F(4)))
+        cascade = CascadeStatistic.parse("wilcoxon,t")
+        assert observed_cascade_value(s, cascade).components[0] == Rank(5)
+        got = mc_gaussian_pvalue(s, cascade, 4000, seed=1)
+        # P[W < 5] = 2/6 and P[W <= 5] = 4/6 bracket P[(W, t) <= observed].
+        assert F(1, 3) < F(got.count, got.draws) <= F(2, 3)
+        assert got.count == check_mc(s, cascade, 4000, 1, 50)
