@@ -241,6 +241,7 @@ def cmd_twosample(args) -> RunReport:
         report.add("estimate", format_rational(Fraction(result.count, result.draws)))
         report.add("estimate-decimal", f"{result.estimate:.6f}")
         report.add("ci95", f"[{result.ci95[0]:.6f}, {result.ci95[1]:.6f}]")
+        report.add("pvalue", format_rational(result.pvalue))
         report.headline = f"Monte Carlo p-value estimate {result.estimate:.6f}"
     _flag_imprecise(report, ctx)
     return report
@@ -390,6 +391,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision is not None and not 4 <= args.precision <= MAX_PRECISION:
         print(f"error: --precision must be between 4 and {MAX_PRECISION}", file=sys.stderr)
+        return 2
+    if getattr(args, "max_enum", 1) < 1:
+        print("error: --max-enum must be at least 1", file=sys.stderr)
         return 2
     args.command_echo = " ".join(argv)
     try:

@@ -200,14 +200,28 @@ def _mpf_fraction(f: Fraction):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
-def _expected_normal_order_stat(i: int, pool: int):
-    # E of the i-th order statistic of `pool` iid standard normals.
-    coeff = mpmath.mpf(pool) * math.comb(pool - 1, i - 1)
+def _expected_normal_order_stats(pool: int) -> list:
+    # E of the i-th order statistic of `pool` iid standard normals, i <= pool // 2.
+    # Every rank's quadrature visits the same tanh-sinh nodes, so the node
+    # factors z*npdf(z), ncdf(z), ncdf(-z) are computed once per node and
+    # shared; the nodes of [-inf, 0] mirror those of [0, inf], so a node
+    # takes its two ncdf values from its mirror -z when that has them. The
+    # memo lives for one call: nodes and values depend on the working precision.
+    factors = {}
 
-    def integrand(z):
-        return z * mpmath.npdf(z) * mpmath.ncdf(z) ** (i - 1) * mpmath.ncdf(-z) ** (pool - i)
+    def expected(i):
+        def integrand(z):
+            f = factors.get(z)
+            if f is None:
+                mirror = factors.get(-z)
+                cdfs = (mirror[2], mirror[1]) if mirror else (mpmath.ncdf(z), mpmath.ncdf(-z))
+                f = factors[z] = (z * mpmath.npdf(z), *cdfs)
+            return f[0] * f[1] ** (i - 1) * f[2] ** (pool - i)
 
-    return coeff * mpmath.quad(integrand, [-mpmath.inf, 0, mpmath.inf])
+        coeff = mpmath.mpf(pool) * math.comb(pool - 1, i - 1)
+        return coeff * mpmath.quad(integrand, [-mpmath.inf, 0, mpmath.inf])
+
+    return [expected(i) for i in range(1, pool // 2 + 1)]
 
 
 def _gauss_quantile(p: Fraction):
@@ -235,6 +249,8 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     around the mid-rank by construction: only the lower half is computed
     and the upper half is its mirrored negation, so exact tie structure
     between mirror-image rank configurations survives any precision.
+    An FYT vector runs one quadrature per lower-half rank, and each
+    quadrature node's factors are evaluated once for all of those ranks.
     """
     if not scheme.rank_based:
         raise InvalidCascadeError("the t component has no per-rank scores")
@@ -245,7 +261,7 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     half = pool // 2
     with mpmath.workdps(precision + 15):
         if scheme is Component.FYT:
-            lower = [_expected_normal_order_stat(i, pool) for i in range(1, half + 1)]
+            lower = _expected_normal_order_stats(pool)
         elif scheme is Component.VDW:
             lower = [_gauss_quantile(Fraction(i, pool + 1)) for i in range(1, half + 1)]
         else:
@@ -757,6 +773,15 @@ class MonteCarloResult:
     count: int
     draws: int
     seed: int
+
+    @property
+    def pvalue(self) -> Fraction:
+        """(count + 1) / (draws + 1): a valid p-value, never 0 (Phipson & Smyth 2010).
+
+        Under the Gaussian null the observed sample is exchangeable with the
+        draws, so counting it among them makes P[pvalue <= eps] <= eps.
+        """
+        return Fraction(self.count + 1, self.draws + 1)
 
 
 def _wilson_ci95(count: int, draws: int) -> tuple:

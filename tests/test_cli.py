@@ -213,6 +213,16 @@ class TestTwoSampleCmd:
         assert report["estimate"] == "26/75"
         assert report["warning.1"] == "imprecise score ties: 18"
 
+    def test_mc_pvalue_never_zero(self, capsys, tmp_path):
+        data = tmp_path / "apart.csv"
+        data.write_text("1 x\n2 x\n3 x\n1000 y\n1001 y\n1002 y\n")
+        code, out, _ = run(capsys, "twosample", "--data", str(data), "--cascade", "wilcoxon,t",
+                           "--mode", "mc", "--seed", "5", "--draws", "400")
+        assert code == 0
+        report = parse_report(out)
+        assert report["estimate"] == "0"
+        assert report["pvalue"] == "1/401"
+
     def test_duplicate_observations(self, capsys):
         code, _, err = run(
             capsys, "twosample", "--data", str(DATA / "dup.csv"),
@@ -242,6 +252,18 @@ class TestTable:
         code, _, err = run(capsys, "table", "6", "6", "wilcoxon", "--max-enum", "10")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_max_enum_below_one_exit_code(self, capsys, cap):
+        code, out, err = run(capsys, "table", "3", "3", "wilcoxon", "--max-enum", cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-enum must be at least 1\n"
+
+    def test_max_enum_one_is_a_cap(self, capsys):
+        code, _, err = run(capsys, "table", "3", "3", "wilcoxon", "--max-enum", "1")
+        assert code == 3
+        assert "cap 1" in err
 
     @pytest.mark.parametrize("m,n", [("0", "3"), ("3", "0")])
     def test_empty_group_exit_code(self, capsys, m, n):

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -381,6 +383,12 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateSpreadError):
             mc_gaussian_pvalue(sample([1], [2]), CascadeStatistic.parse(cascade), 10, seed=1)
 
+    def test_pvalue_counts_the_observed_sample(self):
+        # Every x far below every y: no draw is at or below the observed value.
+        s = sample([1, 2, 3], [1000, 1001, 1002])
+        got = mc_gaussian_pvalue(s, CascadeStatistic.parse("wilcoxon,t"), 300, seed=2)
+        assert (got.count, got.estimate, got.pvalue) == (0, 0.0, F(1, 301))
+
 
 class TestObservedValue:
     def test_components_line_up(self):
@@ -623,3 +631,24 @@ class TestMonteCarloKernel:
         # P[W < 5] = 2/6 and P[W <= 5] = 4/6 bracket P[(W, t) <= observed].
         assert F(1, 3) < F(got.count, got.draws) <= F(2, 3)
         assert got.count == check_mc(s, cascade, 4000, 1, 50)
+
+
+FYT_FIXTURE = {
+    (e["pool"], e["precision"]): e["scores"]
+    for e in json.loads((Path(__file__).parent / "data" / "fyt_scores.json").read_text())
+}
+
+
+class TestFytFixture:
+    """FYT vectors equal, digit for digit, those of the per-rank quadrature (tests/data/make_fyt_scores.py)."""
+
+    @pytest.mark.parametrize("pool,precision", sorted(FYT_FIXTURE))
+    def test_bit_identical(self, pool, precision):
+        assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)] == FYT_FIXTURE[pool, precision]
+
+    def test_node_memo_local_to_one_build(self):
+        # Nodes such as z = -1 and 1 recur at every precision; a memo kept
+        # across builds would serve their factors at the wrong precision.
+        for precision in (8, 50, 8):
+            scheme_scores.cache_clear()
+            assert [str(d) for d in scheme_scores(Component.FYT, 6, precision)] == FYT_FIXTURE[6, precision]
