@@ -200,28 +200,50 @@ def _mpf_fraction(f: Fraction):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
-def _expected_normal_order_stats(pool: int) -> list:
-    # E of the i-th order statistic of `pool` iid standard normals, i <= pool // 2.
-    # Every rank's quadrature visits the same tanh-sinh nodes, so the node
-    # factors z*npdf(z), ncdf(z), ncdf(-z) are computed once per node and
-    # shared; the nodes of [-inf, 0] mirror those of [0, inf], so a node
-    # takes its two ncdf values from its mirror -z when that has them. The
-    # memo lives for one call: nodes and values depend on the working precision.
-    factors = {}
+# Guard digits of an FYT vector's quadrature, tried in turn until every
+# rank's error estimate, relative to its value, is at most 10^-(precision+3).
+_FYT_GUARD_DIGITS = (15, 30, 60, 120)
 
-    def expected(i):
+
+def _expected_normal_order_stats(pool: int, precision: int) -> list:
+    # E of the i-th order statistic of `pool` iid standard normals, i <= pool // 2.
+    for guard in _FYT_GUARD_DIGITS:
+        with mpmath.workdps(precision + guard):
+            values = _folded_order_stats(pool, mpmath.mpf(10) ** -(precision + 3))
+        if values is not None:
+            return values
+    raise TheoremCheckError(
+        f"fyt quadrature at pool={pool} did not reach {precision} digits "
+        f"with {precision + _FYT_GUARD_DIGITS[-1]} working digits"
+    )
+
+
+def _folded_order_stats(pool: int, tolerance):
+    # One quadrature per rank over [0, inf] only: the half z < 0 is folded
+    # onto z > 0 by z -> -z, which swaps Phi and 1 - Phi and negates z, so
+    # E X_(i) = c * int_0^inf z phi(z) (Phi^(i-1) (1-Phi)^(pool-i) - (1-Phi)^(i-1) Phi^(pool-i)).
+    # Every rank visits the same tanh-sinh nodes, so a node's factors are
+    # computed once, from one erfc and one exp; the memo lives for one call
+    # because nodes and values depend on the working precision. None when a
+    # rank's relative error estimate exceeds `tolerance`.
+    c1 = 1 / mpmath.sqrt(2)
+    c2 = 1 / mpmath.sqrt(2 * mpmath.pi)
+    factors = {}
+    values = []
+    for i in range(1, pool // 2 + 1):
         def integrand(z):
             f = factors.get(z)
             if f is None:
-                mirror = factors.get(-z)
-                cdfs = (mirror[2], mirror[1]) if mirror else (mpmath.ncdf(z), mpmath.ncdf(-z))
-                f = factors[z] = (z * mpmath.npdf(z), *cdfs)
-            return f[0] * f[1] ** (i - 1) * f[2] ** (pool - i)
+                lo = mpmath.erfc(z * c1) / 2
+                f = factors[z] = (z * mpmath.exp(-z * z / 2) * c2, lo, 1 - lo)
+            w, lo, hi = f
+            return w * (hi ** (i - 1) * lo ** (pool - i) - lo ** (i - 1) * hi ** (pool - i))
 
-        coeff = mpmath.mpf(pool) * math.comb(pool - 1, i - 1)
-        return coeff * mpmath.quad(integrand, [-mpmath.inf, 0, mpmath.inf])
-
-    return [expected(i) for i in range(1, pool // 2 + 1)]
+        integral, error = mpmath.quad(integrand, [0, mpmath.inf], error=True)
+        if error > tolerance * abs(integral):
+            return None
+        values.append(mpmath.mpf(pool) * math.comb(pool - 1, i - 1) * integral)
+    return values
 
 
 def _gauss_quantile(p: Fraction):
@@ -249,8 +271,12 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     around the mid-rank by construction: only the lower half is computed
     and the upper half is its mirrored negation, so exact tie structure
     between mirror-image rank configurations survives any precision.
-    An FYT vector runs one quadrature per lower-half rank, and each
-    quadrature node's factors are evaluated once for all of those ranks.
+    An FYT vector runs one quadrature per lower-half rank over [0, inf),
+    the negative half folded onto it, and each node's factors are evaluated
+    once for all of those ranks. Every rank's quadrature error estimate,
+    relative to its value, must be at most 10^-(precision+3); the vector is
+    recomputed with more guard digits until it is, and TheoremCheckError
+    is raised when even 120 guard digits do not suffice.
     """
     if not scheme.rank_based:
         raise InvalidCascadeError("the t component has no per-rank scores")
@@ -261,7 +287,7 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     half = pool // 2
     with mpmath.workdps(precision + 15):
         if scheme is Component.FYT:
-            lower = _expected_normal_order_stats(pool)
+            lower = _expected_normal_order_stats(pool, precision)
         elif scheme is Component.VDW:
             lower = [_gauss_quantile(Fraction(i, pool + 1)) for i in range(1, half + 1)]
         else:

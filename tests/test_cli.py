@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ordstat import parse_rational
+from ordstat import parse_rational, ranktests
 from ordstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -280,6 +280,18 @@ class TestTable:
         assert code == 4
         assert out == ""
         assert err.startswith("theorem check failed:")
+
+    def test_fyt_large_pool(self, capsys):
+        code, out, _ = run(capsys, "table", "1", "99", "fyt", "--precision", "8")
+        assert code == 0
+        assert parse_report(out)["distinct-values"] == "100"
+
+    def test_fyt_quadrature_not_converged_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(ranktests, "_FYT_GUARD_DIGITS", (15,))
+        code, out, err = run(capsys, "table", "1", "79", "fyt", "--precision", "11")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("theorem check failed: fyt quadrature at pool=80")
 
     def test_fyt_reference_mismatches_reported(self, capsys):
         code, out, _ = run(capsys, "table", "6", "6", "wilcoxon,fyt")

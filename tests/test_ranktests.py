@@ -44,6 +44,7 @@ from ordstat.ranktests import (
     RANK_SCHEMES,
     TieGroup,
     _count_not_above,
+    _decimal_from_mpf,
     _grouped,
     _key_of,
     _ScoreSum,
@@ -646,9 +647,46 @@ class TestFytFixture:
     def test_bit_identical(self, pool, precision):
         assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)] == FYT_FIXTURE[pool, precision]
 
+    @pytest.mark.parametrize("precision", [4, 8, 20, 50, 100])
+    @pytest.mark.parametrize("pool", [2, 3, 4, 5])
+    def test_closed_forms(self, pool, precision):
+        # mu_ij = E of the i-th smallest of j iid standard normals, for the
+        # upper half of pools 2-5 (Bose & Gupta 1959; Godwin 1949).
+        with mpmath.workdps(precision + 40):
+            root_pi = mpmath.sqrt(mpmath.pi)
+            mu44 = 6 * mpmath.atan(mpmath.sqrt(2)) / root_pi ** 3
+            mu55 = 5 / (4 * root_pi) * (1 + 6 / mpmath.pi * mpmath.asin(mpmath.mpf(1) / 3))
+            upper = {
+                2: [1 / root_pi],
+                3: [3 / (2 * root_pi)],
+                4: [mu44, 6 / root_pi - 3 * mu44],
+                5: [mu55, 5 * mu44 - 4 * mu55],
+            }[pool]
+            lower = [_decimal_from_mpf(-mu, precision) for mu in upper]
+        want = lower + [Decimal(0)] * (pool % 2) + [d.copy_negate() for d in reversed(lower)]
+        assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)] == [str(d) for d in want]
+
     def test_node_memo_local_to_one_build(self):
         # Nodes such as z = -1 and 1 recur at every precision; a memo kept
         # across builds would serve their factors at the wrong precision.
         for precision in (8, 50, 8):
             scheme_scores.cache_clear()
             assert [str(d) for d in scheme_scores(Component.FYT, 6, precision)] == FYT_FIXTURE[6, precision]
+
+    @pytest.mark.parametrize(
+        "pool,precision,first,want",
+        [
+            # Reference: the integrand over both half-lines, split at
+            # -8, -7.5, ..., 8, maxdegree 10, precision + 30 digits. At 15
+            # guard digits, the error estimate first exceeds 10^-(precision+3)
+            # of the value at rank 19 of pool 80 and rank 14 of pool 100, and
+            # the pinned ranks print wrong digits; 30 guard digits get them right.
+            (80, 12, 33, ["-0.236548212693", "-0.204528830695", "-0.172718162350", "-0.141081637303",
+                          "-0.109585948608", "-0.0781987924943", "-0.0468886270168", "-0.0156244447607"]),
+            (100, 20, 48, ["-0.062570561353685321792", "-0.037526639852607337510",
+                           "-0.012506267234992093711"]),
+        ],
+    )
+    def test_large_pools_take_more_guard_digits(self, pool, precision, first, want):
+        got = scheme_scores(Component.FYT, pool, precision)
+        assert [str(d) for d in got[first - 1 : pool // 2]] == want
