@@ -358,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="two-column file: value, group label")
     p.add_argument("--cascade", required=True, help="comma list of wilcoxon,fyt,vdw,laplace,t")
     p.add_argument("--mode", choices=("exact", "mc"), required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--draws", type=int, default=10_000)
-    p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM)
+    p.add_argument("--seed", type=int, help="Monte Carlo seed; required in mc mode")
+    p.add_argument("--draws", type=int, default=10_000,
+                   help="Monte Carlo draws (default 10000); must be at least 1")
+    p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
+                   help="exact mode: cap on C(m+n, m) (default 10^7); a larger count exits 3")
     common(p)
     p.set_defaults(func=cmd_twosample)
 
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("cascade", help="comma list of wilcoxon,fyt,vdw,laplace")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM)
+    p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
+                   help="cap on C(m+n, m) (default 10^7); a larger count exits 3")
     common(p)
     p.set_defaults(func=cmd_table)
 

@@ -820,13 +820,30 @@ def _wilson_ci95(count: int, draws: int) -> tuple:
 
 
 def _float_t(xs, ys) -> float:
-    """student_t's t as a float, from floats or exact Fractions."""
+    """student_t's t of one draw, in floats."""
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     spread = math.sqrt(sum((v - xbar) ** 2 for v in xs) + sum((v - ybar) ** 2 for v in ys))
     if spread == 0:
         raise DegenerateSpreadError("pooled spread S is zero; t is undefined")
-    return float(xbar - ybar) / spread
+    return (xbar - ybar) / spread
+
+
+def _normals(seed: int):
+    """The floats random.Random(seed).gauss(0.0, 1.0) returns, its Box-Muller pairs inlined.
+
+    Each pair of uniforms gives the cos value, then the sin value, which
+    gauss holds over to its next call; a draw of odd size splits a pair
+    across two draws just as that carry does. gauss adds 0.0 to each value,
+    which only turns a -0.0 into 0.0: the two rank and sum alike.
+    """
+    uniform = random.Random(seed).random
+    cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
+    while True:
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        yield cos(x2pi) * g2rad
+        yield sin(x2pi) * g2rad
 
 
 def mc_gaussian_pvalue(
@@ -841,10 +858,13 @@ def mc_gaussian_pvalue(
 
     Draws num_draws pooled samples from the standard normal, assigns the
     first m draws to the x-role, and estimates P[cascade value <= observed].
-    Deterministic for a fixed seed. The rank components use the exact int
-    keys under the order of exact mode: the observed ranks come from the
-    exact data, a draw's ranks from its float order, and imprecise score
-    ties are flagged on ``ctx``. The t component is compared in floats,
+    Deterministic for a fixed seed: the draws are the stream of
+    random.Random(seed).gauss(0.0, 1.0), bit for bit, with its Box-Muller
+    pairs inlined (_normals). The rank components use the exact int keys
+    under the order of exact mode: the observed ranks come from the exact
+    data, a draw's ranks from its float order, and imprecise score ties
+    are flagged on ``ctx``. The t component is compared in floats, against
+    student_t's 50-digit value of the observed sample rounded to a float,
     and only for draws whose rank components all tie with the observed ones.
     """
     if not cascade.has_student_t:
@@ -852,14 +872,15 @@ def mc_gaussian_pvalue(
     if num_draws < 1:
         raise RankTestError(f"num_draws must be >= 1, got {num_draws}")
     m, pool = sample.m, sample.pool
-    observed_t = _float_t(sample.xs, sample.ys)
+    observed_t = float(student_t(sample, 50).value)
     steps = _steps(_key_parts(cascade, pool, precision), x_ranks(sample))
     own = ctx if ctx is not None else CompareContext()
-    gauss = random.Random(seed).gauss
+    normals = _normals(seed)
     count = 0
     for _ in range(num_draws):
-        draw = [gauss(0.0, 1.0) for _ in range(pool)]
-        ranks = [r for r, i in enumerate(sorted(range(pool), key=draw.__getitem__), start=1) if i < m]
+        draw = list(itertools.islice(normals, pool))
+        ordered = sorted(draw)
+        ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
         for key_total, order, want in steps:
             o = order(key_total(ranks), want, own)
             if o is not Ordering.EQ:

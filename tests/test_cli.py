@@ -223,6 +223,19 @@ class TestTwoSampleCmd:
         assert report["estimate"] == "0"
         assert report["pvalue"] == "1/401"
 
+    def test_mc_extreme_scales(self, capsys, tmp_path):
+        # Ranks and t do not change under positive rescaling; t in floats on
+        # the raw data overflowed at 1e200 and read S = 0 at 1e-200.
+        estimates = set()
+        for scale in ("", "e200", "e-200"):
+            data = tmp_path / f"scaled{scale}.csv"
+            data.write_text(f"1{scale} x\n3{scale} x\n2{scale} y\n5{scale} y\n")
+            code, out, err = run(capsys, "twosample", "--data", str(data), "--cascade", "wilcoxon,t",
+                                 "--mode", "mc", "--seed", "3", "--draws", "2001")
+            assert (code, err) == (0, "")
+            estimates.add(parse_report(out)["estimate"])
+        assert estimates == {"163/667"}
+
     def test_duplicate_observations(self, capsys):
         code, _, err = run(
             capsys, "twosample", "--data", str(DATA / "dup.csv"),

@@ -47,6 +47,7 @@ from ordstat.ranktests import (
     _decimal_from_mpf,
     _grouped,
     _key_of,
+    _normals,
     _ScoreSum,
     _sorted_keys,
     _verify_range_exact,
@@ -623,6 +624,17 @@ class TestMonteCarloKernel:
         got = mc_gaussian_pvalue(s, CascadeStatistic.parse("laplace,t"), 600, seed=662, ctx=ctx)
         assert (got.count, ctx.imprecise_ties) == (208, 18)
 
+    def test_above_the_property_range(self):
+        # Pool 17 is odd, so Box-Muller pairs split across draws, and 1001 draws is odd too.
+        values = random.Random(17).sample(range(1, 1000), 17)
+        check_mc(sample(values[:9], values[9:]), CascadeStatistic.parse("wilcoxon,fyt,t"), 1001, 4, 20)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40])
+    def test_draw_stream_is_gauss(self, seed):
+        rng = random.Random(seed)
+        want = [rng.gauss(0.0, 1.0).hex() for _ in range(10001)]
+        assert [v.hex() for v in itertools.islice(_normals(seed), 10001)] == want
+
     def test_observed_ranks_from_exact_data(self):
         # 1 + 10**-20 and 1 are one float: ranked in floats, W would read 4 (and the estimate 1275/4000).
         s = TwoSample((1 + F(1, 10**20), F(3)), (F(1), F(4)))
@@ -669,9 +681,10 @@ class TestFytFixture:
     def test_node_memo_local_to_one_build(self):
         # Nodes such as z = -1 and 1 recur at every precision; a memo kept
         # across builds would serve their factors at the wrong precision.
+        # The uncached builds leave the process-wide score cache as it is.
         for precision in (8, 50, 8):
-            scheme_scores.cache_clear()
-            assert [str(d) for d in scheme_scores(Component.FYT, 6, precision)] == FYT_FIXTURE[6, precision]
+            got = scheme_scores.__wrapped__(Component.FYT, 6, precision)
+            assert [str(d) for d in got] == FYT_FIXTURE[6, precision]
 
     @pytest.mark.parametrize(
         "pool,precision,first,want",
