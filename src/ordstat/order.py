@@ -4,9 +4,10 @@ Values come in four shapes: exact rationals, integer ranks, fixed-precision
 decimal scores, and tuples compared lexicographically. Two values are
 comparable only if they share a shape; cross-shape comparison raises rather
 than coercing, so exactness is never lost by accident. Score comparisons
-whose operands are closer than the precision threshold collapse to EQ and
-are flagged on the comparison context: a conservative tie is recoverable,
-a silently wrong strict ordering is not.
+whose operands lie within the precision threshold of each other collapse to
+EQ and are flagged on the comparison context: a conservative tie is
+recoverable, a silently wrong strict ordering is not. The threshold test
+itself is exact, on the Decimal operands as given, with no rounding.
 
 The lexicographic tuple order here is the computational core of the package;
 tuples of ordered values are themselves ordered values, so cascades of
@@ -17,6 +18,7 @@ content and live in documentation only.
 
 from __future__ import annotations
 
+import decimal
 import enum
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -103,10 +105,13 @@ class Score:
     """Fixed-precision decimal value.
 
     ``precision`` counts significant decimal digits of the sources that
-    produced the value. Two scores whose relative distance is at most
-    10**(2 - precision) compare EQ and flag the comparison context as
-    imprecise; identical values compare EQ without flagging. The stored
-    decimal may carry more digits than ``precision`` (e.g. an exact sum of
+    produced the value. Two scores a and b with
+    |a - b| * 10**precision <= 100 * max(|a|, |b|), that is a relative
+    distance of at most 10**(2 - precision), compare EQ and flag the
+    comparison context as imprecise; identical values compare EQ without
+    flagging. The test is exact: the tie window of a value is a closed
+    interval around it, with no rounding at its ends. The stored decimal
+    may carry more digits than ``precision`` (e.g. an exact sum of
     precision-digit terms); the threshold is governed by ``precision``
     alone.
     """
@@ -172,20 +177,17 @@ def _cmp(a, b) -> Ordering:
     return Ordering.EQ
 
 
-def _score_threshold(precision: int) -> Decimal:
-    return Decimal(10) ** (2 - precision)
+# Subtraction and scaleb under this context never round, overflow or underflow.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _compare_scores(a: Score, b: Score, ctx: CompareContext | None) -> Ordering:
     if a.value == b.value:
         return Ordering.EQ
     prec = min(a.precision, b.precision)
-    with localcontext() as c:
-        c.prec = prec + 10
-        diff = abs(a.value - b.value)
-        scale = max(abs(a.value), abs(b.value))  # > 0: equal values handled above
-        rel = diff / scale
-    if rel <= _score_threshold(prec):
+    with localcontext(_EXACT):
+        within = abs(a.value - b.value).scaleb(prec - 2) <= max(abs(a.value), abs(b.value))
+    if within:
         if ctx is not None:
             ctx.flag_imprecise()
         return Ordering.EQ
@@ -208,11 +210,13 @@ def compare(a: OrdValue, b: OrdValue, ctx: CompareContext | None = None) -> Orde
     """Three-valued comparison of two same-shape values.
 
     Rational and rank comparisons are exact; tuples compare
-    lexicographically (the first unequal component decides). Score
-    comparisons within the precision threshold collapse to EQ and flag
-    ``ctx``. Threshold equality is deliberately conservative and is not
-    transitive in corner cases, so callers that partition values into
-    equality groups should group sort-adjacent elements.
+    lexicographically (the first unequal component decides). Scores a and
+    b with |a - b| * 10**p <= 100 * max(|a|, |b|), p the smaller of their
+    precisions, collapse to EQ and flag ``ctx``; the test is decided
+    exactly, without rounding the relative distance. Threshold equality is
+    deliberately conservative and is not transitive, so callers that
+    partition values into equality groups should group sort-adjacent
+    elements.
 
     Raises ShapeMismatchError when the shapes differ (including tuples of
     different arity or componentwise shape).

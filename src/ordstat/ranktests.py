@@ -18,10 +18,13 @@ bit for bit and mirror-image tie structure is preserved exactly. Each
 vector is also held as exact ints at a common decimal exponent, so the rank
 components of a cascade key are exact int sums (the rank sum for wilcoxon),
 for enumeration, the observed value and Monte Carlo draws alike; only the t
-component of a draw is compared in floats. Rank sums within the comparison
-precision of each other are treated as genuine ties and flagged. Every
-attainable set is verified range-exact at every size, by an independent
-recount that bisects the sorted keys.
+component of a draw is compared in floats. Score sums within the comparison
+precision of each other are treated as genuine ties and flagged: each key
+part gives the closed int window of sums that compare EQ with a sum, the
+same exact test as order.compare on their Scores, and enumeration, grouping
+and the recount all compare against that window. Every attainable set is
+verified range-exact at every size, by an independent recount that bisects
+the sorted keys.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .order import (
     Ordering,
     Rank,
     Score,
-    compare,
     exact_fraction,
     format_ord,
 )
@@ -340,16 +342,12 @@ class _RankSum:
     total = staticmethod(sum)
 
     @staticmethod
-    def order(a: int, b: int, ctx: CompareContext) -> Ordering:
-        return Ordering.LT if a < b else Ordering.GT if a > b else Ordering.EQ
+    def window(v: int) -> tuple:
+        return v, v
 
     @staticmethod
     def value(ranks) -> Rank:
         return Rank(sum(ranks))
-
-    @staticmethod
-    def key_of(value: Rank) -> int:
-        return value.value
 
 
 # scaleb under this context only moves the exponent: it never rounds.
@@ -362,44 +360,33 @@ class _ScoreSum:
     Every score of the vector is an int multiple of 10**exponent, where
     exponent is the smallest Decimal exponent among the scores and 0, so
     rank-set sums are plain int sums and mirror negation stays exact.
+    The precision must be at least 4, so that the threshold's relative
+    distance is below 1 and each sum's tie window excludes 0.
     """
 
     def __init__(self, scores: tuple, precision: int):
+        if precision < 4:
+            raise RankTestError(f"score components need precision >= 4, got {precision}")
         self.precision = precision
+        self.scale = 10**precision
         # Index 0 stands for the Decimal(0) a sum starts from; ranks index the rest.
         self.exponents = (0,) + tuple(d.as_tuple().exponent for d in scores)
         self.exponent = min(self.exponents)
         self.ints = tuple(int(d.scaleb(-self.exponent, _EXACT)) for d in (Decimal(0),) + scores)
         self.total = lambda ranks, score=self.ints.__getitem__: sum(map(score, ranks))
 
-    def order(self, a: int, b: int, ctx: CompareContext) -> Ordering:
-        """order.compare on the two sums as Scores, decided from the ints where it is safe."""
-        if a == b:
-            return Ordering.EQ
-        diff, scale = abs(a - b), max(abs(a), abs(b))
-        # gap <= 0 exactly when diff / scale <= 10**(2 - precision), the Score threshold.
-        gap = diff * 10**self.precision - scale * 100
-        if abs(gap) * 10 ** (self.precision + 7) <= scale * 100:
-            # compare() rounds the relative distance to precision + 10 digits, a
-            # relative error below 10**-(precision + 8): this close to the
-            # threshold only the rounded test itself can decide.
-            return compare(self._score(a), self._score(b), ctx)
-        if gap <= 0:
-            ctx.flag_imprecise()
-            return Ordering.EQ
-        return Ordering.LT if a < b else Ordering.GT
-
-    def _score(self, total: int) -> Score:
-        return Score(Decimal(total).scaleb(self.exponent, _EXACT), self.precision)
+    def window(self, v: int) -> tuple:
+        """(lo, hi): the sums u whose Scores compare EQ with v's, |u - v| * 10**p <= 100 * max(|u|, |v|)."""
+        if v < 0:
+            lo, hi = self.window(-v)
+            return -hi, -lo
+        return v - v * 100 // self.scale, v * self.scale // (self.scale - 100)
 
     def value(self, ranks) -> Score:
         """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
         exponent = min(0, *map(self.exponents.__getitem__, ranks))
         coefficient = self.total(ranks) // 10 ** (exponent - self.exponent)
         return Score(Decimal(coefficient).scaleb(exponent, _EXACT), self.precision)
-
-    def key_of(self, value: Score) -> int:
-        return int(value.value.scaleb(-self.exponent, _EXACT))
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,26 +403,29 @@ def _key_parts(cascade: CascadeStatistic, pool: int, precision: int) -> tuple:
 
 
 def _steps(parts: tuple, observed) -> tuple:
-    """(sum, order, observed sum) per key part: the lazy comparison of a rank set with the observed one."""
-    return tuple((part.total, part.order, part.total(observed)) for part in parts)
+    """(sum, lo, hi, observed sum) per key part: a rank set's sum is LT below lo, EQ on [lo, hi], GT above hi."""
+    steps = []
+    for part in parts:
+        want = part.total(observed)
+        steps.append((part.total, *part.window(want), want))
+    return tuple(steps)
 
 
 def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
     """Lexicographic order of two cascade keys, as order.compare on their values."""
     for part, x, y in zip(parts, a, b):
         if x != y:
-            o = part.order(x, y, ctx)
-            if o is not Ordering.EQ:
-                return o
+            lo, hi = part.window(y)
+            if x < lo:
+                return Ordering.LT
+            if x > hi:
+                return Ordering.GT
+            ctx.flag_imprecise()
     return Ordering.EQ
 
 
 def _value(parts: tuple, ranks) -> LexTuple:
     return LexTuple(tuple(part.value(ranks) for part in parts))
-
-
-def _key_of(parts: tuple, value: LexTuple) -> tuple:
-    return tuple(part.key_of(c) for part, c in zip(parts, value.components))
 
 
 # ---------------------------------------------------------------------------
@@ -483,28 +473,18 @@ def exact_perm_pvalue(
     count = 0
     for combo in itertools.combinations(range(1, sample.pool + 1), sample.m):
         # Later components are summed only where the earlier ones tie.
-        for key_total, order, want in steps:
-            o = order(key_total(combo), want, own)
-            if o is not Ordering.EQ:
+        for key_total, lo, hi, want in steps:
+            s = key_total(combo)
+            if s < lo:
+                count += 1
                 break
-        if o is not Ordering.GT:
+            if s > hi:
+                break
+            if s != want:
+                own.flag_imprecise()
+        else:
             count += 1
     return Fraction(count, total)
-
-
-@dataclass(frozen=True)
-class PermutationDistribution:
-    """Cascade values over all C(m+n, m) equally likely x-role assignments.
-
-    ``entries`` are (value, weight) pairs in ascending value order, one per
-    assignment, each of weight 1/C(m+n, m); ``assignments`` lists the
-    x-role rank sets in the same order.
-    """
-
-    m: int
-    n: int
-    entries: tuple
-    assignments: tuple
 
 
 @dataclass(frozen=True)
@@ -563,25 +543,6 @@ def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_
     return parts, tuple(keys[i] for i in order), tuple(combos[i] for i in order)
 
 
-def permutation_distribution(
-    m: int,
-    n: int,
-    cascade: CascadeStatistic,
-    precision: int = DEFAULT_PRECISION,
-    max_enum: int = DEFAULT_MAX_ENUM,
-    ctx: CompareContext | None = None,
-) -> PermutationDistribution:
-    """Enumerate and sort the full cascade distribution (rank-based cascades only)."""
-    parts, _, combos = _sorted_keys(m, n, cascade, precision, max_enum)
-    weight = Fraction(1, len(combos))
-    return PermutationDistribution(
-        m=m,
-        n=n,
-        entries=tuple((_value(parts, c), weight) for c in combos),
-        assignments=combos,
-    )
-
-
 def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> tuple:
     # Each sorted key joins the current group when it compares EQ to the group's first key.
     starts = []
@@ -594,32 +555,23 @@ def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> t
     )
 
 
-def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, lo: int, hi: int, depth: int = 0) -> int:
-    """#{v in keys[lo:hi] : _order(v, key) is not GT}, by bisection.
+def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:
+    """#{v in keys[start:stop] : _order(v, key) is not GT}, by bisection.
 
-    keys[lo:hi] must be exactly equal on the components before ``depth``,
-    so they ascend on component ``depth``. Against a fixed value, that
-    component compares LT on a prefix, EQ on a window and GT on a suffix,
-    because the relative distance grows monotonically on each side. Each
-    window member that is not exactly equal is one imprecise comparison.
+    keys[start:stop] must be exactly equal on the components before
+    ``depth``, so they ascend on component ``depth``. Against a fixed
+    value, that component compares EQ on the closed window
+    ``part.window(value)``, LT below it and GT above it, so two bisections
+    on the window's ends split the slice. Each window member that is not
+    exactly equal is one imprecise comparison.
     """
     part, column, want = parts[depth], columns[depth], key[depth]
-    first = bisect.bisect_left(column, want, lo, hi)
-    last = bisect.bisect_right(column, want, first, hi)
-    exact = last - first
-    probe = CompareContext()  # locating the window is not a comparison of the recount
-
-    def order_at(i):
-        return part.order(column[i], want, probe)
-
-    if first > lo and order_at(first - 1) is not Ordering.LT:
-        first = bisect.bisect_left(
-            range(first), True, lo, first - 1, key=lambda i: order_at(i) is not Ordering.LT
-        )
-    if last < hi and order_at(last) is not Ordering.GT:
-        last = bisect.bisect_left(range(hi), True, last + 1, hi, key=lambda i: order_at(i) is Ordering.GT)
+    lo, hi = part.window(want)
+    first = bisect.bisect_left(column, lo, start, stop)
+    last = bisect.bisect_right(column, hi, first, stop)
+    exact = bisect.bisect_right(column, want, first, last) - bisect.bisect_left(column, want, first, last)
     ctx.imprecise_ties += last - first - exact
-    count = first - lo
+    count = first - start
     if depth + 1 == len(parts):
         return count + last - first
     while first < last:
@@ -633,7 +585,7 @@ def _verify_range_exact(parts: tuple, keys: tuple, groups: tuple, ctx: CompareCo
     total = len(keys)
     if sum(g.size for g in groups) != total:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
-    group_keys = [_key_of(parts, g.value) for g in groups]
+    group_keys = [keys[g.cum_count - g.size] for g in groups]
     for a, b in zip(group_keys, group_keys[1:]):
         if _order(parts, a, b, ctx) is not Ordering.LT:
             raise TheoremCheckError("attainable groups are not strictly ascending")
@@ -881,14 +833,18 @@ def mc_gaussian_pvalue(
         draw = list(itertools.islice(normals, pool))
         ordered = sorted(draw)
         ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
-        for key_total, order, want in steps:
-            o = order(key_total(ranks), want, own)
-            if o is not Ordering.EQ:
+        for key_total, lo, hi, want in steps:
+            s = key_total(ranks)
+            if s < lo:
+                count += 1
                 break
+            if s > hi:
+                break
+            if s != want:
+                own.flag_imprecise()
         else:  # every rank component ties: t decides
-            o = Ordering.GT if _float_t(draw[:m], draw[m:]) > observed_t else Ordering.EQ
-        if o is not Ordering.GT:
-            count += 1
+            if _float_t(draw[:m], draw[m:]) <= observed_t:
+                count += 1
     return MonteCarloResult(
         estimate=count / num_draws,
         ci95=_wilson_ci95(count, num_draws),

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +378,16 @@ class TestReportHygiene:
         code, out, _ = run(capsys, "induce", "--trial", str(DATA / "three.json"))
         assert code == 0
         assert parse_report(out)["precision"] == "40"
+
+
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_report_matches_golden(capsys, monkeypatch, entry):
+    """stdout, stderr and exit code equal, byte for byte, those of tests/data/make_cli_golden.py."""
+    monkeypatch.chdir(DATA)
+    assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
 
 
 class TestRobustness:

@@ -90,6 +90,17 @@ class TestScore:
         assert compare(Score("1.0", 10), Score("1.001", 10), ctx) is Ordering.LT
         assert not ctx.imprecise
 
+    def test_threshold_is_decided_exactly(self):
+        # The relative distance is 0.01 + 1e-16, just above the precision-4
+        # threshold of 0.01. Rounded to 14 digits it would read 0.01 and tie.
+        ctx = CompareContext()
+        a, b = Score("989999999999.9999", 4), Score("1000000000000.0000", 4)
+        assert compare(a, b, ctx) is Ordering.LT
+        assert compare(b, a, ctx) is Ordering.GT
+        assert not ctx.imprecise
+        assert compare(Score("990000000000.0000", 4), b, ctx) is Ordering.EQ
+        assert ctx.imprecise_ties == 1
+
     def test_mixed_precision_uses_coarser_threshold(self):
         ctx = CompareContext()
         a = Score(Decimal("1.0"), 50)

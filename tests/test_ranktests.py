@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import random
-from decimal import Decimal, Inexact, localcontext
+from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,13 +46,12 @@ from ordstat.ranktests import (
     _count_not_above,
     _decimal_from_mpf,
     _grouped,
-    _key_of,
     _normals,
+    _order,
     _ScoreSum,
     _sorted_keys,
     _verify_range_exact,
     compare_with_reference,
-    permutation_distribution,
     reference_for,
 )
 
@@ -301,20 +300,22 @@ class TestAttainable:
         for a, b in zip(att.groups, att.groups[1:]):
             assert compare(a.value, b.value) is Ordering.LT
 
+    def test_groups_hold_every_assignment_once(self):
+        for cascade in (W, WF, CascadeStatistic.parse("laplace")):
+            att = attainable_set(4, 3, cascade)
+            members = [ranks for g in att.groups for ranks in g.members]
+            assert sorted(members) == list(itertools.combinations(range(1, 8), 4))
+            counts = [g.cum_count for g in att.groups]
+            assert counts == sorted(set(counts)) and counts[-1] == att.total == math.comb(7, 4)
 
-class TestPermutationDistribution:
-    def test_entry_count_and_weights(self):
-        from ordstat import permutation_distribution
-
-        dist = permutation_distribution(2, 3, WF)
-        total = math.comb(5, 2)
-        assert len(dist.entries) == total == len(dist.assignments)
-        assert all(w == F(1, total) for _, w in dist.entries)
-        assert sum(w for _, w in dist.entries) == 1
-        values = [v for v, _ in dist.entries]
-        assert all(
-            compare(a, b) is not Ordering.GT for a, b in zip(values, values[1:])
-        )
+    @pytest.mark.parametrize("precision", [1, 2, 3])
+    def test_score_components_need_precision_four(self, precision):
+        fyt = CascadeStatistic.parse("fyt")
+        with pytest.raises(RankTestError, match="precision >= 4"):
+            attainable_set(3, 3, fyt, precision=precision)
+        with pytest.raises(RankTestError, match="precision >= 4"):
+            exact_perm_pvalue(sample([1, 2, 3], [4, 5, 6]), WF, precision)
+        assert len(attainable_set(3, 3, W, precision=precision).groups) == 10
 
 
 class TestReferenceComparison:
@@ -407,8 +408,6 @@ class TestEmptyGroups:
     def test_rejected(self, m, n):
         with pytest.raises(RankTestError):
             attainable_set(m, n, W)
-        with pytest.raises(RankTestError):
-            permutation_distribution(m, n, W)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +460,7 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
         # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
         assert format_ord(g.value) == format_ord(values[start])
         fast, slow = CompareContext(), CompareContext()
-        got = _count_not_above(parts, columns, _key_of(parts, g.value), fast, 0, len(keys))
+        got = _count_not_above(parts, columns, keys[start], fast, 0, len(keys))
         assert got == pairwise_recount(values, values[start], slow)
         assert fast.imprecise_ties == slow.imprecise_ties
     return ref.imprecise_ties
@@ -526,18 +525,35 @@ class TestIntegerKernel:
     def test_score_order_equals_compare_at_the_threshold(self):
         # At precision 4 the threshold is a relative distance of 1/100. 9900
         # and 10000 sit exactly on it. 10**16 - 10**14 - 1 and 10**16 sit just
-        # above it, but compare() rounds their distance to 14 digits and
-        # finds them EQ: only the rounded test itself decides there.
-        part = _ScoreSum((Decimal("0.0001"),), 4)
+        # above it, at a relative distance of 0.01 + 10**-16, and compare()
+        # decides that exactly, with no rounding of the distance.
+        parts = (_ScoreSum((Decimal("0.0001"),), 4),)
         ints = [*range(9890, 9910), *range(9990, 10010), *range(10090, 10110)]
-        ints += [10**16, 10**16 - 10**14 - 1, 10**16 - 10**14 - 2]
+        ints += [10**16, 10**16 - 10**14 - 1, 10**16 - 10**14 - 2, 10**16 - 10**14]
         ints += [-v for v in ints]
         for a in ints:
             for b in ints:
                 fast, slow = CompareContext(), CompareContext()
                 want = compare(Score(Decimal(a).scaleb(-4), 4), Score(Decimal(b).scaleb(-4), 4), slow)
-                assert part.order(a, b, fast) is want
+                assert _order(parts, (a,), (b,), fast) is want
                 assert fast.imprecise_ties == slow.imprecise_ties
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(-10**60, 10**60), st.integers(-10**6, 10**6), st.just(0)),
+        st.sampled_from((4, 5, 8, 20, 50, 100)),
+        st.integers(-30, 30),
+    )
+    def test_window_is_the_eq_set_of_compare(self, v, precision, exponent):
+        # The window's ends compare EQ with v, and the ints just outside it do not.
+        lo, hi = _ScoreSum((Decimal("0.0001"),), precision).window(v)
+        assert lo <= v <= hi
+
+        def score(u):
+            return Score(Decimal(u).scaleb(exponent, Context(prec=MAX_PREC)), precision)
+
+        for u, eq in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
+            assert (compare(score(u), score(v)) is Ordering.EQ) is eq
 
     def test_corrupted_grouping_rejected_at_every_size(self):
         # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
