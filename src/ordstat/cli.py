@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .order import CompareContext, format_ord
+from .order import MIN_PRECISION, CompareContext, format_ord
 from .trial import (
     TheoremCheckError,
     TrialError,
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--precision", type=int, default=_default_precision(),
-                       help=f"significant decimal digits for scores, 4 to {MAX_PRECISION}"
+                       help=f"significant decimal digits for scores, {MIN_PRECISION} to {MAX_PRECISION}"
                        " (default: ORDSTAT_PRECISION or 50)")
         p.add_argument("--plain", action="store_true", help="human summary instead of the key-value report")
 
@@ -392,8 +392,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.precision is not None and not 4 <= args.precision <= MAX_PRECISION:
-        print(f"error: --precision must be between 4 and {MAX_PRECISION}", file=sys.stderr)
+    if args.precision is not None and not MIN_PRECISION <= args.precision <= MAX_PRECISION:
+        print(f"error: --precision must be between {MIN_PRECISION} and {MAX_PRECISION}", file=sys.stderr)
         return 2
     if getattr(args, "max_enum", 1) < 1:
         print("error: --max-enum must be at least 1", file=sys.stderr)
@@ -409,6 +409,10 @@ def main(argv=None) -> int:
         return 4
     except (TrialParseError, TrialError, RankTestError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Only nested statistic values recurse; one the parser accepted can still be too deep to sort.
+        print("error: statistic values nested too deeply", file=sys.stderr)
         return 2
     sys.stdout.write(report.render(plain=args.plain))
     if report.theorem_failures:

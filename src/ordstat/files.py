@@ -94,6 +94,8 @@ def parse_trial_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise TrialParseError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except RecursionError:
+        raise TrialParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise TrialParseError("trial document must be a JSON object")
     unknown = sorted(set(doc) - {"outcomes", "statistic"})
@@ -122,7 +124,10 @@ def parse_trial_document(text: str):
         label = _parse_label(label, "statistic")
         if label not in trial:
             raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
-        values[label] = _parse_value(raw, f"statistic.{label}")
+        try:
+            values[label] = _parse_value(raw, f"statistic.{label}")
+        except RecursionError:
+            raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
     missing = [label for label in trial.labels if label not in values]
     if missing:
         raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")

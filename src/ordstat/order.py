@@ -26,6 +26,8 @@ from fractions import Fraction
 from typing import Union
 
 DEFAULT_PRECISION = 50
+# The threshold is then at most 1%; at precision 2 it would tie 0 with every value, at 1 opposite signs.
+MIN_PRECISION = 4
 
 
 class OrderError(Exception):
@@ -113,7 +115,7 @@ class Score:
     interval around it, with no rounding at its ends. The stored decimal
     may carry more digits than ``precision`` (e.g. an exact sum of
     precision-digit terms); the threshold is governed by ``precision``
-    alone.
+    alone, which must be at least MIN_PRECISION.
     """
 
     value: Decimal
@@ -127,8 +129,8 @@ class Score:
             v = Decimal(v)
         if not v.is_finite():
             raise OrderError(f"score must be finite, got {v}")
-        if not isinstance(self.precision, int) or self.precision < 1:
-            raise OrderError(f"precision must be a positive int, got {self.precision!r}")
+        if not isinstance(self.precision, int) or self.precision < MIN_PRECISION:
+            raise OrderError(f"precision must be an int >= {MIN_PRECISION}, got {self.precision!r}")
         object.__setattr__(self, "value", v)
 
 

@@ -25,7 +25,6 @@ from .trial import (
     PFunctionClass,
     Statistic,
     TrialError,
-    _surface_imprecision,
     classify_pfunction,
     induce_phat,
     product_trial,
@@ -65,14 +64,11 @@ class RandomizedPFunction:
 
 def build_randomized(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> RandomizedPFunction:
     """Split each outcome's induced p-value into strict mass and tie mass."""
-    own = ctx if ctx is not None else CompareContext()
     out = {}
     below = Fraction(0)
-    for _, members, mass in value_groups(trial, stat, own):
-        for label in members:
-            out[label] = (below, mass)
+    for _, members, mass in value_groups(trial, stat, ctx):
+        out.update(dict.fromkeys(members, (below, mass)))
         below += mass
-    _surface_imprecision(own, ctx)
     return RandomizedPFunction(out)
 
 

@@ -45,6 +45,7 @@ import mpmath
 from .order import (
     CompareContext,
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     LexTuple,
     OrdValue,
     Ordering,
@@ -350,7 +351,7 @@ class _RankSum:
         return Rank(sum(ranks))
 
 
-# scaleb under this context only moves the exponent: it never rounds.
+# scaleb under this context only moves the exponent, and add never rounds.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
@@ -360,19 +361,20 @@ class _ScoreSum:
     Every score of the vector is an int multiple of 10**exponent, where
     exponent is the smallest Decimal exponent among the scores and 0, so
     rank-set sums are plain int sums and mirror negation stays exact.
-    The precision must be at least 4, so that the threshold's relative
-    distance is below 1 and each sum's tie window excludes 0.
+    The precision must be at least MIN_PRECISION (4), so that the
+    threshold's relative distance is below 1 and each sum's tie window
+    excludes 0.
     """
 
     def __init__(self, scores: tuple, precision: int):
-        if precision < 4:
-            raise RankTestError(f"score components need precision >= 4, got {precision}")
+        if precision < MIN_PRECISION:
+            raise RankTestError(f"score components need precision >= {MIN_PRECISION}, got {precision}")
         self.precision = precision
         self.scale = 10**precision
         # Index 0 stands for the Decimal(0) a sum starts from; ranks index the rest.
-        self.exponents = (0,) + tuple(d.as_tuple().exponent for d in scores)
-        self.exponent = min(self.exponents)
-        self.ints = tuple(int(d.scaleb(-self.exponent, _EXACT)) for d in (Decimal(0),) + scores)
+        self.decimals = (Decimal(0),) + scores
+        exponent = min(d.as_tuple().exponent for d in self.decimals)
+        self.ints = tuple(int(d.scaleb(-exponent, _EXACT)) for d in self.decimals)
         self.total = lambda ranks, score=self.ints.__getitem__: sum(map(score, ranks))
 
     def window(self, v: int) -> tuple:
@@ -384,9 +386,8 @@ class _ScoreSum:
 
     def value(self, ranks) -> Score:
         """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
-        exponent = min(0, *map(self.exponents.__getitem__, ranks))
-        coefficient = self.total(ranks) // 10 ** (exponent - self.exponent)
-        return Score(Decimal(coefficient).scaleb(exponent, _EXACT), self.precision)
+        total = functools.reduce(_EXACT.add, map(self.decimals.__getitem__, ranks), Decimal(0))
+        return Score(total, self.precision)
 
 
 @functools.lru_cache(maxsize=None)

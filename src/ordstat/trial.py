@@ -19,10 +19,11 @@ from fractions import Fraction
 
 from .order import (
     CompareContext,
+    LexTuple,
     OrdValue,
     Ordering,
-    Rank,
     Rational,
+    Score,
     compare,
     exact_fraction,
     shape,
@@ -192,51 +193,44 @@ def _has_score(s) -> bool:
 
 
 def _native_key(value: OrdValue):
-    # Exact sort key for shapes without Score components; comparisons stay exact.
-    if isinstance(value, (Rational, Rank)):
-        return value.value
-    return tuple(_native_key(c) for c in value.components)
+    # Exact sort key; a Score's precision rides along so that equal keys compare alike.
+    if isinstance(value, LexTuple):
+        return tuple(_native_key(c) for c in value.components)
+    if isinstance(value, Score):
+        return value.value, value.precision
+    return value.value
 
 
 def value_groups(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> list:
     """Ascending groups of (value, labels, mass) with equal statistic values merged.
 
-    Labels inside a group keep the trial's outcome order. Shapes without
-    Score components sort on exact native keys; otherwise sorting falls back
-    to the three-valued comparison (flagging ``ctx`` on imprecise ties) and
-    groups sort-adjacent EQ values.
+    Values sort on exact native keys, so the result does not depend on the
+    order the outcomes are listed in, and labels inside a group keep the
+    trial's outcome order. Shapes with Score components are then re-sorted
+    stably under the three-valued comparison, and sort-adjacent values that
+    compare EQ share a group. Imprecise Score ties flag ``ctx``; without a
+    caller context they are surfaced as an ImpreciseTieWarning.
     """
     values = _statistic_values(trial, stat)
     labels = trial.labels
-    idx = range(len(labels))
-    groups = []
-    if not _has_score(shape(values[0])):
-        keys = [_native_key(v) for v in values]
-        for i in sorted(idx, key=keys.__getitem__):
-            if groups and keys[i] == keys[groups[-1][1][-1]]:
-                groups[-1][1].append(i)
-            else:
-                groups.append((values[i], [i]))
-    else:
-        order = sorted(idx, key=functools.cmp_to_key(lambda i, j: compare(values[i], values[j], ctx).value))
-        for i in order:
-            if groups and compare(values[i], values[groups[-1][1][-1]], ctx) is Ordering.EQ:
-                groups[-1][1].append(i)
-            else:
-                groups.append((values[i], [i]))
+    own = ctx if ctx is not None else CompareContext()
+    keys = [_native_key(v) for v in values]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    scored = _has_score(shape(values[0]))
+    if scored:
+        order.sort(key=functools.cmp_to_key(lambda i, j: compare(values[i], values[j], own).value))
+    groups = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if keys[i] == keys[prev] or scored and compare(values[i], values[prev], own) is Ordering.EQ:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if ctx is None and own.imprecise:
+        warnings.warn("score comparisons tied within precision; treated as equal", ImpreciseTieWarning, stacklevel=3)
     return [
-        (value, [labels[i] for i in members], sum(trial.prob(labels[i]) for i in members))
-        for value, members in groups
+        (values[g[0]], [labels[i] for i in sorted(g)], sum(trial.prob(labels[i]) for i in g))
+        for g in groups
     ]
-
-
-def _surface_imprecision(own: CompareContext, caller_ctx: CompareContext | None) -> None:
-    if caller_ctx is None and own.imprecise:
-        warnings.warn(
-            "score comparisons tied within precision; treated as equal",
-            ImpreciseTieWarning,
-            stacklevel=3,
-        )
 
 
 def induce_phat(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> PFunction:
@@ -245,23 +239,17 @@ def induce_phat(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None 
     All values are exact rationals. Imprecise Score ties are surfaced as an
     ImpreciseTieWarning unless the caller supplies its own context.
     """
-    own = ctx if ctx is not None else CompareContext()
     out = {}
     cum = Fraction(0)
-    for _, members, mass in value_groups(trial, stat, own):
+    for _, members, mass in value_groups(trial, stat, ctx):
         cum += mass
-        for label in members:
-            out[label] = cum
-    _surface_imprecision(own, ctx)
+        out.update(dict.fromkeys(members, cum))
     return PFunction(out)
 
 
 def induced_measure(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> list:
     """Distinct statistic values in ascending order with their total mass."""
-    own = ctx if ctx is not None else CompareContext()
-    groups = [(value, mass) for value, _, mass in value_groups(trial, stat, own)]
-    _surface_imprecision(own, ctx)
-    return groups
+    return [(value, mass) for value, _, mass in value_groups(trial, stat, ctx)]
 
 
 def check_idempotence(trial: FiniteTrial, stat: Statistic) -> bool:

@@ -390,11 +390,54 @@ def test_report_matches_golden(capsys, monkeypatch, entry):
     assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
 
 
+def _is_data(path: Path) -> bool:
+    """A two-sample .csv sample or a trial .json document."""
+    if path.suffix == ".csv":
+        return True
+    if path.suffix != ".json":
+        return False
+    doc = json.loads(path.read_text())
+    return isinstance(doc, dict) and "outcomes" in doc
+
+
+# Files in tests/data that are not data; each is refused with exit 2. They are
+# named, not globbed, so that a generator script or recorded answer added
+# later does not bring six more CLI runs.
+NOT_DATA = ("cli_golden.json", "fyt_scores.json", "make_cli_golden.py", "make_fyt_scores.py")
+FIXTURES = sorted([p.name for p in DATA.iterdir() if _is_data(p)] + list(NOT_DATA))
+
+
+def _deep_trial(tmp_path, depth: int) -> str:
+    nested = "[" * depth + '"1"' + "]" * depth
+    path = tmp_path / f"deep{depth}.json"
+    path.write_text('{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": %s}}' % nested)
+    return str(path)
+
+
 class TestRobustness:
-    @pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.iterdir()))
+    @pytest.mark.parametrize("fixture", FIXTURES)
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     @pytest.mark.parametrize("cascade", ["t", "wilcoxon", "wilcoxon,fyt,t"])
     def test_every_fixture_exits_cleanly(self, capsys, fixture, mode, cascade):
-        code, _, _ = run(capsys, "twosample", "--data", str(DATA / fixture), "--cascade", cascade,
-                         "--mode", mode, "--seed", "1", "--draws", "200")
-        assert code in (0, 2, 3, 4)
+        code, out, err = run(capsys, "twosample", "--data", str(DATA / fixture), "--cascade", cascade,
+                             "--mode", mode, "--seed", "1", "--draws", "200")
+        if fixture in NOT_DATA:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+        else:
+            assert code in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("depth,where", [(900, "(field statistic.a)"), (100_000, "invalid JSON")])
+    @pytest.mark.parametrize("command", ["induce", "midp"])
+    def test_deeply_nested_statistic_exits_2(self, capsys, tmp_path, depth, where, command):
+        code, out, err = run(capsys, command, "--trial", _deep_trial(tmp_path, depth))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nested too deeply" in err and where in err
+        assert err.count("\n") == 1
+
+    def test_no_nesting_depth_escapes_as_a_traceback(self, capsys, tmp_path):
+        # A value the parser accepts can still be too deep to sort and compare.
+        for depth in range(250, 1000, 50):
+            code, out, err = run(capsys, "induce", "--trial", _deep_trial(tmp_path, depth))
+            assert code in (0, 2), depth
+            assert (out == "") is (code == 2) and err.count("\n") == (code == 2), depth

@@ -42,6 +42,17 @@ class TestTrialDocument:
             parse_trial_document("{\n  bad\n}")
         assert err.value.line == 2
 
+    def test_deep_json_nesting_is_a_parse_error(self):
+        deep = "[" * 100_000 + '"1"' + "]" * 100_000
+        with pytest.raises(TrialParseError, match="nested too deeply"):
+            parse_trial_document('{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": %s}}' % deep)
+
+    def test_deep_statistic_value_names_its_field(self):
+        deep = "[" * 900 + '"1"' + "]" * 900
+        with pytest.raises(TrialParseError, match="nested too deeply") as err:
+            parse_trial_document('{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": %s}}' % deep)
+        assert err.value.field == "statistic.a"
+
     def test_probabilities_must_sum_to_one(self):
         doc = '{"outcomes": [{"label": "a", "prob": "1/3"}], "statistic": {"a": 1}}'
         with pytest.raises(TrialParseError) as err:

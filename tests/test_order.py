@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from ordstat import (
     CompareContext,
     EmptyTupleError,
+    OrderError,
     Ordering,
     Rank,
     Rational,
@@ -19,6 +20,7 @@ from ordstat import (
     shape,
     to_rational,
 )
+from ordstat.order import MIN_PRECISION
 
 
 def rat(x) -> Rational:
@@ -114,6 +116,16 @@ class TestScore:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             Score(1.5, 10)
+
+    @pytest.mark.parametrize("precision", [1, 2, 3])
+    def test_precision_below_four_rejected(self, precision):
+        # At precision 1 the threshold would tie 1 with -1.
+        with pytest.raises(OrderError, match="precision must be an int >= 4"):
+            Score("1", precision)
+
+    def test_precision_four_accepted(self):
+        assert MIN_PRECISION == 4
+        assert compare(Score("1", 4), Score("-1", 4)) is Ordering.GT
 
 
 class TestLexTuple:

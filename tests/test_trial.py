@@ -1,9 +1,12 @@
+import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordstat import (
+    CompareContext,
     FiniteTrial,
     InvalidPFunctionError,
     InvalidStatisticError,
@@ -14,13 +17,16 @@ from ordstat import (
     Rank,
     Rational,
     ScaleBelowOneError,
+    Score,
     Statistic,
     Validity,
+    build_randomized,
     check_idempotence,
     classify_pfunction,
     compare,
     induce_phat,
     induced_measure,
+    lex_tuple,
     product_trial,
     pvalue_kinds,
     scale_pfunction,
@@ -150,6 +156,67 @@ class TestImpreciseTies:
             warnings.simplefilter("error")
             induce_phat(THREE, self._score_stat(), ctx)
         assert ctx.imprecise
+
+
+def listing_answers(pairs, stat) -> set:
+    """induce_phat, induced_measure and build_randomized over every listing of the outcomes."""
+    answers = set()
+    for listing in itertools.permutations(pairs):
+        t = FiniteTrial(listing)
+        ctx = CompareContext()
+        answers.add((
+            frozenset(induce_phat(t, stat, ctx).values.items()),
+            tuple(induced_measure(t, stat, ctx)),
+            frozenset(build_randomized(t, stat, ctx).values.items()),
+        ))
+    return answers
+
+
+@st.composite
+def chained_score_trials(draw):
+    """Score or (Score, Rank) statistics at precision 4 on 100.0 + 0.3k.
+
+    Scores up to three steps apart tie and four steps apart do not, so ties
+    chain: 100.0 ties 100.9, 100.9 ties 101.8, yet 100.0 < 101.8.
+    """
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    steps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    values = [Score(Decimal(1000 + 3 * k).scaleb(-1), 4) for k in steps]
+    if draw(st.booleans()):
+        ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        values = [lex_tuple([v, Rank(r)]) for v, r in zip(values, ranks)]
+    labels = [f"o{i}" for i in range(n)]
+    pairs = tuple((label, F(w, sum(weights))) for label, w in zip(labels, weights))
+    return pairs, Statistic(dict(zip(labels, values)))
+
+
+class TestOrderIndependence:
+    def test_threshold_chain_witness(self):
+        # At precision 4, a ties b and b ties c, but a < c: one sort-adjacent group.
+        stat = Statistic({"a": Score("100.0", 4), "b": Score("100.9", 4), "c": Score("101.8", 4)})
+        pairs = tuple(FiniteTrial.uniform("abc").outcomes)
+        assert listing_answers(pairs, stat) == {(
+            frozenset({"a": F(1), "b": F(1), "c": F(1)}.items()),
+            ((Score("100.0", 4), F(1)),),
+            frozenset({"a": (F(0), F(1)), "b": (F(0), F(1)), "c": (F(0), F(1))}.items()),
+        )}
+
+    def test_equal_scores_of_two_precisions(self):
+        # 100.0 ties 100.9 at precision 4 but not at 50; the tie is decided by the coarser precision.
+        stat = Statistic({"a": Score("100.0", 50), "b": Score("100.0", 4), "c": Score("100.9", 50)})
+        pairs = tuple(FiniteTrial.uniform("abc").outcomes)
+        assert listing_answers(pairs, stat) == {(
+            frozenset({"a": F(2, 3), "b": F(2, 3), "c": F(1)}.items()),
+            ((Score("100.0", 4), F(2, 3)), (Score("100.9", 50), F(1, 3))),
+            frozenset({"a": (F(0), F(2, 3)), "b": (F(0), F(2, 3)), "c": (F(2, 3), F(1, 3))}.items()),
+        )}
+
+    @settings(max_examples=60, deadline=None)
+    @given(chained_score_trials())
+    def test_answers_do_not_depend_on_outcome_order(self, case):
+        pairs, stat = case
+        assert len(listing_answers(pairs, stat)) == 1
 
 
 class TestInducedMeasure:
