@@ -106,23 +106,16 @@ def _digest_params(*parts) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def _flag_imprecise(report: RunReport, ctx: CompareContext) -> None:
-    if ctx.imprecise:
-        report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
-
-
-def _flag_common(report: RunReport, trial, ctx: CompareContext) -> None:
+def _flag_common(report: RunReport, trial) -> None:
     for label in trial.zero_probability_labels():
         report.warn(f"zero-probability outcome: {label}")
-    _flag_imprecise(report, ctx)
 
 
 def cmd_induce(args) -> RunReport:
     trial, stat = load_trial(args.trial)
-    ctx = CompareContext()
-    phat = induce_phat(trial, stat, ctx)
+    phat = induce_phat(trial, stat)
     classification = classify_pfunction(trial, phat)
-    idempotent = check_idempotence(trial, stat)
+    idempotent = check_idempotence(trial, phat)
     kinds = pvalue_kinds(trial, phat)
     report = RunReport(
         command=args.command_echo,
@@ -138,7 +131,7 @@ def cmd_induce(args) -> RunReport:
         report.add(f"pvalue-kind.{label}", kinds[label])
     report.add("classification", classification.kind.value)
     report.add("idempotent", str(idempotent).lower())
-    _flag_common(report, trial, ctx)
+    _flag_common(report, trial)
     if classification.kind is not Validity.RANGE_EXACT:
         report.theorem_failures.append("induced p-function not range-exact")
     if not idempotent:
@@ -149,8 +142,7 @@ def cmd_induce(args) -> RunReport:
 def cmd_randomize(args) -> RunReport:
     trial, stat = load_trial(args.trial)
     trial.prob(args.outcome)  # raises MissingOutcomeError for unknown labels
-    ctx = CompareContext()
-    rpf = build_randomized(trial, stat, ctx)
+    rpf = build_randomized(trial, stat)
     if args.r is not None:
         r = parse_rational(args.r)
         r_source = "given"
@@ -183,15 +175,14 @@ def cmd_randomize(args) -> RunReport:
             report.theorem_failures.append(
                 f"exactness failed at {len(bad)} grid levels, first {format_rational(bad[0])}"
             )
-    _flag_common(report, trial, ctx)
+    _flag_common(report, trial)
     return report
 
 
 def cmd_midp(args) -> RunReport:
     trial, stat = load_trial(args.trial)
-    ctx = CompareContext()
-    rpf = build_randomized(trial, stat, ctx)
-    classification = midp_validity_check(trial, stat)
+    rpf = build_randomized(trial, stat)
+    classification = midp_validity_check(trial, rpf)
     report = RunReport(
         command=args.command_echo,
         inputs_digest=_digest_file(args.trial),
@@ -205,7 +196,7 @@ def cmd_midp(args) -> RunReport:
     if classification.witness is not None:
         report.add("witness", format_rational(classification.witness))
         report.add("witness-mass", format_rational(classification.witness_mass))
-    _flag_common(report, trial, ctx)
+    _flag_common(report, trial)
     return report
 
 
@@ -243,7 +234,8 @@ def cmd_twosample(args) -> RunReport:
         report.add("ci95", f"[{result.ci95[0]:.6f}, {result.ci95[1]:.6f}]")
         report.add("pvalue", format_rational(result.pvalue))
         report.headline = f"Monte Carlo p-value estimate {result.estimate:.6f}"
-    _flag_imprecise(report, ctx)
+    if ctx.imprecise:
+        report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
     return report
 
 

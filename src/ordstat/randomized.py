@@ -144,8 +144,7 @@ def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> b
     return True
 
 
-def midp_validity_check(trial: FiniteTrial, stat: Statistic) -> PFunctionClass:
-    """Classify the mid-p-function; NOT_PFUNCTION (with witness) is a legitimate verdict."""
-    rpf = build_randomized(trial, stat)
+def midp_validity_check(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunctionClass:
+    """Classify the mid-p-values of ``rpf``; NOT_PFUNCTION (with witness) is a legitimate verdict."""
     mid = PFunction({label: mid_pvalue(rpf, label) for label in trial.labels})
     return classify_pfunction(trial, mid)

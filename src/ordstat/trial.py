@@ -252,15 +252,13 @@ def induced_measure(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | N
     return [(value, mass) for value, _, mass in value_groups(trial, stat, ctx)]
 
 
-def check_idempotence(trial: FiniteTrial, stat: Statistic) -> bool:
-    """Whether inducing the induced p-function reproduces it exactly.
+def check_idempotence(trial: FiniteTrial, pfunc: PFunction) -> bool:
+    """Whether inducing ``pfunc`` as a rational statistic reproduces it exactly.
 
-    True for every statistic (any induced test statistic is self-induced);
-    the operation exists as a theorem check.
+    A theorem check on the p-function ``induce_phat`` returned: any induced
+    p-function is self-induced, so False indicates a bug.
     """
-    once = induce_phat(trial, stat)
-    twice = induce_phat(trial, once.as_statistic())
-    return once == twice
+    return induce_phat(trial, pfunc.as_statistic()) == pfunc
 
 
 def attained_cdf(trial: FiniteTrial, pfunc: PFunction) -> list:
@@ -304,12 +302,16 @@ def classify_pfunction(trial: FiniteTrial, pfunc: PFunction) -> PFunctionClass:
 
 
 def pvalue_kinds(trial: FiniteTrial, pfunc: PFunction) -> dict:
-    """Per-outcome verdict: 'exact' where P[pfunc <= value] equals the value."""
+    """Per-outcome verdict: 'exact' where P[pfunc <= value] equals the value.
+
+    'conservative' where it is below the value, 'invalid' where it exceeds it.
+    """
     cdf = dict(attained_cdf(trial, pfunc))
-    return {
-        label: "exact" if cdf[pfunc[label]] == pfunc[label] else "conservative"
-        for label in trial.labels
-    }
+    kinds = {}
+    for label in trial.labels:
+        value = pfunc[label]
+        kinds[label] = "exact" if cdf[value] == value else "conservative" if cdf[value] < value else "invalid"
+    return kinds
 
 
 def scale_pfunction(pfunc: PFunction, c) -> PFunction:

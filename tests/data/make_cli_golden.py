@@ -1,10 +1,16 @@
-"""Write cli_golden.json, the byte-identity fixture of the rank-test CLI reports.
+"""Write cli_golden.json, the byte-identity fixture of the CLI reports.
 
 Each entry is one argv of ``ordstat.cli.main`` with the stdout, stderr and
 exit code it gave, run in-process from this directory so that file
 arguments are bare names. The commands are tables of score cascades at
 3x3 to 6x6 (two of them exit 4), exact and Monte Carlo ``twosample`` on
-``six.csv`` and on ``mixed.csv``, whose laplace sums tie imprecisely. The fixture was generated from commit 231043d,
+``six.csv`` and on ``mixed.csv``, whose laplace sums tie imprecisely,
+``induce`` and ``midp`` (each also with ``--plain``) on every trial
+document here (``badprob.json`` exits 2), and ``randomize --outcome a``
+with ``--r 1/3``, ``--seed 3`` and ``--seed 3 --verify-exact`` on
+``three.json`` and ``tuplestat.json``. The trial commands run at the
+default precision, so ``ORDSTAT_PRECISION`` is unset for the run. The
+fixture was generated from commit 231043d,
 whose Score comparison rounded the relative distance to precision + 10
 digits and whose cascade keys found their tie window by bisecting a
 comparison predicate. It pins those reports so that later code must
@@ -56,6 +62,19 @@ COMMANDS += [
     for data in ("six.csv", "mixed.csv")
     for cascade, seed, draws, p in (("wilcoxon,fyt,t", 1, 2000, 8), ("t", 7, 501, 50), ("laplace,t", 3, 1000, 4))
 ]
+TRIALS = ("three.json", "uniform2.json", "constant.json", "singleton.json", "zeroprob.json", "tuplestat.json",
+          "badprob.json")
+COMMANDS += [
+    [command, "--trial", trial, *plain]
+    for command in ("induce", "midp")
+    for trial in TRIALS
+    for plain in ([], ["--plain"])
+]
+COMMANDS += [
+    ["randomize", "--trial", trial, "--outcome", "a", *choice]
+    for trial in ("three.json", "tuplestat.json")
+    for choice in (["--r", "1/3"], ["--seed", "3"], ["--seed", "3", "--verify-exact"])
+]
 
 
 def run(argv: list) -> dict:
@@ -70,6 +89,7 @@ def record() -> None:
     if not hasattr(ranktests, "permutation_distribution"):
         sys.exit(f"{ranktests.__file__} is not the threshold-bisection code of commit 231043d")
     os.chdir(HERE)
+    os.environ.pop("ORDSTAT_PRECISION", None)
     entries = [run(argv) for argv in COMMANDS]
     HERE.joinpath("cli_golden.json").write_text(json.dumps(entries, indent=1) + "\n")
 

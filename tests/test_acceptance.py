@@ -215,7 +215,7 @@ def test_criterion_5_lex_equivalence(trial_corpus):
 def test_criterion_6_idempotence_and_range_exactness(trial_corpus):
     with criterion(6, "idempotence, range-exactness, and validity on the k/1000 grid"):
         for trial, stat in trial_corpus:
-            assert check_idempotence(trial, stat)
+            assert check_idempotence(trial, induce_phat(trial, stat))
             phat = induce_phat(trial, stat)
             assert classify_pfunction(trial, phat).kind is Validity.RANGE_EXACT
             cdf = attained_cdf(trial, phat)
@@ -234,7 +234,9 @@ def test_criterion_7_midp_invalidity_witness(capsys):
         assert report["witness-mass"] == "1"
         from ordstat import FiniteTrial, Rank, Statistic
 
-        got = midp_validity_check(FiniteTrial((("a", F(1)),)), Statistic({"a": Rank(0)}))
+        got = midp_validity_check(
+            FiniteTrial((("a", F(1)),)), build_randomized(FiniteTrial((("a", F(1)),)), Statistic({"a": Rank(0)}))
+        )
         assert got.kind is Validity.NOT_PFUNCTION
         assert (got.witness, got.witness_mass) == (F(1, 2), F(1))
 

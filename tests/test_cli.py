@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ordstat import parse_rational, ranktests
+import ordstat.cli
+from ordstat import PFunction, RandomizedPFunction, parse_rational, randomized, ranktests, trial
 from ordstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -69,6 +70,35 @@ class TestInduce:
         assert out.startswith("induced p-values for 3 outcomes")
         assert "ordstat-report" not in out
 
+    def test_theorem_failures_exit_4(self, capsys, monkeypatch):
+        # A conservative p-function in place of the induced one fails both checks.
+        wrong = PFunction({"a": F(2, 3), "b": F(3, 4), "c": F(1)})
+        monkeypatch.setattr(ordstat.cli, "induce_phat", lambda *args: wrong)
+        code, out, err = run(capsys, "induce", "--trial", str(DATA / "three.json"))
+        assert code == 4
+        assert parse_report(out)["idempotent"] == "false"
+        assert "theorem check failed: induced p-function not range-exact" in err
+        assert "theorem check failed: induced p-function not self-induced" in err
+
+
+@pytest.mark.parametrize("command, groupings", [("induce", 2), ("midp", 1), ("randomize", 1)])
+def test_statistic_grouped_once_per_answer(capsys, monkeypatch, command, groupings):
+    """induce groups the statistic and then re-induces its p-function; midp and randomize group once."""
+    calls = []
+    original = trial.value_groups
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trial, "value_groups", spy)
+    monkeypatch.setattr(randomized, "value_groups", spy)
+    argv = [command, "--trial", str(DATA / "three.json")]
+    if command == "randomize":
+        argv += ["--outcome", "a", "--r", "1/2"]
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == groupings
+
 
 class TestRandomize:
     def test_explicit_r(self, capsys):
@@ -99,6 +129,18 @@ class TestRandomize:
         )
         assert code == 0
         assert parse_report(out)["verify-exact"] == "pass"
+
+    def test_verify_exact_failure_exits_4(self, capsys, monkeypatch):
+        # Every outcome's share drawn from [0, 1/2]: P[value <= eps] = 2 eps, not eps.
+        wrong = RandomizedPFunction(dict.fromkeys("abc", (F(0), F(1, 2))))
+        monkeypatch.setattr(ordstat.cli, "build_randomized", lambda *args: wrong)
+        code, out, err = run(
+            capsys, "randomize", "--trial", str(DATA / "three.json"),
+            "--outcome", "a", "--r", "1/2", "--verify-exact",
+        )
+        assert code == 4
+        assert parse_report(out)["verify-exact"] == "fail"
+        assert "theorem check failed: exactness failed at 96 grid levels, first 1/97" in err
 
     def test_unknown_outcome(self, capsys):
         code, _, err = run(
@@ -387,6 +429,7 @@ GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 def test_report_matches_golden(capsys, monkeypatch, entry):
     """stdout, stderr and exit code equal, byte for byte, those of tests/data/make_cli_golden.py."""
     monkeypatch.chdir(DATA)
+    monkeypatch.delenv("ORDSTAT_PRECISION", raising=False)
     assert run(capsys, *entry["argv"]) == (entry["exit"], entry["stdout"], entry["stderr"])
 
 

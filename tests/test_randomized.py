@@ -6,6 +6,7 @@ from ordstat import (
     EpsOutOfRangeError,
     FiniteTrial,
     PFunction,
+    RandomizedPFunction,
     Rank,
     ROutOfRangeError,
     Statistic,
@@ -173,17 +174,25 @@ class TestMidP:
 
 class TestMidPValidity:
     def test_singleton_not_pfunction(self):
-        got = midp_validity_check(SINGLETON, rank_stat(a=0))
+        got = midp_validity_check(SINGLETON, build_randomized(SINGLETON, rank_stat(a=0)))
         assert got.kind is Validity.NOT_PFUNCTION
         assert got.witness == F(1, 2)
         assert got.witness_mass == F(1)
 
     def test_uniform_two_injective(self):
-        got = midp_validity_check(FAIR_PAIR, rank_stat(a=1, b=2))
+        got = midp_validity_check(FAIR_PAIR, build_randomized(FAIR_PAIR, rank_stat(a=1, b=2)))
         rpf = build_randomized(FAIR_PAIR, rank_stat(a=1, b=2))
         assert {mid_pvalue(rpf, "a"), mid_pvalue(rpf, "b")} == {F(1, 4), F(3, 4)}
         assert got.kind is Validity.NOT_PFUNCTION
         assert got.witness == F(1, 4)
+
+    def test_classifies_the_given_split(self):
+        # No statistic gives these splits: each is classified as handed in.
+        conservative = RandomizedPFunction({"a": (F(1, 2), F(1, 2)), "b": (F(1, 2), F(1))})
+        assert midp_validity_check(FAIR_PAIR, conservative).kind is Validity.CONSERVATIVE
+        invalid = RandomizedPFunction({"a": (F(0), F(1, 3)), "b": (F(0), F(1))})
+        got = midp_validity_check(THIRDS, invalid)
+        assert (got.kind, got.witness, got.witness_mass) == (Validity.NOT_PFUNCTION, F(1, 6), F(1, 3))
 
     def test_control_induced_phat_is_range_exact(self):
         phat = induce_phat(FAIR_PAIR, rank_stat(a=1, b=2))

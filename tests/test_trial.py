@@ -27,6 +27,7 @@ from ordstat import (
     induce_phat,
     induced_measure,
     lex_tuple,
+    midp_validity_check,
     product_trial,
     pvalue_kinds,
     scale_pfunction,
@@ -157,6 +158,18 @@ class TestImpreciseTies:
             induce_phat(THREE, self._score_stat(), ctx)
         assert ctx.imprecise
 
+    def test_theorem_checks_on_context_owned_results_stay_silent(self):
+        import warnings
+
+        ctx = CompareContext()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phat = induce_phat(THREE, self._score_stat(), ctx)
+            rpf = build_randomized(THREE, self._score_stat(), ctx)
+            assert check_idempotence(THREE, phat)
+            midp_validity_check(THREE, rpf)
+        assert ctx.imprecise
+
 
 def listing_answers(pairs, stat) -> set:
     """induce_phat, induced_measure and build_randomized over every listing of the outcomes."""
@@ -240,13 +253,18 @@ class TestInducedMeasure:
 
 class TestIdempotence:
     def test_strictly_increasing(self):
-        assert check_idempotence(THREE, rank_stat(a=0, b=1, c=2))
+        assert check_idempotence(THREE, induce_phat(THREE, rank_stat(a=0, b=1, c=2)))
         # recompute both sides through the summation oracle
         once = phat_oracle(THREE, {"a": 0, "b": 1, "c": 2})
         assert phat_oracle(THREE, once) == once
 
     def test_constant(self):
-        assert check_idempotence(THREE, rank_stat(a=1, b=1, c=1))
+        assert check_idempotence(THREE, induce_phat(THREE, rank_stat(a=1, b=1, c=1)))
+
+    def test_conservative_pfunction_is_not_self_induced(self):
+        # Inducing {a: 3/4, b: 1} on a fair pair gives {a: 1/2, b: 1}.
+        t = trial(("a", F(1, 2)), ("b", F(1, 2)))
+        assert not check_idempotence(t, PFunction({"a": F(3, 4), "b": F(1)}))
 
 
 class TestClassify:
@@ -281,6 +299,14 @@ class TestClassify:
     def test_pvalue_kinds_of_induced_are_exact(self):
         phat = induce_phat(THREE, rank_stat(a=0, b=0, c=2))
         assert set(pvalue_kinds(THREE, phat).values()) == {"exact"}
+
+    def test_pvalue_kinds_of_invalid_and_conservative(self):
+        t = trial(("a", F(1, 2)), ("b", F(1, 2)))
+        invalid = PFunction({"a": F(0), "b": F(1)})  # P[p <= 0] = 1/2 > 0
+        assert classify_pfunction(t, invalid).kind is Validity.NOT_PFUNCTION
+        assert pvalue_kinds(t, invalid) == {"a": "invalid", "b": "exact"}
+        conservative = PFunction({"a": F(3, 4), "b": F(1)})
+        assert pvalue_kinds(t, conservative) == {"a": "conservative", "b": "exact"}
 
     def test_validity_on_dense_grid(self, trial_corpus):
         for t, stat in trial_corpus[:20]:
