@@ -30,7 +30,7 @@ from .trial import (
 from .randomized import (
     build_randomized,
     draw_uniform_r,
-    exactness_cdf,
+    exactness_sweep,
     mid_pvalue,
     midp_validity_check,
     randomized_pvalue,
@@ -165,15 +165,13 @@ def cmd_randomize(args) -> RunReport:
         report.add("seed", args.seed)
     report.add("value", format_rational(value))
     if args.verify_exact:
-        bad = [
-            Fraction(k, EXACTNESS_GRID)
-            for k in range(EXACTNESS_GRID + 1)
-            if exactness_cdf(rpf, trial, Fraction(k, EXACTNESS_GRID)) != Fraction(k, EXACTNESS_GRID)
-        ]
-        report.add("verify-exact", "fail" if bad else "pass")
-        if bad:
+        grid = [Fraction(k, EXACTNESS_GRID) for k in range(EXACTNESS_GRID + 1)]
+        knot, bad = exactness_sweep(rpf, trial, grid)
+        report.add("verify-exact", "pass" if knot is None else "fail")
+        if knot is not None:
+            first = f", first {format_rational(bad[0])}" if bad else ""
             report.theorem_failures.append(
-                f"exactness failed at {len(bad)} grid levels, first {format_rational(bad[0])}"
+                f"exactness failed at {len(bad)} grid levels{first}; first failing knot {format_rational(knot)}"
             )
     _flag_common(report, trial)
     return report
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", help="tie-breaking number as a rational p/q in [0,1]")
     g.add_argument("--seed", type=int, help="derive r deterministically from this seed")
     p.add_argument("--verify-exact", action="store_true",
-                   help=f"check P[value<=eps]=eps on the grid k/{EXACTNESS_GRID}")
+                   help=f"check P[value<=eps]=eps on all of [0,1]; failures name the levels k/{EXACTNESS_GRID}")
     common(p)
     p.set_defaults(func=cmd_randomize)
 

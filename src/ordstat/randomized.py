@@ -5,15 +5,19 @@ strictly below, low(x) = P[f < f(x)], plus a uniformly drawn share of the
 tie mass atom(x) = P[f = f(x)]. The closed form low(x) + r*atom(x) and the
 lexicographic construction (refine f by a uniform tie-breaking coordinate,
 then induce) define the same function; ``lex_equivalence_check`` verifies
-that identity by exact enumeration on a rational grid, and
-``exactness_cdf`` verifies analytically that the randomized p-function is
-exact: P[value <= eps] = eps for every eps. Mid p-values replace the random
-share by 1/2 and are checked, not assumed, to be valid.
+that identity by exact enumeration on a rational grid. The randomized
+p-function is exact: P[value <= eps] = eps for every eps in [0, 1].
+``exactness_cdf`` evaluates that probability in closed form at one eps;
+``exactness_sweep`` decides the identity on all of [0, 1] at once, since
+the probability is piecewise linear in eps with knots at each outcome's
+low and low + atom. Mid p-values replace the random share by 1/2 and are
+checked, not assumed, to be valid.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,6 +117,55 @@ def exactness_cdf(rpf: RandomizedPFunction, trial: FiniteTrial, eps) -> Fraction
             share = Fraction(1 if low <= eps else 0)
         total += prob * share
     return total
+
+
+def exactness_sweep(rpf: RandomizedPFunction, trial: FiniteTrial, levels=()) -> tuple:
+    """Decide P[randomized p-value <= eps] = eps on all of [0, 1] in one pass.
+
+    F(eps) = P[low + r*atom <= eps] is piecewise linear: outcomes sharing a
+    (low, atom) pair with atom > 0 add slope mass/atom on [low, low + atom],
+    and those with atom <= 0 a jump of their mass at low (as in
+    ``exactness_cdf``). The masses are summed from the trial, not taken to
+    be atom, so a wrong split fails. The knots, 0, 1 and ``levels`` are
+    swept in order; at every point p in [0, 1] both F(p) and its left limit
+    are compared with p. F and eps are linear between consecutive points,
+    so equality at all of them proves F(eps) = eps on [0, 1].
+
+    Returns (first failing point or None, the levels e with F(e) != e).
+    """
+    levels = [exact_fraction(e) for e in levels]
+    for eps in levels:
+        if not 0 <= eps <= 1:
+            raise EpsOutOfRangeError(f"eps must be in [0, 1], got {eps}")
+    masses, jumps, slopes = defaultdict(Fraction), defaultdict(Fraction), defaultdict(Fraction)
+    for label, prob in trial.outcomes:
+        masses[rpf._pair(label)] += prob
+    for (low, atom), mass in masses.items():
+        if not mass:
+            continue
+        if atom > 0:
+            slopes[low] += mass / atom
+            slopes[low + atom] -= mass / atom
+        else:
+            jumps[low] += mass
+    points = sorted({Fraction(0), Fraction(1), *levels, *slopes, *jumps})
+    failing = set()
+    first = None
+    cdf = rate = Fraction(0)
+    prev = points[0]
+    for p in points:
+        cdf += rate * (p - prev)
+        left = cdf
+        cdf += jumps.get(p, 0)
+        rate += slopes.get(p, 0)
+        prev = p
+        if not 0 <= p <= 1:
+            continue
+        if cdf != p:
+            failing.add(p)
+        if first is None and (cdf != p or (p > 0 and left != p)):
+            first = p
+    return first, [e for e in levels if e in failing]
 
 
 def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> bool:

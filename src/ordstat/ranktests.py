@@ -832,8 +832,9 @@ def mc_gaussian_pvalue(
     count = 0
     for _ in range(num_draws):
         draw = list(itertools.islice(normals, pool))
-        ordered = sorted(draw)
-        ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
+        if steps:  # a t-only cascade never reads the ranks
+            ordered = sorted(draw)
+            ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
         for key_total, lo, hi, want in steps:
             s = key_total(ranks)
             if s < lo:

@@ -23,6 +23,7 @@ from ordstat import (
     check_idempotence,
     classify_pfunction,
     exactness_cdf,
+    exactness_sweep,
     induce_phat,
     lex_equivalence_check,
     midp_validity_check,
@@ -196,13 +197,14 @@ def test_criterion_3_vdw_marginal_refinement(capsys):
 
 
 def test_criterion_4_randomized_exactness(trial_corpus):
-    with criterion(4, "exactness_cdf(eps) = eps on k/97 grid for 200 random trials"):
+    with criterion(4, "exactness_cdf(eps) = eps on k/97 grid, exactness_sweep on [0, 1], 200 random trials"):
         grid = [F(k, 97) for k in range(98)]
         assert len(trial_corpus) == 200
         for trial, stat in trial_corpus:
             rpf = build_randomized(trial, stat)
             for eps in grid:
                 assert exactness_cdf(rpf, trial, eps) == eps
+            assert exactness_sweep(rpf, trial, grid) == (None, [])
 
 
 def test_criterion_5_lex_equivalence(trial_corpus):

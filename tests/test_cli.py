@@ -142,6 +142,22 @@ class TestRandomize:
         assert parse_report(out)["verify-exact"] == "fail"
         assert "theorem check failed: exactness failed at 96 grid levels, first 1/97" in err
 
+    def test_verify_exact_fails_between_grid_levels(self, capsys, monkeypatch, tmp_path):
+        # x's share drawn from [0, 1/194]: P[value <= eps] = eps at every k/97, but not at 1/194.
+        doc = tmp_path / "witness.json"
+        doc.write_text(json.dumps({
+            "outcomes": [{"label": "x", "prob": "1/97"}, {"label": "y", "prob": "96/97"}],
+            "statistic": {"x": 0, "y": 1},
+        }))
+        wrong = RandomizedPFunction({"x": (F(0), F(1, 194)), "y": (F(1, 97), F(96, 97))})
+        monkeypatch.setattr(ordstat.cli, "build_randomized", lambda *args: wrong)
+        code, out, err = run(
+            capsys, "randomize", "--trial", str(doc), "--outcome", "x", "--r", "1/2", "--verify-exact",
+        )
+        assert code == 4
+        assert parse_report(out)["verify-exact"] == "fail"
+        assert "theorem check failed: exactness failed at 0 grid levels; first failing knot 1/194" in err
+
     def test_unknown_outcome(self, capsys):
         code, _, err = run(
             capsys, "randomize", "--trial", str(DATA / "three.json"),

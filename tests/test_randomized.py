@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordstat import (
     EpsOutOfRangeError,
@@ -15,6 +16,7 @@ from ordstat import (
     classify_pfunction,
     draw_uniform_r,
     exactness_cdf,
+    exactness_sweep,
     induce_phat,
     lex_equivalence_check,
     mid_pvalue,
@@ -144,6 +146,77 @@ class TestExactnessCdf:
         assert rpf.atom("b") == 0  # unique value of a zero-probability outcome
         for k in range(8):
             assert exactness_cdf(rpf, t, F(k, 7)) == F(k, 7)
+
+
+GRID = [F(k, 97) for k in range(98)]
+
+
+@st.composite
+def built_splits(draw):
+    """Trials of 1-12 outcomes, some of probability 0, under heavily tied statistics, with their splits."""
+    weights = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12).filter(any))
+    trial = FiniteTrial(tuple((f"o{i}", F(w, sum(weights))) for i, w in enumerate(weights)))
+    stat = rank_stat(**{label: draw(st.integers(0, 2)) for label in trial.labels})
+    return trial, build_randomized(trial, stat)
+
+
+@st.composite
+def near_unit(draw, lo=-1, hi=3):
+    """k/d for d in a few denominators (97 and 194 put knots on and between grid levels), k/d in [lo/2, hi/2]."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 97, 194]))
+    return F(draw(st.integers(lo * d // 2, hi * d // 2)), d)
+
+
+class TestExactnessSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(built_splits())
+    def test_passes_on_built_splits(self, case):
+        trial, rpf = case
+        assert exactness_sweep(rpf, trial, GRID) == (None, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(built_splits(), st.lists(st.tuples(st.integers(0, 11), near_unit(), near_unit(0, 2)), max_size=3))
+    def test_failing_levels_match_grid(self, case, corruptions):
+        trial, rpf = case
+        values = dict(rpf.values)
+        for i, low, atom in corruptions:
+            values[trial.labels[i % len(trial)]] = (low, atom)
+        rpf = RandomizedPFunction(values)
+        first, bad = exactness_sweep(rpf, trial, GRID)
+        assert bad == [e for e in GRID if exactness_cdf(rpf, trial, e) != e]
+        if bad:
+            assert first is not None and first <= bad[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_splits(), st.integers(0, 11), near_unit(), near_unit(0, 2))
+    def test_corrupted_split_fails(self, case, i, low, atom):
+        trial, rpf = case
+        positive = [label for label, prob in trial.outcomes if prob > 0]
+        label = positive[i % len(positive)]
+        if rpf.values[label] == (low, atom):
+            atom += 1
+        corrupted = RandomizedPFunction({**rpf.values, label: (low, atom)})
+        first, _ = exactness_sweep(corrupted, trial)
+        assert first is not None
+
+    @pytest.mark.parametrize(
+        "x_split, knot",
+        [
+            ((F(0), F(1, 194)), F(1, 194)),  # x's mass 1/97 on [0, 1/194]: F(1/194) = 1/97
+            ((F(1, 97), F(0)), F(1, 97)),  # x's mass a jump at 1/97: F = 0 just below it
+        ],
+    )
+    def test_wrong_only_between_grid_levels(self, x_split, knot):
+        # The right split of x is (0, 1/97); these agree with it at every k/97.
+        trial = FiniteTrial((("x", F(1, 97)), ("y", F(96, 97))))
+        rpf = RandomizedPFunction({"x": x_split, "y": (F(1, 97), F(96, 97))})
+        assert all(exactness_cdf(rpf, trial, e) == e for e in GRID)
+        assert exactness_sweep(rpf, trial, GRID) == (knot, [])
+
+    def test_level_out_of_range(self):
+        rpf = build_randomized(SINGLETON, rank_stat(a=0))
+        with pytest.raises(EpsOutOfRangeError):
+            exactness_sweep(rpf, SINGLETON, [F(1, 2), F(-1, 3)])
 
 
 class TestMidP:

@@ -651,6 +651,22 @@ class TestMonteCarloKernel:
         want = [rng.gauss(0.0, 1.0).hex() for _ in range(10001)]
         assert [v.hex() for v in itertools.islice(_normals(seed), 10001)] == want
 
+    @pytest.mark.parametrize(
+        "m, n, seed, draws, count, estimate",
+        [
+            (2, 2, 0, 500, 172, "0x1.604189374bc6ap-2"),
+            (3, 4, 7, 1000, 490, "0x1.f5c28f5c28f5cp-2"),
+            (6, 6, 1000, 2000, 1904, "0x1.e76c8b4395810p-1"),
+            (5, 9, 2**40, 1001, 738, "0x1.797a806234aefp-1"),
+            (9, 8, 4, 777, 233, "0x1.33117647d3311p-2"),
+        ],
+    )
+    def test_t_only_unchanged_without_ranks(self, m, n, seed, draws, count, estimate):
+        # Recorded when every draw was still ranked: a t-only cascade skips the ranking, not a draw.
+        values = random.Random(seed + m * n).sample(range(1, 1000), m + n)
+        got = mc_gaussian_pvalue(sample(values[:m], values[m:]), CascadeStatistic.parse("t"), draws, seed)
+        assert (got.count, got.estimate.hex()) == (count, estimate)
+
     def test_observed_ranks_from_exact_data(self):
         # 1 + 10**-20 and 1 are one float: ranked in floats, W would read 4 (and the estimate 1275/4000).
         s = TwoSample((1 + F(1, 10**20), F(3)), (F(1), F(4)))
