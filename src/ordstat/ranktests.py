@@ -203,67 +203,100 @@ def _mpf_fraction(f: Fraction):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
-# Guard digits of an FYT vector's quadrature, tried in turn until every
-# rank's error estimate, relative to its value, is at most 10^-(precision+3).
+# Guard digits tried in turn for a vector's lower half, until every value's
+# rounding to `precision` digits is decided. The first FYT rung decided every
+# vector checked (pools 2-200 at precisions 4-100); the later ones serve a
+# rank whose error interval straddles a rounding boundary.
 _FYT_GUARD_DIGITS = (15, 30, 60, 120)
+_QUANTILE_GUARD_DIGITS = (15, 25)
 
 
-def _expected_normal_order_stats(pool: int, precision: int) -> list:
-    # E of the i-th order statistic of `pool` iid standard normals, i <= pool // 2.
-    for guard in _FYT_GUARD_DIGITS:
+def _lower_half(scheme: Component, pool: int, precision: int) -> list:
+    # Scores of ranks 1..pool // 2 as Decimals correctly rounded to `precision` digits.
+    fyt = scheme is Component.FYT
+    rungs = _FYT_GUARD_DIGITS if fyt else _QUANTILE_GUARD_DIGITS
+    for guard in rungs:
         with mpmath.workdps(precision + guard):
-            values = _folded_order_stats(pool, mpmath.mpf(10) ** -(precision + 3))
-        if values is not None:
-            return values
+            decimals = _folded_order_stats(pool, precision) if fyt else _quantiles(scheme, pool, precision)
+        if decimals is not None:
+            return decimals
     raise TheoremCheckError(
-        f"fyt quadrature at pool={pool} did not reach {precision} digits "
-        f"with {precision + _FYT_GUARD_DIGITS[-1]} working digits"
+        f"{scheme.value} {'quadrature' if fyt else 'quantile'} at pool={pool} did not reach "
+        f"{precision} digits with {precision + rungs[-1]} working digits"
     )
 
 
-def _folded_order_stats(pool: int, tolerance):
-    # One quadrature per rank over [0, inf] only: the half z < 0 is folded
-    # onto z > 0 by z -> -z, which swaps Phi and 1 - Phi and negates z, so
-    # E X_(i) = c * int_0^inf z phi(z) (Phi^(i-1) (1-Phi)^(pool-i) - (1-Phi)^(i-1) Phi^(pool-i)).
-    # Every rank visits the same tanh-sinh nodes, so a node's factors are
-    # computed once, from one erfc and one exp; the memo lives for one call
-    # because nodes and values depend on the working precision. None when a
-    # rank's relative error estimate exceeds `tolerance`.
-    c1 = 1 / mpmath.sqrt(2)
-    c2 = 1 / mpmath.sqrt(2 * mpmath.pi)
-    factors = {}
-    values = []
+def _quantiles(scheme: Component, pool: int, precision: int):
+    # vdw: the Gaussian quantile sqrt(2) erfinv(2p - 1); laplace: the unit
+    # Laplace quantile ln(2p). Both at p = i / (pool + 1) < 1/2, each taken to
+    # be within a relative 10^-(precision+10); None when a rounding is undecided.
+    decimals = []
     for i in range(1, pool // 2 + 1):
-        def integrand(z):
-            f = factors.get(z)
-            if f is None:
-                lo = mpmath.erfc(z * c1) / 2
-                f = factors[z] = (z * mpmath.exp(-z * z / 2) * c2, lo, 1 - lo)
-            w, lo, hi = f
-            return w * (hi ** (i - 1) * lo ** (pool - i) - lo ** (i - 1) * hi ** (pool - i))
-
-        integral, error = mpmath.quad(integrand, [0, mpmath.inf], error=True)
-        if error > tolerance * abs(integral):
-            return None
-        values.append(mpmath.mpf(pool) * math.comb(pool - 1, i - 1) * integral)
-    return values
+        p = mpmath.mpf(i) / (pool + 1)
+        x = mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1) if scheme is Component.VDW else mpmath.log(2 * p)
+        decimals.append(_rounded(x, abs(x) * mpmath.mpf(10) ** -(precision + 10), precision))
+    return None if None in decimals else decimals
 
 
-def _gauss_quantile(p: Fraction):
-    return mpmath.sqrt(2) * mpmath.erfinv(2 * _mpf_fraction(p) - 1)
-
-
-def _laplace_quantile(p: Fraction):
-    # Unit Laplace: Q(p) = ln(2p) below the median, -ln(2(1-p)) at or above it.
-    if p < Fraction(1, 2):
-        return mpmath.log(2 * _mpf_fraction(p))
-    if p == Fraction(1, 2):
-        return mpmath.mpf(0)
-    return -mpmath.log(2 * _mpf_fraction(1 - p))
+def _folded_order_stats(pool: int, precision: int):
+    # E of the i-th order statistic of `pool` iid standard normals for every
+    # i <= pool // 2, by one tanh-sinh level loop over [0, inf) (Takahasi &
+    # Mori 1974; Bailey, Jeyabalan & Li 2005). The half z < 0 is folded onto
+    # z > 0 by z -> -z, which swaps Phi and 1 - Phi and negates z, so
+    # E X_(i) = c_i int_0^inf f_i, f_i = z phi(z) (Phi^(i-1) (1-Phi)^(pool-i) - (1-Phi)^(i-1) Phi^(pool-i)),
+    # c_i = pool C(pool-1, i-1). The level sums carry c_i, so quad's error
+    # extrapolation, applied to each rank's levels, is relative to its value.
+    # A node costs one erfc and one exp, and its rank terms follow by running
+    # products. A node z > cut is skipped: its weight is at most (z+1)^2 and,
+    # by the Mills ratio 1 - Phi(z) < phi(z)/z, |c_i f_i(z)| <= c_i z phi(z)
+    # (phi(z)/z)^(i-1), both decreasing in z, so each skipped node adds its
+    # bound at cut to every level's error. The loop stops at the first level
+    # where every error is at most 10^-(precision+3) of its value. None unless
+    # both ends of every value's error interval then round alike.
+    ctx = mpmath.mp
+    rule, prec, half = mpmath.calculus.quadrature.TanhSinh(ctx), ctx.prec, pool // 2
+    coeffs = [pool * math.comb(pool - 1, i) for i in range(half)]
+    cut = mpmath.sqrt(2 * ctx.dps * mpmath.ln10) + 2
+    phi_cut = mpmath.npdf(cut)
+    bounds = [(cut + 1) ** 2 * cut * phi_cut * c * (phi_cut / cut) ** i for i, c in enumerate(coeffs)]
+    tolerance = mpmath.mpf(10) ** -(precision + 3)
+    c1, c2 = 1 / mpmath.sqrt(2), 1 / mpmath.sqrt(2 * mpmath.pi)
+    levels = [[] for _ in range(half)]
+    skipped = 0
+    for degree in range(1, rule.guess_degree(prec) + 1):
+        sums = [0] * half
+        for z, w in rule.get_nodes(0, mpmath.inf, degree, prec):
+            if z > cut:
+                skipped += 1
+                continue
+            lo = mpmath.erfc(z * c1) / 2
+            hi = 1 - lo
+            g = w * z * mpmath.exp(-z * z / 2) * c2
+            a, b, up, down = g * lo ** (pool - 1), g * hi ** (pool - 1), hi / lo, lo / hi
+            for i in range(half):
+                sums[i] += a - b
+                a *= up
+                b *= down
+        h = mpmath.ldexp(1, -degree)
+        for c, s, level in zip(coeffs, sums, levels):
+            level.append((level[-1] / 2 if level else 0) + h * c * s)
+        if degree == 1:
+            continue
+        errors = [rule.estimate_error(level, prec, ctx.eps) + h * skipped * bound for level, bound in zip(levels, bounds)]
+        if all(e <= tolerance * abs(level[-1]) for e, level in zip(errors, levels)):
+            decimals = [_rounded(level[-1], e, precision) for e, level in zip(errors, levels)]
+            return None if None in decimals else decimals
+    return None
 
 
 def _decimal_from_mpf(x, precision: int) -> Decimal:
     return Decimal(mpmath.nstr(x, precision, strip_zeros=False))
+
+
+def _rounded(x, error, precision: int):
+    # x rounded to `precision` digits, or None when x - error and x + error round apart.
+    low, high = _decimal_from_mpf(x - error, precision), _decimal_from_mpf(x + error, precision)
+    return low if low == high else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,12 +307,16 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     around the mid-rank by construction: only the lower half is computed
     and the upper half is its mirrored negation, so exact tie structure
     between mirror-image rank configurations survives any precision.
-    An FYT vector runs one quadrature per lower-half rank over [0, inf),
-    the negative half folded onto it, and each node's factors are evaluated
-    once for all of those ranks. Every rank's quadrature error estimate,
-    relative to its value, must be at most 10^-(precision+3); the vector is
-    recomputed with more guard digits until it is, and TheoremCheckError
-    is raised when even 120 guard digits do not suffice.
+    Every lower-half score is certified: both ends of the interval of its
+    error estimate round alike at `precision` digits. An FYT vector comes
+    from one tanh-sinh level loop over [0, inf) for all lower-half ranks,
+    the negative half folded onto it, stopped at the first level where
+    every rank's error estimate is at most 10^-(precision+3) of its value.
+    It is recomputed with 30, 60, then 120 guard digits instead of 15 while
+    a rank misses that or its rounding is undecided. vdw and laplace
+    quantiles are taken to be within 10^-(precision+10) of their values,
+    and are evaluated once more with 10 more digits when a rounding is
+    undecided. TheoremCheckError is raised when the last rung does not decide.
     """
     if not scheme.rank_based:
         raise InvalidCascadeError("the t component has no per-rank scores")
@@ -287,19 +324,11 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
         raise RankTestError(f"pool size must be >= 1, got {pool}")
     if scheme is Component.WILCOXON:
         return tuple(Decimal(i) for i in range(1, pool + 1))
-    half = pool // 2
-    with mpmath.workdps(precision + 15):
-        if scheme is Component.FYT:
-            lower = _expected_normal_order_stats(pool, precision)
-        elif scheme is Component.VDW:
-            lower = [_gauss_quantile(Fraction(i, pool + 1)) for i in range(1, half + 1)]
-        else:
-            lower = [_laplace_quantile(Fraction(i, pool + 1)) for i in range(1, half + 1)]
-        decimals = [_decimal_from_mpf(x, precision) for x in lower]
+    decimals = _lower_half(scheme, pool, precision)
     if pool % 2:
         decimals.append(Decimal(0))
     # copy_negate is context-free: the upper half mirrors the lower exactly.
-    decimals.extend(d.copy_negate() for d in reversed(decimals[:half]))
+    decimals.extend(d.copy_negate() for d in reversed(decimals[: pool // 2]))
     for a, b in zip(decimals, decimals[1:]):
         if not a < b:
             raise RankTestError(

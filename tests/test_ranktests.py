@@ -8,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.calculus.quadrature import TanhSinh
 from hypothesis import assume, given, settings, strategies as st
 
 from ordstat import (
@@ -37,6 +38,7 @@ from ordstat import (
     scheme_scores,
     score_sum,
     student_t,
+    ranktests,
     x_ranks,
 )
 from ordstat.ranktests import (
@@ -139,6 +141,25 @@ class TestSchemeScores:
 
     def test_vdw_midpoint_zero_for_odd_pool(self):
         assert scheme_scores(Component.VDW, 7, 50)[3] == 0
+
+    @pytest.mark.parametrize("scheme", [Component.VDW, Component.LAPLACE])
+    def test_undecided_quantile_is_evaluated_again(self, monkeypatch, scheme):
+        want = scheme_scores.__wrapped__(scheme, 9, 12)
+        rounded, digits = ranktests._rounded, []
+
+        def first_rung_undecided(x, error, precision):
+            digits.append(mpmath.mp.dps)
+            return None if mpmath.mp.dps == precision + 15 else rounded(x, error, precision)
+
+        monkeypatch.setattr(ranktests, "_rounded", first_rung_undecided)
+        assert scheme_scores.__wrapped__(scheme, 9, 12) == want
+        assert digits == [27] * 4 + [37] * 4
+
+    @pytest.mark.parametrize("scheme", [Component.VDW, Component.LAPLACE])
+    def test_undecided_quantile_fails(self, monkeypatch, scheme):
+        monkeypatch.setattr(ranktests, "_rounded", lambda x, error, precision: None)
+        with pytest.raises(TheoremCheckError, match=f"{scheme.value} quantile at pool=9 did not reach 12 digits"):
+            scheme_scores.__wrapped__(scheme, 9, 12)
 
 
 class TestScoreSum:
@@ -711,8 +732,8 @@ class TestFytFixture:
         assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)] == [str(d) for d in want]
 
     def test_node_memo_local_to_one_build(self):
-        # Nodes such as z = -1 and 1 recur at every precision; a memo kept
-        # across builds would serve their factors at the wrong precision.
+        # Nodes such as z = 1 recur at every precision; nodes or factors kept
+        # across builds must be those of the build's working precision.
         # The uncached builds leave the process-wide score cache as it is.
         for precision in (8, 50, 8):
             got = scheme_scores.__wrapped__(Component.FYT, 6, precision)
@@ -722,10 +743,13 @@ class TestFytFixture:
         "pool,precision,first,want",
         [
             # Reference: the integrand over both half-lines, split at
-            # -8, -7.5, ..., 8, maxdegree 10, precision + 30 digits. At 15
-            # guard digits, the error estimate first exceeds 10^-(precision+3)
-            # of the value at rank 19 of pool 80 and rank 14 of pool 100, and
-            # the pinned ranks print wrong digits; 30 guard digits get them right.
+            # -8, -7.5, ..., 8, maxdegree 10, precision + 30 digits. The
+            # per-rank quadrature stopped on an absolute error estimate and
+            # needed 30 guard digits for these ranks: with 15, its estimate
+            # first exceeded 10^-(precision+3) of the value at rank 19 of pool
+            # 80 and rank 14 of pool 100, and the pinned ranks printed wrong
+            # digits. The level loop stops on relative estimates and reaches
+            # them on its first rung.
             (80, 12, 33, ["-0.236548212693", "-0.204528830695", "-0.172718162350", "-0.141081637303",
                           "-0.109585948608", "-0.0781987924943", "-0.0468886270168", "-0.0156244447607"]),
             (100, 20, 48, ["-0.062570561353685321792", "-0.037526639852607337510",
@@ -735,3 +759,85 @@ class TestFytFixture:
     def test_large_pools_take_more_guard_digits(self, pool, precision, first, want):
         got = scheme_scores(Component.FYT, pool, precision)
         assert [str(d) for d in got[first - 1 : pool // 2]] == want
+
+    @pytest.mark.parametrize(
+        "pool,precision,first,last",
+        [
+            # Recorded from the per-rank quadrature, which reached these
+            # digits only on its third (pool 120) and fourth (pool 200) rung.
+            (120, 12, ["-2.57208514101", "-2.22037607267", "-2.02384659900"],
+             ["-0.0521508065456", "-0.0312813970782", "-0.0104256192696"]),
+            (200, 10, ["-2.746042447", "-2.413654842", "-2.229995102"],
+             ["-0.03130415767", "-0.01878053002", "-0.006259849349"]),
+        ],
+    )
+    def test_large_pools_finish_on_the_first_rung(self, monkeypatch, pool, precision, first, last):
+        rungs = spy_rungs(monkeypatch)
+        got = [str(d) for d in scheme_scores.__wrapped__(Component.FYT, pool, precision)]
+        assert rungs == [(precision + 15, True)]
+        assert got[:3] == first
+        assert got[pool // 2 - 3 : pool // 2] == last
+
+    def test_straddled_rounding_moves_to_the_next_rung(self, monkeypatch):
+        rungs = spy_rungs(monkeypatch)
+        monkeypatch.setattr(TanhSinh, "estimate_error", straddling_rank_5_of_14({22}))
+        got = scheme_scores.__wrapped__(Component.FYT, 14, 7)
+        assert rungs == [(22, False), (37, True)]
+        assert str(got[4]) == "-0.4555660"
+
+    def test_straddled_rounding_fails_after_the_last_rung(self, monkeypatch):
+        rungs = spy_rungs(monkeypatch)
+        monkeypatch.setattr(TanhSinh, "estimate_error", straddling_rank_5_of_14({22, 37, 67, 127}))
+        with pytest.raises(TheoremCheckError, match="fyt quadrature at pool=14 did not reach 7 digits"):
+            scheme_scores.__wrapped__(Component.FYT, 14, 7)
+        assert rungs == [(22, False), (37, False), (67, False), (127, False)]
+
+    @pytest.mark.parametrize("pool,precision", [(13, 7), (13, 33), (31, 7), (40, 33)])
+    def test_matches_per_rank_quadrature(self, pool, precision):
+        # An independent reference: one mpmath.quad per rank over both
+        # half-lines, the binomial coefficient inside the integrand, at
+        # precision + 30 digits.
+        with mpmath.workdps(precision + 30):
+            want, factors = [], {}
+            for i in range(1, pool // 2 + 1):
+                c = pool * math.comb(pool - 1, i - 1)
+
+                def integrand(z):
+                    if z not in factors:
+                        factors[z] = (z * mpmath.npdf(z), mpmath.ncdf(z), mpmath.ncdf(-z))
+                    w, below, above = factors[z]
+                    return c * w * below ** (i - 1) * above ** (pool - i)
+
+                value = mpmath.quad(integrand, [-mpmath.inf, 0, mpmath.inf])
+                want.append(str(_decimal_from_mpf(value, precision)))
+        assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)[: pool // 2]] == want
+
+
+def spy_rungs(monkeypatch) -> list:
+    # (working digits, converged) of every guard rung an FYT build tries.
+    rungs = []
+    build = ranktests._folded_order_stats
+
+    def spy(pool, precision):
+        values = build(pool, precision)
+        rungs.append((mpmath.mp.dps, values is not None))
+        return values
+
+    monkeypatch.setattr(ranktests, "_folded_order_stats", spy)
+    return rungs
+
+
+def straddling_rank_5_of_14(working_digits):
+    # Rank 5 of pool 14 is -0.455566049982..., 1.8e-11 from the rounding
+    # boundary -0.45556605 at 7 digits. At the given working digits, the
+    # error estimate is raised to 0.9 * 10^-10 of the value: that passes the
+    # relative stop at precision 7, 10^-(7+3), but straddles the boundary.
+    estimate = TanhSinh.estimate_error
+
+    def estimate_error(self, results, prec, epsilon):
+        error = estimate(self, results, prec, epsilon)
+        if mpmath.mp.dps in working_digits:
+            error = max(error, abs(results[-1]) * mpmath.mpf("0.9e-10"))
+        return error
+
+    return estimate_error
