@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .order import MIN_PRECISION, CompareContext, format_ord
+from .order import MIN_PRECISION, format_ord
 from .trial import (
     TheoremCheckError,
     TrialError,
@@ -37,6 +37,7 @@ from .randomized import (
 )
 from .ranktests import (
     CascadeStatistic,
+    CompareContext,
     RankTestError,
     SizeLimitError,
     DEFAULT_MAX_ENUM,

@@ -1,13 +1,11 @@
-"""Totally ordered statistic values with exact and precision-aware comparison.
+"""Totally ordered statistic values with exact comparison.
 
 Values come in four shapes: exact rationals, integer ranks, fixed-precision
 decimal scores, and tuples compared lexicographically. Two values are
 comparable only if they share a shape; cross-shape comparison raises rather
-than coercing, so exactness is never lost by accident. Score comparisons
-whose operands lie within the precision threshold of each other collapse to
-EQ and are flagged on the comparison context: a conservative tie is
-recoverable, a silently wrong strict ordering is not. The threshold test
-itself is exact, on the Decimal operands as given, with no rounding.
+than coercing, so exactness is never lost by accident. Every shape compares
+by its exact value, Scores by their Decimals as given, so ``compare`` is a
+total order: equality is transitive and EQ means equal values.
 
 The lexicographic tuple order here is the computational core of the package;
 tuples of ordered values are themselves ordered values, so cascades of
@@ -18,15 +16,15 @@ content and live in documentation only.
 
 from __future__ import annotations
 
-import decimal
 import enum
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 DEFAULT_PRECISION = 50
-# The threshold is then at most 1%; at precision 2 it would tie 0 with every value, at 1 opposite signs.
+# Rank cascades tie score sums within a relative 10**(2 - precision) (ranktests' windows);
+# the floor keeps that below 1%: at precision 2 it would tie 0 with every value, at 1 opposite signs.
 MIN_PRECISION = 4
 
 
@@ -48,26 +46,6 @@ class Ordering(enum.Enum):
     LT = -1
     EQ = 0
     GT = 1
-
-
-@dataclass
-class CompareContext:
-    """Mutable record of comparison side effects.
-
-    Score comparisons that collapse to EQ because the operands are within
-    the precision threshold (but not identical) are counted here. Exact
-    comparisons never touch the context, so ``imprecise`` stays False for
-    purely rational/rank data.
-    """
-
-    imprecise_ties: int = 0
-
-    def flag_imprecise(self) -> None:
-        self.imprecise_ties += 1
-
-    @property
-    def imprecise(self) -> bool:
-        return self.imprecise_ties > 0
 
 
 def exact_fraction(value) -> Fraction:
@@ -106,16 +84,11 @@ class Rank:
 class Score:
     """Fixed-precision decimal value.
 
-    ``precision`` counts significant decimal digits of the sources that
-    produced the value. Two scores a and b with
-    |a - b| * 10**precision <= 100 * max(|a|, |b|), that is a relative
-    distance of at most 10**(2 - precision), compare EQ and flag the
-    comparison context as imprecise; identical values compare EQ without
-    flagging. The test is exact: the tie window of a value is a closed
-    interval around it, with no rounding at its ends. The stored decimal
-    may carry more digits than ``precision`` (e.g. an exact sum of
-    precision-digit terms); the threshold is governed by ``precision``
-    alone, which must be at least MIN_PRECISION.
+    ``precision`` counts the significant decimal digits the value is
+    correct to, and the digits it prints with (``format_ord``'s ``~p``); it
+    must be at least MIN_PRECISION. The stored decimal may carry more
+    digits (e.g. an exact sum of precision-digit terms). Scores compare by
+    their exact Decimal values, whatever their precisions.
     """
 
     value: Decimal
@@ -179,46 +152,22 @@ def _cmp(a, b) -> Ordering:
     return Ordering.EQ
 
 
-# Subtraction and scaleb under this context never round, overflow or underflow.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
-def _compare_scores(a: Score, b: Score, ctx: CompareContext | None) -> Ordering:
-    if a.value == b.value:
-        return Ordering.EQ
-    prec = min(a.precision, b.precision)
-    with localcontext(_EXACT):
-        within = abs(a.value - b.value).scaleb(prec - 2) <= max(abs(a.value), abs(b.value))
-    if within:
-        if ctx is not None:
-            ctx.flag_imprecise()
-        return Ordering.EQ
-    return Ordering.LT if a.value < b.value else Ordering.GT
-
-
-def _compare_same_shape(a: OrdValue, b: OrdValue, ctx: CompareContext | None) -> Ordering:
-    if isinstance(a, (Rational, Rank)):
+def _compare_same_shape(a: OrdValue, b: OrdValue) -> Ordering:
+    if not isinstance(a, LexTuple):
         return _cmp(a.value, b.value)
-    if isinstance(a, Score):
-        return _compare_scores(a, b, ctx)
     for ca, cb in zip(a.components, b.components):
-        o = _compare_same_shape(ca, cb, ctx)
+        o = _compare_same_shape(ca, cb)
         if o is not Ordering.EQ:
             return o
     return Ordering.EQ
 
 
-def compare(a: OrdValue, b: OrdValue, ctx: CompareContext | None = None) -> Ordering:
+def compare(a: OrdValue, b: OrdValue) -> Ordering:
     """Three-valued comparison of two same-shape values.
 
-    Rational and rank comparisons are exact; tuples compare
-    lexicographically (the first unequal component decides). Scores a and
-    b with |a - b| * 10**p <= 100 * max(|a|, |b|), p the smaller of their
-    precisions, collapse to EQ and flag ``ctx``; the test is decided
-    exactly, without rounding the relative distance. Threshold equality is
-    deliberately conservative and is not transitive, so callers that
-    partition values into equality groups should group sort-adjacent
-    elements.
+    Rationals, ranks and Scores compare exactly by value (a Score's
+    precision plays no part); tuples compare lexicographically (the first
+    unequal component decides). The result is a total order.
 
     Raises ShapeMismatchError when the shapes differ (including tuples of
     different arity or componentwise shape).
@@ -226,7 +175,7 @@ def compare(a: OrdValue, b: OrdValue, ctx: CompareContext | None = None) -> Orde
     sa, sb = shape(a), shape(b)
     if sa != sb:
         raise ShapeMismatchError(f"cannot compare shape {sa!r} with {sb!r}")
-    return _compare_same_shape(a, b, ctx)
+    return _compare_same_shape(a, b)
 
 
 def to_rational(value: OrdValue) -> Rational:

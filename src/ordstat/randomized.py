@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .order import CompareContext, Rational, exact_fraction, lex_tuple
+from .order import Rational, exact_fraction, lex_tuple
 from .trial import (
     FiniteTrial,
     MissingOutcomeError,
@@ -66,11 +66,11 @@ class RandomizedPFunction:
         return label in self.values
 
 
-def build_randomized(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> RandomizedPFunction:
+def build_randomized(trial: FiniteTrial, stat: Statistic) -> RandomizedPFunction:
     """Split each outcome's induced p-value into strict mass and tie mass."""
     out = {}
     below = Fraction(0)
-    for _, members, mass in value_groups(trial, stat, ctx):
+    for _, members, mass in value_groups(trial, stat):
         out.update(dict.fromkeys(members, (below, mass)))
         below += mass
     return RandomizedPFunction(out)

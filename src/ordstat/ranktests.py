@@ -18,13 +18,14 @@ bit for bit and mirror-image tie structure is preserved exactly. Each
 vector is also held as exact ints at a common decimal exponent, so the rank
 components of a cascade key are exact int sums (the rank sum for wilcoxon),
 for enumeration, the observed value and Monte Carlo draws alike; only the t
-component of a draw is compared in floats. Score sums within the comparison
-precision of each other are treated as genuine ties and flagged: each key
-part gives the closed int window of sums that compare EQ with a sum, the
-same exact test as order.compare on their Scores, and enumeration, grouping
-and the recount all compare against that window. Every attainable set is
-verified range-exact at every size, by an independent recount that bisects
-the sorted keys.
+component of a draw is compared in floats. Score sums u and v at precision
+p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties
+and counted on a CompareContext. This threshold is the rank cascades' own
+rule; order.compare orders Scores exactly. Each key part gives the closed
+int window of sums that tie with a sum, decided exactly, and enumeration,
+grouping and the recount all compare against that window. Every attainable
+set is verified range-exact at every size, by an independent recount that
+bisects the sorted keys.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from fractions import Fraction
 import mpmath
 
 from .order import (
-    CompareContext,
     DEFAULT_PRECISION,
     MIN_PRECISION,
     LexTuple,
@@ -57,6 +57,20 @@ from .order import (
 from .trial import TheoremCheckError
 
 DEFAULT_MAX_ENUM = 10_000_000
+
+
+@dataclass
+class CompareContext:
+    """Count of rank-cascade score-sum ties that are not exact equalities."""
+
+    imprecise_ties: int = 0
+
+    def flag_imprecise(self) -> None:
+        self.imprecise_ties += 1
+
+    @property
+    def imprecise(self) -> bool:
+        return self.imprecise_ties > 0
 
 
 class RankTestError(Exception):
@@ -317,6 +331,7 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     quantiles are taken to be within 10^-(precision+10) of their values,
     and are evaluated once more with 10 more digits when a rounding is
     undecided. TheoremCheckError is raised when the last rung does not decide.
+    Every scheme but wilcoxon needs precision >= MIN_PRECISION (RankTestError).
     """
     if not scheme.rank_based:
         raise InvalidCascadeError("the t component has no per-rank scores")
@@ -324,6 +339,8 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
         raise RankTestError(f"pool size must be >= 1, got {pool}")
     if scheme is Component.WILCOXON:
         return tuple(Decimal(i) for i in range(1, pool + 1))
+    if precision < MIN_PRECISION:
+        raise RankTestError(f"score components need precision >= {MIN_PRECISION}, got {precision}")
     decimals = _lower_half(scheme, pool, precision)
     if pool % 2:
         decimals.append(Decimal(0))
@@ -390,14 +407,12 @@ class _ScoreSum:
     Every score of the vector is an int multiple of 10**exponent, where
     exponent is the smallest Decimal exponent among the scores and 0, so
     rank-set sums are plain int sums and mirror negation stays exact.
-    The precision must be at least MIN_PRECISION (4), so that the
+    scheme_scores holds the precision to MIN_PRECISION (4) or more, so the
     threshold's relative distance is below 1 and each sum's tie window
     excludes 0.
     """
 
     def __init__(self, scores: tuple, precision: int):
-        if precision < MIN_PRECISION:
-            raise RankTestError(f"score components need precision >= {MIN_PRECISION}, got {precision}")
         self.precision = precision
         self.scale = 10**precision
         # Index 0 stands for the Decimal(0) a sum starts from; ranks index the rest.
@@ -407,7 +422,7 @@ class _ScoreSum:
         self.total = lambda ranks, score=self.ints.__getitem__: sum(map(score, ranks))
 
     def window(self, v: int) -> tuple:
-        """(lo, hi): the sums u whose Scores compare EQ with v's, |u - v| * 10**p <= 100 * max(|u|, |v|)."""
+        """(lo, hi): the sums u that tie with v, |u - v| * 10**p <= 100 * max(|u|, |v|), decided exactly."""
         if v < 0:
             lo, hi = self.window(-v)
             return -hi, -lo
@@ -442,7 +457,7 @@ def _steps(parts: tuple, observed) -> tuple:
 
 
 def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
-    """Lexicographic order of two cascade keys, as order.compare on their values."""
+    """Lexicographic order of two cascade keys, sums tied within their windows."""
     for part, x, y in zip(parts, a, b):
         if x != y:
             lo, hi = part.window(y)

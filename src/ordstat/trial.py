@@ -11,20 +11,15 @@ and the properties arbitrary candidate p-functions may lack.
 from __future__ import annotations
 
 import enum
-import functools
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .order import (
-    CompareContext,
     LexTuple,
     OrdValue,
-    Ordering,
     Rational,
     Score,
-    compare,
     exact_fraction,
     shape,
 )
@@ -56,10 +51,6 @@ class ScaleBelowOneError(TrialError):
 
 class TheoremCheckError(TrialError):
     """An identity that must hold by theorem failed: implementation bug."""
-
-
-class ImpreciseTieWarning(UserWarning):
-    """Score comparisons inside an operation collapsed to EQ within precision."""
 
 
 @dataclass(frozen=True)
@@ -193,63 +184,67 @@ def _has_score(s) -> bool:
 
 
 def _native_key(value: OrdValue):
-    # Exact sort key; a Score's precision rides along so that equal keys compare alike.
+    # Exact sort key: equal keys exactly when compare() says EQ.
     if isinstance(value, LexTuple):
         return tuple(_native_key(c) for c in value.components)
-    if isinstance(value, Score):
-        return value.value, value.precision
     return value.value
 
 
-def value_groups(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> list:
+def _canonical(value: OrdValue):
+    # Picks one of several equal values: the lowest precisions, then the lowest Decimal as_tuple().
+    if isinstance(value, LexTuple):
+        return tuple(_canonical(c) for c in value.components)
+    if isinstance(value, Score):
+        return value.precision, value.value.as_tuple()
+    return ()
+
+
+def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     """Ascending groups of (value, labels, mass) with equal statistic values merged.
 
-    Values sort on exact native keys, so the result does not depend on the
-    order the outcomes are listed in, and labels inside a group keep the
-    trial's outcome order. Shapes with Score components are then re-sorted
-    stably under the three-valued comparison, and sort-adjacent values that
-    compare EQ share a group. Imprecise Score ties flag ``ctx``; without a
-    caller context they are surfaced as an ImpreciseTieWarning.
+    Values sort on exact native keys and equal keys share a group, so the
+    result does not depend on the order the outcomes are listed in, and
+    labels inside a group keep the trial's outcome order. Equal Scores may
+    differ in precision or exponent; such a group's value is the one with
+    the lowest precisions, then the lowest ``Decimal.as_tuple()``.
     """
     values = _statistic_values(trial, stat)
     labels = trial.labels
-    own = ctx if ctx is not None else CompareContext()
     keys = [_native_key(v) for v in values]
     order = sorted(range(len(values)), key=keys.__getitem__)
-    scored = _has_score(shape(values[0]))
-    if scored:
-        order.sort(key=functools.cmp_to_key(lambda i, j: compare(values[i], values[j], own).value))
     groups = [[order[0]]]
     for prev, i in zip(order, order[1:]):
-        if keys[i] == keys[prev] or scored and compare(values[i], values[prev], own) is Ordering.EQ:
+        if keys[i] == keys[prev]:
             groups[-1].append(i)
         else:
             groups.append([i])
-    if ctx is None and own.imprecise:
-        warnings.warn("score comparisons tied within precision; treated as equal", ImpreciseTieWarning, stacklevel=3)
+    scored = _has_score(shape(values[0]))
     return [
-        (values[g[0]], [labels[i] for i in sorted(g)], sum(trial.prob(labels[i]) for i in g))
+        (
+            min((values[i] for i in g), key=_canonical) if scored else values[g[0]],
+            [labels[i] for i in g],
+            sum(trial.prob(labels[i]) for i in g),
+        )
         for g in groups
     ]
 
 
-def induce_phat(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> PFunction:
+def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
     """Induced p-function: p(x) = total probability of {y : f(y) <= f(x)}.
 
-    All values are exact rationals. Imprecise Score ties are surfaced as an
-    ImpreciseTieWarning unless the caller supplies its own context.
+    All values are exact rationals, and f(y) <= f(x) is decided exactly.
     """
     out = {}
     cum = Fraction(0)
-    for _, members, mass in value_groups(trial, stat, ctx):
+    for _, members, mass in value_groups(trial, stat):
         cum += mass
         out.update(dict.fromkeys(members, cum))
     return PFunction(out)
 
 
-def induced_measure(trial: FiniteTrial, stat: Statistic, ctx: CompareContext | None = None) -> list:
+def induced_measure(trial: FiniteTrial, stat: Statistic) -> list:
     """Distinct statistic values in ascending order with their total mass."""
-    return [(value, mass) for value, _, mass in value_groups(trial, stat, ctx)]
+    return [(value, mass) for value, _, mass in value_groups(trial, stat)]
 
 
 def check_idempotence(trial: FiniteTrial, pfunc: PFunction) -> bool:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordstat import (
-    CompareContext,
     EmptyTupleError,
     OrderError,
     Ordering,
@@ -69,46 +68,60 @@ class TestCompare:
     def test_transitivity_exhaustive(self):
         grid = [rat(Fraction(k, 3)) for k in range(-3, 4)]
         no_gt = lambda a, b: compare(a, b) is not Ordering.GT
-        for a, b, c in itertools.product(grid, repeat=3):
-            if no_gt(a, b) and no_gt(b, c):
-                assert no_gt(a, c)
+        for values in (grid, SCORE_GRID):
+            for a, b, c in itertools.product(values, repeat=3):
+                if no_gt(a, b) and no_gt(b, c):
+                    assert no_gt(a, c)
+        flip = {Ordering.LT: Ordering.GT, Ordering.GT: Ordering.LT, Ordering.EQ: Ordering.EQ}
+        for a, b in itertools.product(SCORE_GRID, repeat=2):
+            assert compare(b, a) is flip[compare(a, b)]
+            assert (compare(a, b) is Ordering.EQ) is (a.value == b.value)
+
+
+# The precision-4 chain 100.0 / 100.9 / 101.8, two values a relative 1e-9
+# apart at precision 10, and equal values at different exponents and precisions.
+SCORE_GRID = [
+    Score("100.0", 4),
+    Score("100.9", 4),
+    Score("101.8", 4),
+    Score("100.00", 50),
+    Score("1.0000000000", 10),
+    Score("1.000000001", 10),
+    Score("1", 4),
+    Score("1.0", 50),
+    Score("1E+0", 12),
+    Score("-1.5", 8),
+    Score("-1.50", 20),
+    Score("0", 4),
+    Score("-0E-5", 9),
+]
 
 
 class TestScore:
     def test_equal_values_not_flagged(self):
-        ctx = CompareContext()
-        assert compare(Score("1.5", 10), Score("1.50", 10), ctx) is Ordering.EQ
-        assert not ctx.imprecise
+        assert compare(Score("1.5", 10), Score("1.50", 10)) is Ordering.EQ
 
-    def test_within_threshold_is_eq_and_flagged(self):
-        ctx = CompareContext()
+    def test_near_equal_values_are_strict(self):
         a = Score(Decimal("1.0000000000"), 10)
-        b = Score(Decimal("1.000000001"), 10)  # rel distance 1e-9 < 1e-8
-        assert compare(a, b, ctx) is Ordering.EQ
-        assert ctx.imprecise and ctx.imprecise_ties == 1
+        b = Score(Decimal("1.000000001"), 10)  # a relative distance of 1e-9, below 10**-precision
+        assert compare(a, b) is Ordering.LT
+        assert compare(b, a) is Ordering.GT
 
     def test_beyond_threshold_is_strict(self):
-        ctx = CompareContext()
-        assert compare(Score("1.0", 10), Score("1.001", 10), ctx) is Ordering.LT
-        assert not ctx.imprecise
+        assert compare(Score("1.0", 10), Score("1.001", 10)) is Ordering.LT
 
     def test_threshold_is_decided_exactly(self):
-        # The relative distance is 0.01 + 1e-16, just above the precision-4
-        # threshold of 0.01. Rounded to 14 digits it would read 0.01 and tie.
-        ctx = CompareContext()
+        # Values a relative 0.01 apart, or 1e-16, at precision 4 compare by
+        # their exact Decimals, with no rounding of the distance.
         a, b = Score("989999999999.9999", 4), Score("1000000000000.0000", 4)
-        assert compare(a, b, ctx) is Ordering.LT
-        assert compare(b, a, ctx) is Ordering.GT
-        assert not ctx.imprecise
-        assert compare(Score("990000000000.0000", 4), b, ctx) is Ordering.EQ
-        assert ctx.imprecise_ties == 1
+        assert compare(a, b) is Ordering.LT
+        assert compare(b, a) is Ordering.GT
+        assert compare(Score("990000000000.0000", 4), b) is Ordering.LT
+        assert compare(Score("1000000000000.0001", 4), b) is Ordering.GT
 
-    def test_mixed_precision_uses_coarser_threshold(self):
-        ctx = CompareContext()
-        a = Score(Decimal("1.0"), 50)
-        b = Score(Decimal("1.000001"), 5)  # rel 1e-6 < 10**(2-5)
-        assert compare(a, b, ctx) is Ordering.EQ
-        assert ctx.imprecise
+    def test_mixed_precision_decides_by_value(self):
+        assert compare(Score(Decimal("1.0"), 50), Score(Decimal("1.000001"), 5)) is Ordering.LT
+        assert compare(Score("1.5", 50), Score("1.50", 4)) is Ordering.EQ
 
     def test_zero_vs_tiny_is_strict(self):
         assert compare(Score("0", 10), Score("1E-60", 10)) is Ordering.LT
@@ -119,7 +132,7 @@ class TestScore:
 
     @pytest.mark.parametrize("precision", [1, 2, 3])
     def test_precision_below_four_rejected(self, precision):
-        # At precision 1 the threshold would tie 1 with -1.
+        # At precision 1 a rank cascade's tie window would tie 1 with -1.
         with pytest.raises(OrderError, match="precision must be an int >= 4"):
             Score("1", precision)
 

@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import random
-from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,8 +329,12 @@ class TestAttainable:
             counts = [g.cum_count for g in att.groups]
             assert counts == sorted(set(counts)) and counts[-1] == att.total == math.comb(7, 4)
 
-    @pytest.mark.parametrize("precision", [1, 2, 3])
+    @pytest.mark.parametrize("precision", [0, 1, 2, 3])
     def test_score_components_need_precision_four(self, precision):
+        for scheme in (Component.FYT, Component.VDW, Component.LAPLACE):
+            with pytest.raises(RankTestError, match="precision >= 4"):
+                scheme_scores(scheme, 6, precision)
+        assert scheme_scores(Component.WILCOXON, 6, precision) == tuple(Decimal(i) for i in range(1, 7))
         fyt = CascadeStatistic.parse("fyt")
         with pytest.raises(RankTestError, match="precision >= 4"):
             attainable_set(3, 3, fyt, precision=precision)
@@ -456,9 +460,36 @@ def decimal_value(ranks, cascade, pool, precision) -> LexTuple:
     return LexTuple(tuple(parts))
 
 
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def threshold_compare(a, b, ctx) -> Ordering:
+    """Reference rank-cascade order of Decimal values, decided exactly.
+
+    Scores u != v at precisions p and q tie, and flag ctx, when
+    |u - v| * 10**min(p, q) <= 100 * max(|u|, |v|).
+    """
+    if isinstance(a, LexTuple):
+        for x, y in zip(a.components, b.components):
+            o = threshold_compare(x, y, ctx)
+            if o is not Ordering.EQ:
+                return o
+        return Ordering.EQ
+    u, v = a.value, b.value
+    if u == v:
+        return Ordering.EQ
+    if isinstance(a, Score):
+        with localcontext(_EXACT):
+            within = abs(u - v).scaleb(min(a.precision, b.precision)) <= 100 * max(abs(u), abs(v))
+        if within:
+            ctx.flag_imprecise()
+            return Ordering.EQ
+    return Ordering.LT if u < v else Ordering.GT
+
+
 def pairwise_recount(values, group_value, ctx) -> int:
     """The quadratic recount: every value compared with the group value."""
-    return sum(1 for v in values if compare(v, group_value, ctx) is not Ordering.GT)
+    return sum(1 for v in values if threshold_compare(v, group_value, ctx) is not Ordering.GT)
 
 
 def check_grouping_and_recount(cascade, m, n, precision) -> int:
@@ -472,7 +503,7 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
     groups = _grouped(parts, keys, combos, ctx)
     starts = []
     for i, v in enumerate(values):
-        if not starts or compare(v, values[starts[-1]], ref) is not Ordering.EQ:
+        if not starts or threshold_compare(v, values[starts[-1]], ref) is not Ordering.EQ:
             starts.append(i)
     assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
     assert ctx.imprecise_ties == ref.imprecise_ties
@@ -546,7 +577,7 @@ class TestIntegerKernel:
     def test_score_order_equals_compare_at_the_threshold(self):
         # At precision 4 the threshold is a relative distance of 1/100. 9900
         # and 10000 sit exactly on it. 10**16 - 10**14 - 1 and 10**16 sit just
-        # above it, at a relative distance of 0.01 + 10**-16, and compare()
+        # above it, at a relative distance of 0.01 + 10**-16, and the reference
         # decides that exactly, with no rounding of the distance.
         parts = (_ScoreSum((Decimal("0.0001"),), 4),)
         ints = [*range(9890, 9910), *range(9990, 10010), *range(10090, 10110)]
@@ -555,7 +586,7 @@ class TestIntegerKernel:
         for a in ints:
             for b in ints:
                 fast, slow = CompareContext(), CompareContext()
-                want = compare(Score(Decimal(a).scaleb(-4), 4), Score(Decimal(b).scaleb(-4), 4), slow)
+                want = threshold_compare(Score(Decimal(a).scaleb(-4), 4), Score(Decimal(b).scaleb(-4), 4), slow)
                 assert _order(parts, (a,), (b,), fast) is want
                 assert fast.imprecise_ties == slow.imprecise_ties
 
@@ -574,7 +605,7 @@ class TestIntegerKernel:
             return Score(Decimal(u).scaleb(exponent, Context(prec=MAX_PREC)), precision)
 
         for u, eq in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
-            assert (compare(score(u), score(v)) is Ordering.EQ) is eq
+            assert (threshold_compare(score(u), score(v), CompareContext()) is Ordering.EQ) is eq
 
     def test_corrupted_grouping_rejected_at_every_size(self):
         # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
@@ -601,7 +632,7 @@ T_CASCADES = tuple(
 def mc_reference(s: TwoSample, cascade, draws, seed, precision):
     """(count, imprecise ties) of draws whose cascade value compares not GT with the observed one.
 
-    Rank components are exact Decimal sums compared by order.compare with
+    Rank components are exact Decimal sums compared by threshold_compare with
     those of the exact observed ranks; t is compared in floats, against the
     observed t at 50 digits, where the rank components tie.
     """
@@ -616,7 +647,7 @@ def mc_reference(s: TwoSample, cascade, draws, seed, precision):
         order = Ordering.EQ
         if ranked:
             ranks = sorted(sorted(draw).index(v) + 1 for v in xs)
-            order = compare(decimal_value(ranks, CascadeStatistic(ranked), s.pool, precision), observed, ctx)
+            order = threshold_compare(decimal_value(ranks, CascadeStatistic(ranked), s.pool, precision), observed, ctx)
         if order is Ordering.EQ:
             xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
             t = (xbar - ybar) / math.sqrt(sum((v - xbar) ** 2 for v in xs) + sum((v - ybar) ** 2 for v in ys))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordstat import (
-    CompareContext,
     FiniteTrial,
     InvalidPFunctionError,
     InvalidStatisticError,
@@ -92,6 +92,26 @@ class TestStatistic:
             Statistic({})
 
 
+@st.composite
+def chained_score_trials(draw):
+    """Score or (Score, Rank) statistics at precision 4 on 100.0 + 0.3k.
+
+    A precision-4 threshold would tie scores up to three steps apart and
+    not four, so its ties would chain: 100.0 with 100.9, 100.9 with 101.8,
+    yet 100.0 < 101.8. The exact order keeps every step distinct.
+    """
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    steps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    values = [Score(Decimal(1000 + 3 * k).scaleb(-1), 4) for k in steps]
+    if draw(st.booleans()):
+        ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        values = [lex_tuple([v, Rank(r)]) for v, r in zip(values, ranks)]
+    labels = [f"o{i}" for i in range(n)]
+    pairs = tuple((label, F(w, sum(weights))) for label, w in zip(labels, weights))
+    return pairs, Statistic(dict(zip(labels, values)))
+
+
 class TestInducePhat:
     def test_three_outcome_example(self):
         stat = rank_stat(a=0, b=1, c=2)
@@ -118,57 +138,57 @@ class TestInducePhat:
 
     def test_monotone_in_statistic(self, trial_corpus):
         for t, stat in trial_corpus[:30]:
-            phat = induce_phat(t, stat)
-            for x in t.labels:
-                for y in t.labels:
-                    if compare(stat[x], stat[y]) is not Ordering.GT:
-                        assert phat[x] <= phat[y]
+            assert_monotone(t, stat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chained_score_trials())
+    def test_monotone_in_chained_scores(self, case):
+        pairs, stat = case
+        assert_monotone(FiniteTrial(pairs), stat)
 
 
-class TestImpreciseTies:
-    def _score_stat(self):
-        from decimal import Decimal
+def assert_monotone(t: FiniteTrial, stat: Statistic) -> None:
+    """p(x) <= p(y) when f(x) is not above f(y), and p(x) > p(y) when it is and x has mass."""
+    phat = induce_phat(t, stat)
+    for x in t.labels:
+        for y in t.labels:
+            if compare(stat[x], stat[y]) is not Ordering.GT:
+                assert phat[x] <= phat[y]
+            elif t.prob(x):
+                assert phat[x] > phat[y]
 
-        from ordstat import Score
 
-        return Statistic(
-            {
-                "a": Score(Decimal("1.0000000000"), 10),
-                "b": Score(Decimal("1.000000001"), 10),  # within the 1e-8 threshold
-                "c": Score(Decimal("2"), 10),
-            }
-        )
+class TestNearEqualScores:
+    """Scores a relative 1e-9 apart at precision 10 are distinct values."""
 
-    def test_warning_surfaced_without_context(self):
-        from ordstat import ImpreciseTieWarning
+    STAT = Statistic(
+        {
+            "a": Score(Decimal("1.0000000000"), 10),
+            "b": Score(Decimal("1.000000001"), 10),
+            "c": Score(Decimal("2"), 10),
+        }
+    )
 
-        with pytest.warns(ImpreciseTieWarning):
-            phat = induce_phat(THREE, self._score_stat())
-        assert phat["a"] == phat["b"] == F(3, 4)  # near-equal scores tied
-        assert phat["c"] == 1
+    def test_near_equal_scores_are_distinct(self):
+        assert induce_phat(THREE, self.STAT).values == {"a": F(1, 2), "b": F(3, 4), "c": F(1)}
 
-    def test_context_owner_sees_flag_no_warning(self):
-        import warnings
+    def test_induced_measure_keeps_near_equal_scores_apart(self):
+        assert induced_measure(THREE, self.STAT) == [
+            (Score("1.0000000000", 10), F(1, 2)),
+            (Score("1.000000001", 10), F(1, 4)),
+            (Score("2", 10), F(1, 4)),
+        ]
 
-        from ordstat import CompareContext
-
-        ctx = CompareContext()
+    def test_theorem_checks_stay_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            induce_phat(THREE, self._score_stat(), ctx)
-        assert ctx.imprecise
-
-    def test_theorem_checks_on_context_owned_results_stay_silent(self):
-        import warnings
-
-        ctx = CompareContext()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            phat = induce_phat(THREE, self._score_stat(), ctx)
-            rpf = build_randomized(THREE, self._score_stat(), ctx)
+            phat = induce_phat(THREE, self.STAT)
+            induced_measure(THREE, self.STAT)
+            rpf = build_randomized(THREE, self.STAT)
             assert check_idempotence(THREE, phat)
-            midp_validity_check(THREE, rpf)
-        assert ctx.imprecise
+            # Mid-p-values 1/4, 5/8, 7/8: P[mid <= 1/4] = 1/2.
+            got = midp_validity_check(THREE, rpf)
+        assert (got.kind, got.witness, got.witness_mass) == (Validity.NOT_PFUNCTION, F(1, 4), F(1, 2))
 
 
 def listing_answers(pairs, stat) -> set:
@@ -176,47 +196,29 @@ def listing_answers(pairs, stat) -> set:
     answers = set()
     for listing in itertools.permutations(pairs):
         t = FiniteTrial(listing)
-        ctx = CompareContext()
         answers.add((
-            frozenset(induce_phat(t, stat, ctx).values.items()),
-            tuple(induced_measure(t, stat, ctx)),
-            frozenset(build_randomized(t, stat, ctx).values.items()),
+            frozenset(induce_phat(t, stat).values.items()),
+            tuple(induced_measure(t, stat)),
+            frozenset(build_randomized(t, stat).values.items()),
         ))
     return answers
 
 
-@st.composite
-def chained_score_trials(draw):
-    """Score or (Score, Rank) statistics at precision 4 on 100.0 + 0.3k.
-
-    Scores up to three steps apart tie and four steps apart do not, so ties
-    chain: 100.0 ties 100.9, 100.9 ties 101.8, yet 100.0 < 101.8.
-    """
-    n = draw(st.integers(2, 5))
-    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
-    steps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
-    values = [Score(Decimal(1000 + 3 * k).scaleb(-1), 4) for k in steps]
-    if draw(st.booleans()):
-        ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        values = [lex_tuple([v, Rank(r)]) for v, r in zip(values, ranks)]
-    labels = [f"o{i}" for i in range(n)]
-    pairs = tuple((label, F(w, sum(weights))) for label, w in zip(labels, weights))
-    return pairs, Statistic(dict(zip(labels, values)))
-
-
 class TestOrderIndependence:
     def test_threshold_chain_witness(self):
-        # At precision 4, a ties b and b ties c, but a < c: one sort-adjacent group.
+        # A precision-4 threshold would tie a with b and b with c, but not a
+        # with c. Ordered exactly, they are three values.
         stat = Statistic({"a": Score("100.0", 4), "b": Score("100.9", 4), "c": Score("101.8", 4)})
         pairs = tuple(FiniteTrial.uniform("abc").outcomes)
+        third = F(1, 3)
         assert listing_answers(pairs, stat) == {(
-            frozenset({"a": F(1), "b": F(1), "c": F(1)}.items()),
-            ((Score("100.0", 4), F(1)),),
-            frozenset({"a": (F(0), F(1)), "b": (F(0), F(1)), "c": (F(0), F(1))}.items()),
+            frozenset({"a": third, "b": 2 * third, "c": F(1)}.items()),
+            ((Score("100.0", 4), third), (Score("100.9", 4), third), (Score("101.8", 4), third)),
+            frozenset({"a": (F(0), third), "b": (third, third), "c": (2 * third, third)}.items()),
         )}
 
     def test_equal_scores_of_two_precisions(self):
-        # 100.0 ties 100.9 at precision 4 but not at 50; the tie is decided by the coarser precision.
+        # a and b are one value, c another; the group of a and b takes b's lower precision.
         stat = Statistic({"a": Score("100.0", 50), "b": Score("100.0", 4), "c": Score("100.9", 50)})
         pairs = tuple(FiniteTrial.uniform("abc").outcomes)
         assert listing_answers(pairs, stat) == {(
