@@ -2,6 +2,9 @@
 
 Reports are line-oriented ``key: value`` documents (split each line on the
 first ": "); ``--plain`` swaps the machine header for a one-line summary.
+``main`` builds every report and its header from the command line and
+``--precision``; each ``cmd_*`` command only sets the inputs digest and
+headline and adds fields, warnings and theorem failures.
 Exit codes: 0 success, 2 parse or validation error, 3 enumeration size cap,
 4 failed theorem check (the latter always indicates an implementation bug).
 """
@@ -66,12 +69,18 @@ def _default_precision() -> int:
 
 @dataclass
 class RunReport:
-    """Deterministic report: byte-identical for identical inputs and seed."""
+    """Deterministic report: byte-identical for identical inputs and seed.
+
+    ``main`` builds it from the command line and ``--precision``, the parts of
+    the header every command shares; the command sets the inputs digest and
+    the headline and adds fields, warnings and theorem failures. Warnings
+    render after all fields, whenever they are added.
+    """
 
     command: str
-    inputs_digest: str
     precision: int | None
-    headline: str
+    inputs_digest: str = ""
+    headline: str = ""
     fields: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     theorem_failures: list = field(default_factory=list)
@@ -98,33 +107,30 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _digest_file(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _digest_params(*parts) -> str:
-    payload = "\x1f".join(str(p) for p in parts).encode("utf-8")
+def _digest(payload: bytes) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def _flag_common(report: RunReport, trial) -> None:
+def _digest_params(*parts) -> str:
+    return _digest("\x1f".join(str(p) for p in parts).encode("utf-8"))
+
+
+def _load_trial(args, report: RunReport) -> tuple:
+    trial, stat = load_trial(args.trial)
+    report.inputs_digest = _digest(Path(args.trial).read_bytes())
     for label in trial.zero_probability_labels():
         report.warn(f"zero-probability outcome: {label}")
+    return trial, stat
 
 
-def cmd_induce(args) -> RunReport:
-    trial, stat = load_trial(args.trial)
+def cmd_induce(args, report: RunReport) -> None:
+    trial, stat = _load_trial(args, report)
     phat = induce_phat(trial, stat)
     classification = classify_pfunction(trial, phat)
     idempotent = check_idempotence(trial, phat)
     kinds = pvalue_kinds(trial, phat)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_file(args.trial),
-        precision=args.precision,
-        headline=f"induced p-values for {len(trial)} outcomes"
-        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})",
-    )
+    report.headline = (f"induced p-values for {len(trial)} outcomes"
+                       f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
     for label in trial.labels:
         report.add(f"phat.{label}", format_rational(phat[label]))
@@ -132,37 +138,25 @@ def cmd_induce(args) -> RunReport:
         report.add(f"pvalue-kind.{label}", kinds[label])
     report.add("classification", classification.kind.value)
     report.add("idempotent", str(idempotent).lower())
-    _flag_common(report, trial)
     if classification.kind is not Validity.RANGE_EXACT:
         report.theorem_failures.append("induced p-function not range-exact")
     if not idempotent:
         report.theorem_failures.append("induced p-function not self-induced")
-    return report
 
 
-def cmd_randomize(args) -> RunReport:
-    trial, stat = load_trial(args.trial)
+def cmd_randomize(args, report: RunReport) -> None:
+    trial, stat = _load_trial(args, report)
     trial.prob(args.outcome)  # raises MissingOutcomeError for unknown labels
     rpf = build_randomized(trial, stat)
-    if args.r is not None:
-        r = parse_rational(args.r)
-        r_source = "given"
-    else:
-        r = draw_uniform_r(args.seed)
-        r_source = "seed"
+    r = draw_uniform_r(args.seed) if args.r is None else parse_rational(args.r)
     value = randomized_pvalue(rpf, args.outcome, r)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_file(args.trial),
-        precision=args.precision,
-        headline=f"randomized p-value {format_rational(value)} for outcome {args.outcome}",
-    )
+    report.headline = f"randomized p-value {format_rational(value)} for outcome {args.outcome}"
     report.add("outcome", args.outcome)
     report.add("low", format_rational(rpf.low(args.outcome)))
     report.add("atom", format_rational(rpf.atom(args.outcome)))
     report.add("r", format_rational(r))
-    report.add("r-source", r_source)
-    if r_source == "seed":
+    report.add("r-source", "seed" if args.r is None else "given")
+    if args.r is None:
         report.add("seed", args.seed)
     report.add("value", format_rational(value))
     if args.verify_exact:
@@ -174,20 +168,13 @@ def cmd_randomize(args) -> RunReport:
             report.theorem_failures.append(
                 f"exactness failed at {len(bad)} grid levels{first}; first failing knot {format_rational(knot)}"
             )
-    _flag_common(report, trial)
-    return report
 
 
-def cmd_midp(args) -> RunReport:
-    trial, stat = load_trial(args.trial)
+def cmd_midp(args, report: RunReport) -> None:
+    trial, stat = _load_trial(args, report)
     rpf = build_randomized(trial, stat)
     classification = midp_validity_check(trial, rpf)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_file(args.trial),
-        precision=args.precision,
-        headline=f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})",
-    )
+    report.headline = f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})"
     report.add("outcome-count", len(trial))
     for label in trial.labels:
         report.add(f"midp.{label}", format_rational(mid_pvalue(rpf, label)))
@@ -195,19 +182,12 @@ def cmd_midp(args) -> RunReport:
     if classification.witness is not None:
         report.add("witness", format_rational(classification.witness))
         report.add("witness-mass", format_rational(classification.witness_mass))
-    _flag_common(report, trial)
-    return report
 
 
-def cmd_twosample(args) -> RunReport:
+def cmd_twosample(args, report: RunReport) -> None:
     sample = load_two_sample(args.data)
+    report.inputs_digest = _digest(Path(args.data).read_bytes())
     cascade = CascadeStatistic.parse(args.cascade)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_file(args.data),
-        precision=args.precision,
-        headline="",
-    )
     report.add("m", sample.m)
     report.add("n", sample.n)
     report.add("cascade", cascade.label())
@@ -215,8 +195,7 @@ def cmd_twosample(args) -> RunReport:
     ctx = CompareContext()
     if args.mode == "exact":
         pvalue = exact_perm_pvalue(sample, cascade, args.precision, args.max_enum, ctx)
-        observed = observed_cascade_value(sample, cascade, args.precision)
-        report.add("observed", format_ord(observed))
+        report.add("observed", format_ord(observed_cascade_value(sample, cascade, args.precision)))
         report.add("enumerated", math.comb(sample.pool, sample.m))
         report.add("pvalue", format_rational(pvalue))
         report.headline = f"exact permutation p-value {format_rational(pvalue)}"
@@ -224,8 +203,7 @@ def cmd_twosample(args) -> RunReport:
         if args.seed is None:
             raise RankTestError("Monte Carlo mode needs --seed for reproducibility")
         result = mc_gaussian_pvalue(sample, cascade, args.draws, args.seed, args.precision, ctx)
-        observed = observed_cascade_value(sample, cascade, args.precision)
-        report.add("observed", format_ord(observed))
+        report.add("observed", format_ord(observed_cascade_value(sample, cascade, args.precision)))
         report.add("draws", result.draws)
         report.add("seed", result.seed)
         report.add("estimate", format_rational(Fraction(result.count, result.draws)))
@@ -235,18 +213,13 @@ def cmd_twosample(args) -> RunReport:
         report.headline = f"Monte Carlo p-value estimate {result.estimate:.6f}"
     if ctx.imprecise:
         report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
-    return report
 
 
-def cmd_table(args) -> RunReport:
+def cmd_table(args, report: RunReport) -> None:
     cascade = CascadeStatistic.parse(args.cascade)
     att = attainable_set(args.m, args.n, cascade, args.precision, args.max_enum)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_params("table", args.m, args.n, cascade.label(), args.precision),
-        precision=args.precision,
-        headline=f"{len(att.groups)} attainable p-values out of {att.total} assignments",
-    )
+    report.inputs_digest = _digest_params("table", args.m, args.n, cascade.label(), args.precision)
+    report.headline = f"{len(att.groups)} attainable p-values out of {att.total} assignments"
     report.add("m", args.m)
     report.add("n", args.n)
     report.add("cascade", cascade.label())
@@ -278,37 +251,25 @@ def cmd_table(args) -> RunReport:
             )
     if att.imprecise:
         report.warn("imprecise score ties occurred during enumeration")
-    return report
 
 
-def cmd_demo(args) -> RunReport:
+def cmd_demo(args, report: RunReport) -> None:
+    report.add("demo", args.name)
     if args.name == "bernoulli1735":
         theta = parse_rational(args.theta)
         if not 0 <= theta <= 90:
             raise ValueError(f"theta must be between 0 and 90 degrees, got {theta}")
-        pvalue = (Fraction(theta, 90)) ** 6
-        report = RunReport(
-            command=args.command_echo,
-            inputs_digest=_digest_params("demo", args.name, theta),
-            precision=None,
-            headline=f"max-of-6-uniforms p-value {format_rational(pvalue)}",
-        )
-        report.add("demo", args.name)
+        pvalue = Fraction(theta, 90) ** 6
+        report.inputs_digest = _digest_params("demo", args.name, theta)
+        report.headline = f"max-of-6-uniforms p-value {format_rational(pvalue)}"
         report.add("theta-degrees", format_rational(theta))
         report.add("observations", 6)
-        report.add("pvalue", format_rational(pvalue))
-        return report
-    pvalue = Fraction(1, 2**82)
-    report = RunReport(
-        command=args.command_echo,
-        inputs_digest=_digest_params("demo", args.name),
-        precision=None,
-        headline=f"82 same-sign years under a fair coin: p-value {format_rational(pvalue)}",
-    )
-    report.add("demo", args.name)
-    report.add("years", 82)
+    else:
+        pvalue = Fraction(1, 2**82)
+        report.inputs_digest = _digest_params("demo", args.name)
+        report.headline = f"82 same-sign years under a fair coin: p-value {format_rational(pvalue)}"
+        report.add("years", 82)
     report.add("pvalue", format_rational(pvalue))
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,9 +350,9 @@ def main(argv=None) -> int:
     if getattr(args, "max_enum", 1) < 1:
         print("error: --max-enum must be at least 1", file=sys.stderr)
         return 2
-    args.command_echo = " ".join(argv)
+    report = RunReport(" ".join(argv), args.precision)
     try:
-        report = args.func(args)
+        args.func(args, report)
     except SizeLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

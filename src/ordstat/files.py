@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,13 +51,17 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _parse_prob(raw, field: str) -> Fraction:
-    if not isinstance(raw, str) or not _PROB_RE.match(raw.strip()):
-        raise TrialParseError(
-            f"probability must be a nonnegative rational string like \"1/2\", got {raw!r}",
-            field=field,
-        )
-    return Fraction(raw.strip())
+def _too_many_digits(field: str | None = None) -> TrialParseError:
+    return TrialParseError(f"integer literal has too many digits (limit {sys.get_int_max_str_digits()})", field=field)
+
+
+def _parse_literal(raw, pattern, field: str, expected: str) -> Fraction:
+    if not isinstance(raw, str) or not pattern.match(raw.strip()):
+        raise TrialParseError(f"{expected}, got {raw!r}", field=field)
+    try:
+        return Fraction(raw.strip())
+    except ValueError:  # the pattern matched, so only Python's int digit limit can refuse it
+        raise _too_many_digits(field) from None
 
 
 def _parse_label(raw, field: str) -> str:
@@ -75,12 +80,8 @@ def _parse_value(raw, field: str) -> OrdValue:
     if isinstance(raw, int):
         return Rank(raw)
     if isinstance(raw, str):
-        try:
-            return Rational(parse_rational(raw))
-        except ValueError:
-            raise TrialParseError(
-                f"statistic value must be a rational string like \"1/3\", got {raw!r}", field=field
-            ) from None
+        return Rational(_parse_literal(raw, _RATIONAL_RE, field,
+                                       'statistic value must be a rational string like "1/3"'))
     if isinstance(raw, list):
         if not raw:
             raise TrialParseError("tuple statistic value may not be empty", field=field)
@@ -96,6 +97,8 @@ def parse_trial_document(text: str):
         raise TrialParseError(f"invalid JSON: {e.msg}", line=e.lineno) from None
     except RecursionError:
         raise TrialParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # json.loads' int() refused a long integer literal; no field is known yet
+        raise _too_many_digits() from None
     if not isinstance(doc, dict):
         raise TrialParseError("trial document must be a JSON object")
     unknown = sorted(set(doc) - {"outcomes", "statistic"})
@@ -110,7 +113,8 @@ def parse_trial_document(text: str):
         if not isinstance(entry, dict) or set(entry) != {"label", "prob"}:
             raise TrialParseError("each outcome needs exactly the keys label and prob", field=field)
         label = _parse_label(entry["label"], f"{field}.label")
-        prob = _parse_prob(entry["prob"], f"{field}.prob")
+        prob = _parse_literal(entry["prob"], _PROB_RE, f"{field}.prob",
+                              'probability must be a nonnegative rational string like "1/2"')
         pairs.append((label, prob))
     try:
         trial = FiniteTrial(tuple(pairs))

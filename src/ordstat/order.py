@@ -3,9 +3,11 @@
 Values come in four shapes: exact rationals, integer ranks, fixed-precision
 decimal scores, and tuples compared lexicographically. Two values are
 comparable only if they share a shape; cross-shape comparison raises rather
-than coercing, so exactness is never lost by accident. Every shape compares
-by its exact value, Scores by their Decimals as given, so ``compare`` is a
-total order: equality is transitive and EQ means equal values.
+than coercing, so exactness is never lost by accident. ``sort_key`` is the
+one definition of the order: every shape keys as its exact value, Scores
+as their Decimals as given, and tuples as the tuple of their components'
+keys. ``compare`` and the trial side's grouping both order by it, so the
+order is total: equality is transitive and EQ means equal values.
 
 The lexicographic tuple order here is the computational core of the package;
 tuples of ordered values are themselves ordered values, so cascades of
@@ -144,30 +146,24 @@ def shape(value: OrdValue):
     raise TypeError(f"not an ordered value: {value!r}")
 
 
-def _cmp(a, b) -> Ordering:
-    if a < b:
-        return Ordering.LT
-    if a > b:
-        return Ordering.GT
-    return Ordering.EQ
+def sort_key(value: OrdValue):
+    """Exact sort key: the one definition of the value order.
 
-
-def _compare_same_shape(a: OrdValue, b: OrdValue) -> Ordering:
-    if not isinstance(a, LexTuple):
-        return _cmp(a.value, b.value)
-    for ca, cb in zip(a.components, b.components):
-        o = _compare_same_shape(ca, cb)
-        if o is not Ordering.EQ:
-            return o
-    return Ordering.EQ
+    A rational, rank or Score keys as its exact value (a Score's precision
+    plays no part), a tuple as the tuple of its components' keys. Keys of
+    same-shape values compare as the values do, and are equal exactly when
+    the values are.
+    """
+    if isinstance(value, LexTuple):
+        return tuple(sort_key(c) for c in value.components)
+    return value.value
 
 
 def compare(a: OrdValue, b: OrdValue) -> Ordering:
-    """Three-valued comparison of two same-shape values.
+    """Three-valued comparison of two same-shape values by their ``sort_key``.
 
-    Rationals, ranks and Scores compare exactly by value (a Score's
-    precision plays no part); tuples compare lexicographically (the first
-    unequal component decides). The result is a total order.
+    Tuples compare lexicographically (the first unequal component decides).
+    The result is a total order.
 
     Raises ShapeMismatchError when the shapes differ (including tuples of
     different arity or componentwise shape).
@@ -175,25 +171,22 @@ def compare(a: OrdValue, b: OrdValue) -> Ordering:
     sa, sb = shape(a), shape(b)
     if sa != sb:
         raise ShapeMismatchError(f"cannot compare shape {sa!r} with {sb!r}")
-    return _compare_same_shape(a, b)
+    ka, kb = sort_key(a), sort_key(b)
+    return Ordering.LT if ka < kb else Ordering.GT if ka > kb else Ordering.EQ
 
 
 def to_rational(value: OrdValue) -> Rational:
     """Explicit conversion to Rational; there is no implicit cross-shape coercion."""
     if isinstance(value, Rational):
         return value
-    if isinstance(value, Rank):
-        return Rational(Fraction(value.value))
-    if isinstance(value, Score):
+    if isinstance(value, (Rank, Score)):
         return Rational(Fraction(value.value))
     raise OrderError("tuples have no canonical rational form")
 
 
 def format_ord(value: OrdValue) -> str:
     """Report form: p/q rationals, plain integers, tagged scientific scores, parenthesized tuples."""
-    if isinstance(value, Rational):
-        return str(value.value)
-    if isinstance(value, Rank):
+    if isinstance(value, (Rational, Rank)):
         return str(value.value)
     if isinstance(value, Score):
         return f"{value.value:E}~p{value.precision}"

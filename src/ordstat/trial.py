@@ -22,6 +22,7 @@ from .order import (
     Score,
     exact_fraction,
     shape,
+    sort_key,
 )
 
 
@@ -183,13 +184,6 @@ def _has_score(s) -> bool:
     return s == "score"
 
 
-def _native_key(value: OrdValue):
-    # Exact sort key: equal keys exactly when compare() says EQ.
-    if isinstance(value, LexTuple):
-        return tuple(_native_key(c) for c in value.components)
-    return value.value
-
-
 def _canonical(value: OrdValue):
     # Picks one of several equal values: the lowest precisions, then the lowest Decimal as_tuple().
     if isinstance(value, LexTuple):
@@ -202,7 +196,7 @@ def _canonical(value: OrdValue):
 def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     """Ascending groups of (value, labels, mass) with equal statistic values merged.
 
-    Values sort on exact native keys and equal keys share a group, so the
+    Values sort on ``order.sort_key`` and equal keys share a group, so the
     result does not depend on the order the outcomes are listed in, and
     labels inside a group keep the trial's outcome order. Equal Scores may
     differ in precision or exponent; such a group's value is the one with
@@ -210,7 +204,7 @@ def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     """
     values = _statistic_values(trial, stat)
     labels = trial.labels
-    keys = [_native_key(v) for v in values]
+    keys = [sort_key(v) for v in values]
     order = sorted(range(len(values)), key=keys.__getitem__)
     groups = [[order[0]]]
     for prev, i in zip(order, order[1:]):

@@ -8,23 +8,30 @@ arguments are bare names. The commands are tables of score cascades at
 ``induce`` and ``midp`` (each also with ``--plain``) on every trial
 document here (``badprob.json`` exits 2), and ``randomize --outcome a``
 with ``--r 1/3``, ``--seed 3`` and ``--seed 3 --verify-exact`` on
-``three.json`` and ``tuplestat.json``. The trial commands run at the
-default precision, so ``ORDSTAT_PRECISION`` is unset for the run. The
-fixture was generated from commit 231043d,
-whose Score comparison rounded the relative distance to precision + 10
-digits and whose cascade keys found their tie window by bisecting a
-comparison predicate. It pins those reports so that later code must
-reproduce them byte for byte. It pins the threshold's wrong 6x6
-``laplace`` table (ROADMAP item 1) as well: a change to an exact order
-must re-record the fixture and list every changed report.
+``three.json`` and ``tuplestat.json``. After those come both ``demo``
+reports (``--theta 91`` exits 2), ``--plain`` of ``table``, exact and
+Monte Carlo ``twosample`` and ``randomize``, and three error paths: an
+unknown ``--outcome`` (exit 2), a ``t`` cascade in exact mode (exit 2) and
+a ``--max-enum`` below the assignment count (exit 3). The trial commands
+run at the default precision, so ``ORDSTAT_PRECISION`` is unset for the
+run.
 
-Only rerun this on that pre-change code: on later code it would record
-whatever that code computes, so the script exits non-zero unless the
-imported ``ordstat.ranktests`` still has ``permutation_distribution``.
-Extract that commit and point PYTHONPATH at its sources:
+The first 71 entries were recorded at commit 231043d, whose Score
+comparison rounded the relative distance to precision + 10 digits and
+whose cascade keys found their tie window by bisecting a comparison
+predicate; the rest were recorded at ee89821. The fixture pins those
+reports so that later code must reproduce them byte for byte. It pins the
+threshold's wrong 6x6 ``laplace`` table (ROADMAP item 1) as well: a change
+to an exact order must re-record the fixture and list every changed report.
 
-    git archive 231043d | tar -x -C /tmp/ordstat-231043d
-    PYTHONPATH=/tmp/ordstat-231043d/src python tests/data/make_cli_golden.py
+The script only adds entries. It exits non-zero, and writes nothing,
+unless every entry already in cli_golden.json reproduces byte for byte
+under the imported ``ordstat``, so that a rerun on changed code cannot
+re-record what that code computes. To pin new commands, append them to
+COMMANDS and run the script against the code the fixture already agrees
+with:
+
+    PYTHONPATH=src python tests/data/make_cli_golden.py
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import os
 import sys
 from pathlib import Path
 
-from ordstat import ranktests
 from ordstat.cli import main
 
 HERE = Path(__file__).parent
@@ -75,6 +81,21 @@ COMMANDS += [
     for trial in ("three.json", "tuplestat.json")
     for choice in (["--r", "1/3"], ["--seed", "3"], ["--seed", "3", "--verify-exact"])
 ]
+COMMANDS += [
+    ["demo", "bernoulli1735"],
+    ["demo", "bernoulli1735", "--theta", "45"],
+    ["demo", "bernoulli1735", "--theta", "91"],
+    ["demo", "arbuthnott1710"],
+    ["demo", "bernoulli1735", "--plain"],
+    ["table", "4", "4", "wilcoxon,fyt", "--precision", "8", "--plain"],
+    ["twosample", "--data", "six.csv", "--cascade", "wilcoxon,fyt", "--mode", "exact", "--precision", "8", "--plain"],
+    ["twosample", "--data", "mixed.csv", "--cascade", "laplace,t", "--mode", "mc", "--seed", "3", "--draws", "1000",
+     "--precision", "4", "--plain"],
+    ["randomize", "--trial", "three.json", "--outcome", "a", "--seed", "3", "--verify-exact", "--plain"],
+    ["randomize", "--trial", "three.json", "--outcome", "nope", "--r", "1/3"],
+    ["twosample", "--data", "six.csv", "--cascade", "wilcoxon,t", "--mode", "exact"],
+    ["table", "3", "3", "wilcoxon", "--max-enum", "5"],
+]
 
 
 def run(argv: list) -> dict:
@@ -86,12 +107,16 @@ def run(argv: list) -> dict:
 
 
 def record() -> None:
-    if not hasattr(ranktests, "permutation_distribution"):
-        sys.exit(f"{ranktests.__file__} is not the threshold-bisection code of commit 231043d")
     os.chdir(HERE)
     os.environ.pop("ORDSTAT_PRECISION", None)
+    path = HERE / "cli_golden.json"
+    pinned = json.loads(path.read_text()) if path.exists() else []
     entries = [run(argv) for argv in COMMANDS]
-    HERE.joinpath("cli_golden.json").write_text(json.dumps(entries, indent=1) + "\n")
+    by_argv = {tuple(e["argv"]): e for e in entries}
+    changed = [" ".join(e["argv"]) for e in pinned if by_argv.get(tuple(e["argv"])) != e]
+    if changed:
+        sys.exit(f"{len(changed)} pinned report(s) differ or left COMMANDS, first: {changed[0]}; nothing written")
+    path.write_text(json.dumps(entries, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,23 @@ class TestTrialDocument:
         with pytest.raises(TrialParseError, match="nested too deeply") as err:
             parse_trial_document('{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": %s}}' % deep)
         assert err.value.field == "statistic.a"
+
+    @pytest.mark.parametrize(
+        "prob, value, field",
+        [
+            ('"1/{big}"', "0", "outcomes[0].prob"),
+            ('"{big}/{big}"', "0", "outcomes[0].prob"),
+            ('"1"', '"{big}"', "statistic.a"),
+            ('"1"', '["1", "-1/{big}"]', "statistic.a[1]"),
+            ('"1"', "{big}", None),  # json.loads converts JSON integers before any field is read
+        ],
+    )
+    def test_long_integer_literal_is_a_parse_error(self, prob, value, field):
+        big = "1" + "0" * sys.get_int_max_str_digits()
+        doc = '{"outcomes": [{"label": "a", "prob": %s}], "statistic": {"a": %s}}' % (prob, value)
+        with pytest.raises(TrialParseError, match="integer literal has too many digits") as err:
+            parse_trial_document(doc.replace("{big}", big))
+        assert err.value.field == field
 
     def test_probabilities_must_sum_to_one(self):
         doc = '{"outcomes": [{"label": "a", "prob": "1/3"}], "statistic": {"a": 1}}'

@@ -19,7 +19,7 @@ from ordstat import (
     shape,
     to_rational,
 )
-from ordstat.order import MIN_PRECISION
+from ordstat.order import MIN_PRECISION, sort_key
 
 
 def rat(x) -> Rational:
@@ -58,6 +58,11 @@ class TestCompare:
     def test_tuple_component_shape_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):
             compare(lex_tuple([Rank(1), rat(2)]), lex_tuple([rat(1), rat(2)]))
+
+    def test_sort_key_is_exact_and_ignores_score_precision(self):
+        a = lex_tuple([Rank(1), Score("-1.5", 8)])
+        assert sort_key(a) == sort_key(lex_tuple([Rank(1), Score("-1.50", 20)])) == (1, Decimal("-1.5"))
+        assert sort_key(a) < sort_key(lex_tuple([Rank(1), Score("-1.4999999999", 10)]))
 
     def test_antisymmetry_exhaustive(self):
         grid = [Rank(v) for v in range(-2, 3)]
