@@ -53,7 +53,7 @@ from .ranktests import (
     observed_cascade_value,
     reference_for,
 )
-from .files import TrialParseError, format_rational, load_trial, load_two_sample, parse_rational
+from .files import TrialParseError, _check_digits, format_rational, load_trial, load_two_sample, parse_rational
 
 EXACTNESS_GRID = 97
 MAX_PRECISION = 100
@@ -148,7 +148,7 @@ def cmd_randomize(args, report: RunReport) -> None:
     trial, stat = _load_trial(args, report)
     trial.prob(args.outcome)  # raises MissingOutcomeError for unknown labels
     rpf = build_randomized(trial, stat)
-    r = draw_uniform_r(args.seed) if args.r is None else parse_rational(args.r)
+    r = draw_uniform_r(args.seed) if args.r is None else parse_rational(_check_digits(args.r, "--r"))
     value = randomized_pvalue(rpf, args.outcome, r)
     report.headline = f"randomized p-value {format_rational(value)} for outcome {args.outcome}"
     report.add("outcome", args.outcome)
@@ -256,7 +256,7 @@ def cmd_table(args, report: RunReport) -> None:
 def cmd_demo(args, report: RunReport) -> None:
     report.add("demo", args.name)
     if args.name == "bernoulli1735":
-        theta = parse_rational(args.theta)
+        theta = parse_rational(_check_digits(args.theta, "--theta"))
         if not 0 <= theta <= 90:
             raise ValueError(f"theta must be between 0 and 90 degrees, got {theta}")
         pvalue = Fraction(theta, 90) ** 6

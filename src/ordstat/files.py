@@ -20,7 +20,7 @@ from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statis
 from .ranktests import TwoSample
 
 _PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
-_RATIONAL_RE = re.compile(r"^-?(\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 _LABEL_FORBIDDEN = (":", "\n", "\r")
 
 
@@ -51,17 +51,23 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _too_many_digits(field: str | None = None) -> TrialParseError:
-    return TrialParseError(f"integer literal has too many digits (limit {sys.get_int_max_str_digits()})", field=field)
+def _check_digits(text: str, field: str | None = None, line: int | None = None) -> str:
+    """``text``, unless one of its integers has more digits than Python's int conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", text)):
+        raise TrialParseError(f"integer literal has too many digits (limit {limit})", field, line)
+    return text
 
 
 def _parse_literal(raw, pattern, field: str, expected: str) -> Fraction:
-    if not isinstance(raw, str) or not pattern.match(raw.strip()):
+    match = isinstance(raw, str) and pattern.match(raw.strip())
+    if not match:
         raise TrialParseError(f"{expected}, got {raw!r}", field=field)
     try:
-        return Fraction(raw.strip())
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ValueError:  # the pattern matched, so only Python's int digit limit can refuse it
-        raise _too_many_digits(field) from None
+        _check_digits(raw, field)
+        raise
 
 
 def _parse_label(raw, field: str) -> str:
@@ -98,7 +104,8 @@ def parse_trial_document(text: str):
     except RecursionError:
         raise TrialParseError("invalid JSON: nested too deeply") from None
     except ValueError:  # json.loads' int() refused a long integer literal; no field is known yet
-        raise _too_many_digits() from None
+        _check_digits(text)
+        raise
     if not isinstance(doc, dict):
         raise TrialParseError("trial document must be a JSON object")
     unknown = sorted(set(doc) - {"outcomes", "statistic"})
@@ -164,7 +171,7 @@ def parse_two_sample(text: str) -> TwoSample:
             raise TrialParseError("expected two columns: value and group label", line=lineno)
         value_text, group = parts
         try:
-            value = Fraction(value_text)
+            value = Fraction(_check_digits(value_text, line=lineno))
         except (ValueError, ZeroDivisionError):
             raise TrialParseError(f"not an exact value: {value_text!r}", line=lineno) from None
         if group not in groups:

@@ -3,11 +3,11 @@
 Values come in four shapes: exact rationals, integer ranks, fixed-precision
 decimal scores, and tuples compared lexicographically. Two values are
 comparable only if they share a shape; cross-shape comparison raises rather
-than coercing, so exactness is never lost by accident. ``sort_key`` is the
-one definition of the order: every shape keys as its exact value, Scores
-as their Decimals as given, and tuples as the tuple of their components'
-keys. ``compare`` and the trial side's grouping both order by it, so the
-order is total: equality is transitive and EQ means equal values.
+than coercing, so exactness is never lost by accident. ``sort_keys`` is the
+one definition of the order: it keys a batch of values exactly, rationals
+as ints over the lcm of their denominators. ``compare`` and the trial
+side's grouping both order by it, so the order is total: equality is
+transitive and EQ means equal values.
 
 The lexicographic tuple order here is the computational core of the package;
 tuples of ordered values are themselves ordered values, so cascades of
@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 DEFAULT_PRECISION = 50
@@ -146,21 +147,29 @@ def shape(value: OrdValue):
     raise TypeError(f"not an ordered value: {value!r}")
 
 
-def sort_key(value: OrdValue):
-    """Exact sort key: the one definition of the value order.
+def on_grid(fractions: list) -> tuple:
+    """(d, numerators): d is the lcm of the denominators, each fraction is its numerator over d."""
+    d = lcm(*{f.denominator for f in fractions})
+    return d, [f.numerator * (d // f.denominator) for f in fractions]
 
-    A rational, rank or Score keys as its exact value (a Score's precision
-    plays no part), a tuple as the tuple of its components' keys. Keys of
-    same-shape values compare as the values do, and are equal exactly when
-    the values are.
+
+def sort_keys(values: list) -> list:
+    """Exact sort keys of a non-empty list of same-shape values.
+
+    Rationals key as ints over the lcm of their denominators (``on_grid``),
+    ranks as themselves, Scores as their Decimals (precision plays no part),
+    tuples as tuples of their components' keys, each position keyed over
+    the batch. Within a batch, keys compare as the values do.
     """
-    if isinstance(value, LexTuple):
-        return tuple(sort_key(c) for c in value.components)
-    return value.value
+    if isinstance(values[0], LexTuple):
+        return list(zip(*(sort_keys(list(column)) for column in zip(*(v.components for v in values)))))
+    if isinstance(values[0], Rational):
+        return on_grid([v.value for v in values])[1]
+    return [v.value for v in values]
 
 
 def compare(a: OrdValue, b: OrdValue) -> Ordering:
-    """Three-valued comparison of two same-shape values by their ``sort_key``.
+    """Three-valued comparison of two same-shape values by their ``sort_keys``.
 
     Tuples compare lexicographically (the first unequal component decides).
     The result is a total order.
@@ -171,7 +180,7 @@ def compare(a: OrdValue, b: OrdValue) -> Ordering:
     sa, sb = shape(a), shape(b)
     if sa != sb:
         raise ShapeMismatchError(f"cannot compare shape {sa!r} with {sb!r}")
-    ka, kb = sort_key(a), sort_key(b)
+    ka, kb = sort_keys([a, b])
     return Ordering.LT if ka < kb else Ordering.GT if ka > kb else Ordering.EQ
 
 

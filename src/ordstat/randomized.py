@@ -7,11 +7,13 @@ lexicographic construction (refine f by a uniform tie-breaking coordinate,
 then induce) define the same function; ``lex_equivalence_check`` verifies
 that identity by exact enumeration on a rational grid. The randomized
 p-function is exact: P[value <= eps] = eps for every eps in [0, 1].
-``exactness_cdf`` evaluates that probability in closed form at one eps;
-``exactness_sweep`` decides the identity on all of [0, 1] at once, since
-the probability is piecewise linear in eps with knots at each outcome's
-low and low + atom. Mid p-values replace the random share by 1/2 and are
-checked, not assumed, to be valid.
+The probability is piecewise linear in eps with knots at each outcome's
+low and low + atom: ``exactness_cdf`` evaluates it at one eps, and
+``exactness_sweep`` decides the identity on all of [0, 1] at once. Mid
+p-values replace the random share by 1/2 and are checked, not assumed, to
+be valid. All of this is int arithmetic on the trial's grid: a split built
+from the trial is k/D, a mid-p-value k/2D, and a split from elsewhere is
+keyed over the lcm of its own denominators.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .order import Rational, exact_fraction, lex_tuple
+from .order import Rational, exact_fraction, lex_tuple, on_grid
 from .trial import (
     FiniteTrial,
     MissingOutcomeError,
@@ -69,10 +72,11 @@ class RandomizedPFunction:
 def build_randomized(trial: FiniteTrial, stat: Statistic) -> RandomizedPFunction:
     """Split each outcome's induced p-value into strict mass and tie mass."""
     out = {}
-    below = Fraction(0)
+    d = trial.denominator
+    below = 0
     for _, members, mass in value_groups(trial, stat):
-        out.update(dict.fromkeys(members, (below, mass)))
-        below += mass
+        out.update(dict.fromkeys(members, (Fraction(below, d), mass)))
+        below += mass.numerator * (d // mass.denominator)
     return RandomizedPFunction(out)
 
 
@@ -97,75 +101,67 @@ def draw_uniform_r(seed: int) -> Fraction:
     return Fraction(k, 2**64)
 
 
-def exactness_cdf(rpf: RandomizedPFunction, trial: FiniteTrial, eps) -> Fraction:
-    """P[randomized p-value <= eps] under trial x Uniform[0,1], in closed form.
+def _sweep(rpf: RandomizedPFunction, trial: FiniteTrial, levels) -> tuple:
+    """F(eps) = P[low + r*atom <= eps] under trial x Uniform[0,1], swept over its knots.
 
-    For each outcome the r-measure of {r : low + r*atom <= eps} is
-    clamp((eps - low)/atom, 0, 1) when atom > 0, else the indicator of
-    low <= eps (reachable only for zero-probability outcomes). The result
-    equals eps exactly for every eps: the randomized p-function is exact.
+    Outcomes sharing a (low, atom) with atom > 0 add slope mass/atom on
+    [low, low + atom], and those with atom <= 0 a jump of their mass at low.
+    The masses are summed from the trial, not taken to be atom, so a wrong
+    split shows. Points are ints t over q, the lcm of the split's and the
+    levels' denominators; F is the int m*q*D*F, where m clears the slopes'
+    denominators (1 for a split built from the trial).
+
+    Returns (the levels, F at each, the first point p in [0, 1] where F(p)
+    or its left limit is not p, or None).
     """
-    eps = exact_fraction(eps)
-    if not 0 <= eps <= 1:
-        raise EpsOutOfRangeError(f"eps must be in [0, 1], got {eps}")
-    total = Fraction(0)
-    for label, prob in trial.outcomes:
-        low, atom = rpf._pair(label)
-        if atom > 0:
-            share = min(Fraction(1), max(Fraction(0), (eps - low) / atom))
-        else:
-            share = Fraction(1 if low <= eps else 0)
-        total += prob * share
-    return total
+    levels = [exact_fraction(e) for e in levels]
+    for eps in levels:
+        if not 0 <= eps.numerator <= eps.denominator:
+            raise EpsOutOfRangeError(f"eps must be in [0, 1], got {eps}")
+    q, keys = on_grid(levels + [part for label in trial.labels for part in rpf._pair(label)])
+    marks, d = keys[:len(levels)], trial.denominator
+    masses = defaultdict(int)
+    for low, atom, weight in zip(keys[len(levels)::2], keys[len(levels) + 1::2], trial.weights):
+        masses[low, atom] += weight
+    m = lcm(*(atom // gcd(q * w, atom) for (_, atom), w in masses.items() if w and atom > 0))
+    jumps, slopes = defaultdict(int), defaultdict(int)
+    for (low, atom), w in masses.items():
+        if w and atom > 0:
+            slopes[low] += m * q * w // atom
+            slopes[low + atom] -= m * q * w // atom
+        elif w:
+            jumps[low] += m * q * w
+    at, first, cdf, rate = {}, None, 0, 0
+    points = sorted({0, q, *marks, *slopes, *jumps})
+    for prev, p in zip(points[:1] + points, points):
+        left = cdf = cdf + rate * (p - prev)
+        cdf = at[p] = cdf + jumps.get(p, 0)
+        rate += slopes.get(p, 0)
+        if first is None and 0 <= p <= q and (cdf != m * d * p or p and left != m * d * p):
+            first = Fraction(p, q)
+    return levels, [Fraction(at[t], m * q * d) for t in marks], first
+
+
+def exactness_cdf(rpf: RandomizedPFunction, trial: FiniteTrial, eps) -> Fraction:
+    """P[randomized p-value <= eps] under trial x Uniform[0,1]; it is eps, as the p-function is exact.
+
+    Each outcome adds its mass times clamp((eps - low)/atom, 0, 1) when
+    atom > 0, else times the indicator of low <= eps.
+    """
+    return _sweep(rpf, trial, [eps])[1][0]
 
 
 def exactness_sweep(rpf: RandomizedPFunction, trial: FiniteTrial, levels=()) -> tuple:
     """Decide P[randomized p-value <= eps] = eps on all of [0, 1] in one pass.
 
-    F(eps) = P[low + r*atom <= eps] is piecewise linear: outcomes sharing a
-    (low, atom) pair with atom > 0 add slope mass/atom on [low, low + atom],
-    and those with atom <= 0 a jump of their mass at low (as in
-    ``exactness_cdf``). The masses are summed from the trial, not taken to
-    be atom, so a wrong split fails. The knots, 0, 1 and ``levels`` are
-    swept in order; at every point p in [0, 1] both F(p) and its left limit
-    are compared with p. F and eps are linear between consecutive points,
-    so equality at all of them proves F(eps) = eps on [0, 1].
+    At every knot, at 0, 1 and at each level p, both F(p) and its left
+    limit are compared with p. F and eps are linear between consecutive
+    points, so equality at all of them proves F(eps) = eps on [0, 1].
 
     Returns (first failing point or None, the levels e with F(e) != e).
     """
-    levels = [exact_fraction(e) for e in levels]
-    for eps in levels:
-        if not 0 <= eps <= 1:
-            raise EpsOutOfRangeError(f"eps must be in [0, 1], got {eps}")
-    masses, jumps, slopes = defaultdict(Fraction), defaultdict(Fraction), defaultdict(Fraction)
-    for label, prob in trial.outcomes:
-        masses[rpf._pair(label)] += prob
-    for (low, atom), mass in masses.items():
-        if not mass:
-            continue
-        if atom > 0:
-            slopes[low] += mass / atom
-            slopes[low + atom] -= mass / atom
-        else:
-            jumps[low] += mass
-    points = sorted({Fraction(0), Fraction(1), *levels, *slopes, *jumps})
-    failing = set()
-    first = None
-    cdf = rate = Fraction(0)
-    prev = points[0]
-    for p in points:
-        cdf += rate * (p - prev)
-        left = cdf
-        cdf += jumps.get(p, 0)
-        rate += slopes.get(p, 0)
-        prev = p
-        if not 0 <= p <= 1:
-            continue
-        if cdf != p:
-            failing.add(p)
-        if first is None and (cdf != p or (p > 0 and left != p)):
-            first = p
-    return first, [e for e in levels if e in failing]
+    levels, values, first = _sweep(rpf, trial, levels)
+    return first, [e for e, value in zip(levels, values) if value != e]
 
 
 def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> bool:
@@ -190,14 +186,12 @@ def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> b
         }
     )
     phat = induce_phat(prod, refined)
-    for label in trial.labels:
-        for r in grid:
-            if phat[f"({label},{r})"] != randomized_pvalue(rpf, label, r):
-                return False
-    return True
+    return all(phat[f"({label},{r})"] == randomized_pvalue(rpf, label, r) for label in trial.labels for r in grid)
 
 
 def midp_validity_check(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunctionClass:
     """Classify the mid-p-values of ``rpf``; NOT_PFUNCTION (with witness) is a legitimate verdict."""
-    mid = PFunction({label: mid_pvalue(rpf, label) for label in trial.labels})
-    return classify_pfunction(trial, mid)
+    g, keys = on_grid([part for label in trial.labels for part in rpf._pair(label)])
+    mids = [2 * low + atom for low, atom in zip(keys[::2], keys[1::2])]
+    values = {mid: Fraction(mid, 2 * g) for mid in set(mids)}
+    return classify_pfunction(trial, PFunction({label: values[mid] for label, mid in zip(trial.labels, mids)}))

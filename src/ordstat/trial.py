@@ -1,7 +1,9 @@
 """Finite probability trials, statistics over them, and induced p-functions.
 
-Probabilities are exact rationals end to end: the validity and exactness
-classifications below are decided by exact comparisons, never by floats.
+Probabilities are exact rationals, held as int weights over D, the lcm of
+a trial's denominators: masses, induced p-values (k/D) and the validity
+and exactness classifications are int arithmetic on that grid, and a
+candidate p-function is keyed over the lcm of its own denominators.
 The central operation is ``induce_phat``, which maps a statistic f to the
 p-function x -> P[f <= f(x)]; the classification machinery then checks the
 properties this induced function provably has (self-inducing, range-exact)
@@ -14,6 +16,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 from .order import (
     LexTuple,
@@ -21,8 +24,9 @@ from .order import (
     Rational,
     Score,
     exact_fraction,
+    on_grid,
     shape,
-    sort_key,
+    sort_keys,
 )
 
 
@@ -61,7 +65,9 @@ class FiniteTrial:
     Outcomes are (label, probability) pairs; labels are distinct, every
     probability is >= 0 and the probabilities sum to exactly 1. Outcomes of
     probability zero are permitted (they never affect classifications) but
-    are worth flagging in reports.
+    are worth flagging in reports. The trial also holds ``labels``, the
+    lcm D of the probabilities' denominators as ``denominator``, and each
+    probability times D in ``weights``, in the order of ``labels``.
     """
 
     outcomes: tuple
@@ -70,30 +76,26 @@ class FiniteTrial:
         pairs = tuple((label, exact_fraction(prob)) for label, prob in self.outcomes)
         if not pairs:
             raise InvalidTrialError("a trial needs at least one outcome")
+        denominator, weights = on_grid([prob for _, prob in pairs])
         seen = set()
-        for label, prob in pairs:
+        for (label, prob), weight in zip(pairs, weights):
             if not isinstance(label, str) or not label:
                 raise InvalidTrialError(f"outcome labels must be non-empty strings, got {label!r}")
             if label in seen:
                 raise InvalidTrialError(f"duplicate outcome label: {label!r}")
             seen.add(label)
-            if prob < 0:
+            if weight < 0:
                 raise InvalidTrialError(f"negative probability for {label!r}: {prob}")
-        total = sum(prob for _, prob in pairs)
-        if total != 1:
-            raise InvalidTrialError(f"probabilities sum to {total}, expected exactly 1")
-        object.__setattr__(self, "outcomes", pairs)
-        object.__setattr__(self, "_prob", dict(pairs))
+        if sum(weights) != denominator:
+            raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
+        vars(self).update(outcomes=pairs, labels=tuple(label for label, _ in pairs), weights=tuple(weights),
+                          denominator=denominator, _prob=dict(pairs))
 
     @classmethod
     def uniform(cls, labels) -> "FiniteTrial":
         labels = tuple(labels)
         n = len(labels)
         return cls(tuple((label, Fraction(1, n)) for label in labels))
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.outcomes)
 
     def prob(self, label: str) -> Fraction:
         try:
@@ -102,7 +104,7 @@ class FiniteTrial:
             raise MissingOutcomeError(f"unknown outcome label: {label!r}") from None
 
     def zero_probability_labels(self) -> tuple:
-        return tuple(label for label, prob in self.outcomes if prob == 0)
+        return tuple(label for label, weight in zip(self.labels, self.weights) if not weight)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -144,7 +146,7 @@ class PFunction:
         if not vals:
             raise InvalidPFunctionError("a p-function needs at least one value")
         for label, v in vals.items():
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {v}")
         object.__setattr__(self, "values", vals)
 
@@ -171,11 +173,11 @@ class PFunctionClass:
     witness_mass: Fraction | None = None
 
 
-def _statistic_values(trial: FiniteTrial, stat: Statistic) -> list:
-    missing = [label for label in trial.labels if label not in stat]
+def _on_outcomes(trial: FiniteTrial, values: dict, what: str) -> list:
+    missing = [label for label in trial.labels if label not in values]
     if missing:
-        raise MissingOutcomeError(f"statistic undefined on outcomes: {missing}")
-    return [stat[label] for label in trial.labels]
+        raise MissingOutcomeError(f"{what} undefined on outcomes: {missing}")
+    return [values[label] for label in trial.labels]
 
 
 def _has_score(s) -> bool:
@@ -196,28 +198,22 @@ def _canonical(value: OrdValue):
 def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     """Ascending groups of (value, labels, mass) with equal statistic values merged.
 
-    Values sort on ``order.sort_key`` and equal keys share a group, so the
+    Values sort on ``order.sort_keys`` and equal keys share a group, so the
     result does not depend on the order the outcomes are listed in, and
     labels inside a group keep the trial's outcome order. Equal Scores may
     differ in precision or exponent; such a group's value is the one with
     the lowest precisions, then the lowest ``Decimal.as_tuple()``.
     """
-    values = _statistic_values(trial, stat)
-    labels = trial.labels
-    keys = [sort_key(v) for v in values]
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    groups = [[order[0]]]
-    for prev, i in zip(order, order[1:]):
-        if keys[i] == keys[prev]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    values = _on_outcomes(trial, stat.values, "statistic")
+    labels, weights = trial.labels, trial.weights
+    keys = sort_keys(values)
+    groups = [list(g) for _, g in groupby(sorted(range(len(values)), key=keys.__getitem__), key=keys.__getitem__)]
     scored = _has_score(shape(values[0]))
     return [
         (
             min((values[i] for i in g), key=_canonical) if scored else values[g[0]],
             [labels[i] for i in g],
-            sum(trial.prob(labels[i]) for i in g),
+            Fraction(sum(weights[i] for i in g), trial.denominator),
         )
         for g in groups
     ]
@@ -226,13 +222,14 @@ def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
 def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
     """Induced p-function: p(x) = total probability of {y : f(y) <= f(x)}.
 
-    All values are exact rationals, and f(y) <= f(x) is decided exactly.
+    All values are exact rationals k/D, and f(y) <= f(x) is decided exactly.
     """
     out = {}
-    cum = Fraction(0)
+    d = trial.denominator
+    cum = 0
     for _, members, mass in value_groups(trial, stat):
-        cum += mass
-        out.update(dict.fromkeys(members, cum))
+        cum += mass.numerator * (d // mass.denominator)
+        out.update(dict.fromkeys(members, Fraction(cum, d)))
     return PFunction(out)
 
 
@@ -250,20 +247,23 @@ def check_idempotence(trial: FiniteTrial, pfunc: PFunction) -> bool:
     return induce_phat(trial, pfunc.as_statistic()) == pfunc
 
 
+def _grid_cdf(trial: FiniteTrial, pfunc: PFunction) -> tuple:
+    """(g, keys, cdf): pfunc on the outcomes as ints over the lcm g of its denominators, and per
+    attained key ascending (key, c, c*g - key*D), where P[pfunc <= key/g] = c/D.
+    """
+    g, keys = on_grid(_on_outcomes(trial, pfunc.values, "p-function"))
+    mass = {}
+    for key, weight in zip(keys, trial.weights):
+        mass[key] = mass.get(key, 0) + weight
+    attained = sorted(mass)
+    cdf = zip(attained, accumulate(mass[key] for key in attained))
+    return g, keys, [(key, cum, cum * g - key * trial.denominator) for key, cum in cdf]
+
+
 def attained_cdf(trial: FiniteTrial, pfunc: PFunction) -> list:
     """Ascending (value, P[pfunc <= value]) pairs over the attained values."""
-    missing = [label for label in trial.labels if label not in pfunc.values]
-    if missing:
-        raise MissingOutcomeError(f"p-function undefined on outcomes: {missing}")
-    mass = {}
-    for label in trial.labels:
-        mass[pfunc[label]] = mass.get(pfunc[label], Fraction(0)) + trial.prob(label)
-    cdf = []
-    cum = Fraction(0)
-    for value in sorted(mass):
-        cum += mass[value]
-        cdf.append((value, cum))
-    return cdf
+    g, _, cdf = _grid_cdf(trial, pfunc)
+    return [(Fraction(key, g), Fraction(cum, trial.denominator)) for key, cum, _ in cdf]
 
 
 def cdf_at(cdf: list, eps: Fraction) -> Fraction:
@@ -281,13 +281,12 @@ def classify_pfunction(trial: FiniteTrial, pfunc: PFunction) -> PFunctionClass:
     iff equality holds at every attained value; conservative iff valid but
     not range-exact. The first violating value (ascending) is the witness.
     """
-    cdf = attained_cdf(trial, pfunc)
-    for value, cum in cdf:
-        if cum > value:
-            return PFunctionClass(Validity.NOT_PFUNCTION, witness=value, witness_mass=cum)
-    if all(cum == value for value, cum in cdf):
-        return PFunctionClass(Validity.RANGE_EXACT)
-    return PFunctionClass(Validity.CONSERVATIVE)
+    g, _, cdf = _grid_cdf(trial, pfunc)
+    for key, cum, excess in cdf:
+        if excess > 0:
+            return PFunctionClass(Validity.NOT_PFUNCTION, witness=Fraction(key, g),
+                                  witness_mass=Fraction(cum, trial.denominator))
+    return PFunctionClass(Validity.CONSERVATIVE if any(excess for *_, excess in cdf) else Validity.RANGE_EXACT)
 
 
 def pvalue_kinds(trial: FiniteTrial, pfunc: PFunction) -> dict:
@@ -295,12 +294,9 @@ def pvalue_kinds(trial: FiniteTrial, pfunc: PFunction) -> dict:
 
     'conservative' where it is below the value, 'invalid' where it exceeds it.
     """
-    cdf = dict(attained_cdf(trial, pfunc))
-    kinds = {}
-    for label in trial.labels:
-        value = pfunc[label]
-        kinds[label] = "exact" if cdf[value] == value else "conservative" if cdf[value] < value else "invalid"
-    return kinds
+    _, keys, cdf = _grid_cdf(trial, pfunc)
+    kind = {key: "exact" if not excess else "invalid" if excess > 0 else "conservative" for key, _, excess in cdf}
+    return {label: kind[key] for label, key in zip(trial.labels, keys)}
 
 
 def scale_pfunction(pfunc: PFunction, c) -> PFunction:
@@ -317,10 +313,4 @@ def product_trial(t1: FiniteTrial, t2: FiniteTrial) -> FiniteTrial:
     Pathological labels containing the separator can collide in the joined
     form; the FiniteTrial constructor rejects such collisions.
     """
-    return FiniteTrial(
-        tuple(
-            (f"({l1},{l2})", p1 * p2)
-            for l1, p1 in t1.outcomes
-            for l2, p2 in t2.outcomes
-        )
-    )
+    return FiniteTrial(tuple((f"({l1},{l2})", p1 * p2) for l1, p1 in t1.outcomes for l2, p2 in t2.outcomes))

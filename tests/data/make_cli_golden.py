@@ -12,14 +12,21 @@ with ``--r 1/3``, ``--seed 3`` and ``--seed 3 --verify-exact`` on
 reports (``--theta 91`` exits 2), ``--plain`` of ``table``, exact and
 Monte Carlo ``twosample`` and ``randomize``, and three error paths: an
 unknown ``--outcome`` (exit 2), a ``t`` cascade in exact mode (exit 2) and
-a ``--max-enum`` below the assignment count (exit 3). The trial commands
+a ``--max-enum`` below the assignment count (exit 3). Last come
+``induce``, ``midp`` and ``randomize --seed 3 --verify-exact`` on three
+40-outcome documents: ``coprime40.json`` (pairwise-coprime probability
+denominators, negative rational statistic), ``tuple40.json`` (a tuple
+statistic with rational components and a zero-probability outcome) and
+``midp40.json`` (mid-p-values that are not a p-function, with a witness).
+The trial commands
 run at the default precision, so ``ORDSTAT_PRECISION`` is unset for the
 run.
 
 The first 71 entries were recorded at commit 231043d, whose Score
 comparison rounded the relative distance to precision + 10 digits and
 whose cascade keys found their tie window by bisecting a comparison
-predicate; the rest were recorded at ee89821. The fixture pins those
+predicate; the next 12 were recorded at ee89821 and the 40-outcome
+documents' 9 at 85fa939. The fixture pins those
 reports so that later code must reproduce them byte for byte. It pins the
 threshold's wrong 6x6 ``laplace`` table (ROADMAP item 1) as well: a change
 to an exact order must re-record the fixture and list every changed report.
@@ -95,6 +102,12 @@ COMMANDS += [
     ["randomize", "--trial", "three.json", "--outcome", "nope", "--r", "1/3"],
     ["twosample", "--data", "six.csv", "--cascade", "wilcoxon,t", "--mode", "exact"],
     ["table", "3", "3", "wilcoxon", "--max-enum", "5"],
+]
+COMMANDS += [
+    argv
+    for trial, outcome in (("coprime40.json", "o05"), ("tuple40.json", "t05"), ("midp40.json", "m05"))
+    for argv in (["induce", "--trial", trial], ["midp", "--trial", trial],
+                 ["randomize", "--trial", trial, "--outcome", outcome, "--seed", "3", "--verify-exact"])
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,6 +103,12 @@ def test_statistic_grouped_once_per_answer(capsys, monkeypatch, command, groupin
 
 
 class TestRandomize:
+    def test_long_r_names_the_flag(self, capsys):
+        big = "1" + "0" * sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "randomize", "--trial", str(DATA / "three.json"), "--outcome", "a", "--r", f"1/{big}")
+        assert (code, out) == (2, "")
+        assert err == f"error: integer literal has too many digits (limit {sys.get_int_max_str_digits()}) (field --r)\n"
+
     def test_explicit_r(self, capsys):
         code, out, _ = run(
             capsys, "randomize", "--trial", str(DATA / "singleton.json"),
@@ -396,6 +403,12 @@ class TestDemo:
     def test_bernoulli_bad_theta(self, capsys):
         code, _, err = run(capsys, "demo", "bernoulli1735", "--theta", "120")
         assert code == 2
+
+    def test_long_theta_names_the_flag(self, capsys):
+        big = "1" + "0" * sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "demo", "bernoulli1735", "--theta", big)
+        assert (code, out) == (2, "")
+        assert err == f"error: integer literal has too many digits (limit {sys.get_int_max_str_digits()}) (field --theta)\n"
 
     def test_arbuthnott(self, capsys):
         code, out, _ = run(capsys, "demo", "arbuthnott1710")

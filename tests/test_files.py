@@ -132,6 +132,14 @@ class TestRationalGrammar:
 
 
 class TestTwoSampleFile:
+    @pytest.mark.parametrize("value", ["{big}", "1/{big}", "-0.{big}"])
+    def test_long_integer_literal_is_a_parse_error(self, value):
+        big = "1" + "0" * sys.get_int_max_str_digits()
+        with pytest.raises(TrialParseError, match="integer literal has too many digits") as err:
+            parse_two_sample("1, x\n" + value.replace("{big}", big) + ", y\n")
+        assert err.value.line == 2
+        assert big not in str(err.value)
+
     def test_comma_delimited_with_comment(self):
         s = parse_two_sample("# header\n1.5, x\n2.5, y\n")
         assert s.xs == (F(3, 2),) and s.ys == (F(5, 2),)

@@ -19,7 +19,7 @@ from ordstat import (
     shape,
     to_rational,
 )
-from ordstat.order import MIN_PRECISION, sort_key
+from ordstat.order import MIN_PRECISION, sort_keys
 
 
 def rat(x) -> Rational:
@@ -61,8 +61,15 @@ class TestCompare:
 
     def test_sort_key_is_exact_and_ignores_score_precision(self):
         a = lex_tuple([Rank(1), Score("-1.5", 8)])
-        assert sort_key(a) == sort_key(lex_tuple([Rank(1), Score("-1.50", 20)])) == (1, Decimal("-1.5"))
-        assert sort_key(a) < sort_key(lex_tuple([Rank(1), Score("-1.4999999999", 10)]))
+        b = lex_tuple([Rank(1), Score("-1.50", 20)])
+        c = lex_tuple([Rank(1), Score("-1.4999999999", 10)])
+        ka, kb, kc = sort_keys([a, b, c])
+        assert ka == kb == (1, Decimal("-1.5"))
+        assert ka < kc
+        # Rationals key as ints over the lcm of the batch's denominators, per tuple position.
+        keys = sort_keys([lex_tuple([rat(Fraction(-1, 3)), rat(Fraction(1, 2))]),
+                          lex_tuple([rat(Fraction(-1, 2)), rat(Fraction(5, 7))])])
+        assert keys == [(-2, 7), (-3, 10)]
 
     def test_antisymmetry_exhaustive(self):
         grid = [Rank(v) for v in range(-2, 3)]
