@@ -53,7 +53,7 @@ from .ranktests import (
     observed_cascade_value,
     reference_for,
 )
-from .files import TrialParseError, _check_digits, format_rational, load_trial, load_two_sample, parse_rational
+from .files import TrialParseError, _check_digits, format_rational, load_two_sample, parse_rational, parse_trial_document
 
 EXACTNESS_GRID = 97
 MAX_PRECISION = 100
@@ -116,11 +116,19 @@ def _digest_params(*parts) -> str:
 
 
 def _load_trial(args, report: RunReport) -> tuple:
-    trial, stat = load_trial(args.trial)
-    report.inputs_digest = _digest(Path(args.trial).read_bytes())
+    data = Path(args.trial).read_bytes()  # read once; decoded as load_trial's read_text decodes it
+    trial, stat = parse_trial_document(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    report.inputs_digest = _digest(data)
     for label in trial.zero_probability_labels():
         report.warn(f"zero-probability outcome: {label}")
     return trial, stat
+
+
+def _add_per_label(report: RunReport, prefix: str, labels, shared: dict, text) -> None:
+    """Add ``prefix.label: text(label)`` per label, calling text once per distinct object in ``shared``."""
+    texts = {key: text(label) for key, label in {id(shared[label]): label for label in labels}.items()}
+    for label in labels:
+        report.add(f"{prefix}.{label}", texts[id(shared[label])])
 
 
 def cmd_induce(args, report: RunReport) -> None:
@@ -132,8 +140,7 @@ def cmd_induce(args, report: RunReport) -> None:
     report.headline = (f"induced p-values for {len(trial)} outcomes"
                        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
-    for label in trial.labels:
-        report.add(f"phat.{label}", format_rational(phat[label]))
+    _add_per_label(report, "phat", trial.labels, phat.values, lambda label: format_rational(phat[label]))
     for label in trial.labels:
         report.add(f"pvalue-kind.{label}", kinds[label])
     report.add("classification", classification.kind.value)
@@ -176,8 +183,7 @@ def cmd_midp(args, report: RunReport) -> None:
     classification = midp_validity_check(trial, rpf)
     report.headline = f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})"
     report.add("outcome-count", len(trial))
-    for label in trial.labels:
-        report.add(f"midp.{label}", format_rational(mid_pvalue(rpf, label)))
+    _add_per_label(report, "midp", trial.labels, rpf.values, lambda label: format_rational(mid_pvalue(rpf, label)))
     report.add("classification", classification.kind.value)
     if classification.witness is not None:
         report.add("witness", format_rational(classification.witness))

@@ -22,6 +22,8 @@ from .ranktests import TwoSample
 _PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 _LABEL_FORBIDDEN = (":", "\n", "\r")
+# Accepts exactly the labels _parse_label accepts: \s is str.isspace(), which str.strip() strips.
+_LABEL_RE = re.compile(r"[^\s:](?:[^:\n\r]*[^\s:])?")
 
 
 class TrialParseError(Exception):
@@ -96,7 +98,7 @@ def _parse_value(raw, field: str) -> OrdValue:
 
 
 def parse_trial_document(text: str):
-    """Parse a trial document into (FiniteTrial, Statistic)."""
+    """Parse a trial document into (FiniteTrial, Statistic); repeats of a literal share its parsed object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -114,15 +116,17 @@ def parse_trial_document(text: str):
     outcomes = doc.get("outcomes")
     if not isinstance(outcomes, list) or not outcomes:
         raise TrialParseError("a non-empty list is required", field="outcomes")
-    pairs = []
+    pairs, probs = [], {}
     for i, entry in enumerate(outcomes):
-        field = f"outcomes[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"label", "prob"}:
-            raise TrialParseError("each outcome needs exactly the keys label and prob", field=field)
-        label = _parse_label(entry["label"], f"{field}.label")
-        prob = _parse_literal(entry["prob"], _PROB_RE, f"{field}.prob",
-                              'probability must be a nonnegative rational string like "1/2"')
-        pairs.append((label, prob))
+        if not isinstance(entry, dict) or len(entry) != 2 or "label" not in entry or "prob" not in entry:
+            raise TrialParseError("each outcome needs exactly the keys label and prob", field=f"outcomes[{i}]")
+        label, raw = entry["label"], entry["prob"]
+        if not (isinstance(label, str) and _LABEL_RE.fullmatch(label)):
+            _parse_label(label, f"outcomes[{i}].label")
+        if not (isinstance(raw, str) and raw in probs):
+            probs[raw] = _parse_literal(raw, _PROB_RE, f"outcomes[{i}].prob",
+                                        'probability must be a nonnegative rational string like "1/2"')
+        pairs.append((label, probs[raw]))
     try:
         trial = FiniteTrial(tuple(pairs))
     except InvalidTrialError as e:
@@ -130,15 +134,18 @@ def parse_trial_document(text: str):
     statistic = doc.get("statistic")
     if not isinstance(statistic, dict) or not statistic:
         raise TrialParseError("a non-empty object is required", field="statistic")
-    values = {}
+    values, parsed = {}, {}
     for label, raw in statistic.items():
-        label = _parse_label(label, "statistic")
         if label not in trial:
+            _parse_label(label, "statistic")
             raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
         try:
-            values[label] = _parse_value(raw, f"statistic.{label}")
+            key = (type(raw), raw if isinstance(raw, (str, int)) else repr(raw))
+            if key not in parsed:
+                parsed[key] = _parse_value(raw, f"statistic.{label}")
         except RecursionError:
             raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
+        values[label] = parsed[key]
     missing = [label for label in trial.labels if label not in values]
     if missing:
         raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")

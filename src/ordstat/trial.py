@@ -58,6 +58,11 @@ class TheoremCheckError(TrialError):
     """An identity that must hold by theorem failed: implementation bug."""
 
 
+def _per_object(fn, values) -> dict:
+    """id(v) -> fn(v), one call per distinct object: tied values and equal literals often share one."""
+    return {key: fn(v) for key, v in {id(v): v for v in values}.items()}
+
+
 @dataclass(frozen=True)
 class FiniteTrial:
     """Finite probability space with exact rational outcome probabilities.
@@ -73,10 +78,15 @@ class FiniteTrial:
     outcomes: tuple
 
     def __post_init__(self):
-        pairs = tuple((label, exact_fraction(prob)) for label, prob in self.outcomes)
-        if not pairs:
+        outcomes = tuple(self.outcomes)
+        if not outcomes:
             raise InvalidTrialError("a trial needs at least one outcome")
-        denominator, weights = on_grid([prob for _, prob in pairs])
+        exact = _per_object(exact_fraction, [prob for _, prob in outcomes])
+        denominator, grid = on_grid(list(exact.values()))
+        on_denominator = dict(zip(exact, grid))
+        # Keep a caller's (label, probability) tuple whose probability is already exact: one tuple per outcome.
+        pairs = tuple(p if type(p) is tuple and exact[id(p[1])] is p[1] else (p[0], exact[id(p[1])]) for p in outcomes)
+        weights = tuple(on_denominator[id(prob)] for _, prob in outcomes)
         seen = set()
         for (label, prob), weight in zip(pairs, weights):
             if not isinstance(label, str) or not label:
@@ -88,7 +98,7 @@ class FiniteTrial:
                 raise InvalidTrialError(f"negative probability for {label!r}: {prob}")
         if sum(weights) != denominator:
             raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
-        vars(self).update(outcomes=pairs, labels=tuple(label for label, _ in pairs), weights=tuple(weights),
+        vars(self).update(outcomes=pairs, labels=tuple(label for label, _ in pairs), weights=weights,
                           denominator=denominator, _prob=dict(pairs))
 
     @classmethod
@@ -123,7 +133,7 @@ class Statistic:
         vals = dict(self.values)
         if not vals:
             raise InvalidStatisticError("a statistic needs at least one value")
-        shapes = {shape(v) for v in vals.values()}
+        shapes = set(_per_object(shape, vals.values()).values())
         if len(shapes) > 1:
             raise InvalidStatisticError(f"statistic values must share one shape, found {len(shapes)}")
         object.__setattr__(self, "values", vals)
@@ -155,7 +165,8 @@ class PFunction:
 
     def as_statistic(self) -> Statistic:
         """View the p-function as a rational-valued statistic (for re-inducing)."""
-        return Statistic({label: Rational(v) for label, v in self.values.items()})
+        rational = _per_object(Rational, self.values.values())
+        return Statistic({label: rational[id(v)] for label, v in self.values.items()})
 
 
 class Validity(enum.Enum):

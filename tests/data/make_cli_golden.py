@@ -18,15 +18,19 @@ a ``--max-enum`` below the assignment count (exit 3). Last come
 denominators, negative rational statistic), ``tuple40.json`` (a tuple
 statistic with rational components and a zero-probability outcome) and
 ``midp40.json`` (mid-p-values that are not a p-function, with a witness).
-The trial commands
+Then ``induce`` and ``midp`` on ``ties200.json``: 200 outcomes with 20
+distinct ``[rank, [rational, rank]]`` values, so nine in ten outcomes tie,
+each value and probability spelled several ways (``"1/2"``, ``"2/4"``,
+``" 1/200"``) and two zero-probability outcomes. The trial commands
 run at the default precision, so ``ORDSTAT_PRECISION`` is unset for the
 run.
 
 The first 71 entries were recorded at commit 231043d, whose Score
 comparison rounded the relative distance to precision + 10 digits and
 whose cascade keys found their tie window by bisecting a comparison
-predicate; the next 12 were recorded at ee89821 and the 40-outcome
-documents' 9 at 85fa939. The fixture pins those
+predicate; the next 12 were recorded at ee89821, the 40-outcome
+documents' 9 at 85fa939 and the two ``ties200.json`` reports at 9e59851,
+whose trial parser parsed every literal once per occurrence. The fixture pins those
 reports so that later code must reproduce them byte for byte. It pins the
 threshold's wrong 6x6 ``laplace`` table (ROADMAP item 1) as well: a change
 to an exact order must re-record the fixture and list every changed report.
@@ -109,6 +113,7 @@ COMMANDS += [
     for argv in (["induce", "--trial", trial], ["midp", "--trial", trial],
                  ["randomize", "--trial", trial, "--outcome", outcome, "--seed", "3", "--verify-exact"])
 ]
+COMMANDS += [[command, "--trial", "ties200.json"] for command in ("induce", "midp")]
 
 
 def run(argv: list) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from mpmath.calculus.quadrature import TanhSinh
 
 import ordstat.cli
-from ordstat import PFunction, RandomizedPFunction, parse_rational, randomized, trial
+from ordstat import PFunction, RandomizedPFunction, TrialParseError, load_trial, parse_rational, randomized, trial
 from ordstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -419,6 +420,45 @@ class TestDemo:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "demo", "laplace1823")
         assert exc.value.code == 2
+
+
+# Trial files that do not parse, written with "\n" line ends; each is also tried with "\r\n" and "\r".
+UNREADABLE_TRIALS = [
+    b'{\n "outcomes": [\n  bad\n ]}',
+    b'{"outcomes": [{"label": "a\nb", "prob": "1"}],\n "statistic": {"a": 1}}',
+    b'{"outcomes": [{"label": "a", "prob": "1"}],\n "statistic": {"a": 1, "zz": 2}}',
+    b'\xef\xbb\xbf{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": 1}}',
+    b'{\n "outcomes": [{"label": "\xff", "prob": "1"}]}',
+]
+
+
+class TestTrialFileReading:
+    """The trial commands read a file once: they digest its bytes and decode them as load_trial does."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize("command", ["induce", "midp"])
+    def test_line_ends_do_not_change_the_report(self, capsys, monkeypatch, tmp_path, newline, command):
+        reports = []
+        for name, end in (("lf", "\n"), ("other", newline)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            data = (DATA / "tuplestat.json").read_text().replace("\n", end).encode()
+            Path("t.json").write_bytes(data)
+            code, out, err = run(capsys, command, "--trial", "t.json")
+            assert (code, err) == (0, "")
+            digest = "sha256:" + hashlib.sha256(data).hexdigest()
+            assert parse_report(out)["inputs-digest"] == digest
+            reports.append(out.replace(digest, ""))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("data", UNREADABLE_TRIALS)
+    def test_errors_are_those_of_load_trial(self, capsys, tmp_path, newline, data):
+        path = tmp_path / "t.json"
+        path.write_bytes(data.replace(b"\n", newline.encode()))
+        with pytest.raises((TrialParseError, ValueError)) as err:
+            load_trial(path)
+        assert run(capsys, "midp", "--trial", str(path)) == (2, "", f"error: {err.value}\n")
 
 
 class TestReportHygiene:

@@ -1,14 +1,20 @@
+import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordstat import (
+    FiniteTrial,
+    InvalidStatisticError,
+    InvalidTrialError,
     LexTuple,
     Rank,
     Rational,
+    Statistic,
     TrialParseError,
     format_rational,
     load_trial,
@@ -16,10 +22,176 @@ from ordstat import (
     parse_trial_document,
     parse_two_sample,
 )
+from ordstat.files import _LABEL_RE, _check_digits, _parse_label
 
 DATA = Path(__file__).parent / "data"
 
 F = Fraction
+
+
+# The trial parser as it was when it parsed every literal at each of its
+# occurrences: the reference that parse_trial_document must equal, results,
+# messages and fields alike.
+_REF_PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
+_REF_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def _ref_literal(raw, pattern, field, expected):
+    match = isinstance(raw, str) and pattern.match(raw.strip())
+    if not match:
+        raise TrialParseError(f"{expected}, got {raw!r}", field=field)
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:
+        _check_digits(raw, field)
+        raise
+
+
+def _ref_label(raw, field):
+    if not isinstance(raw, str) or not raw:
+        raise TrialParseError(f"label must be a non-empty string, got {raw!r}", field=field)
+    if any(ch in raw for ch in (":", "\n", "\r")) or raw != raw.strip():
+        raise TrialParseError(
+            f"label may not contain ':' or newlines or outer whitespace: {raw!r}", field=field
+        )
+    return raw
+
+
+def _ref_value(raw, field):
+    if isinstance(raw, bool):
+        raise TrialParseError("statistic value must not be a boolean", field=field)
+    if isinstance(raw, int):
+        return Rank(raw)
+    if isinstance(raw, str):
+        return Rational(_ref_literal(raw, _REF_RATIONAL_RE, field,
+                                     'statistic value must be a rational string like "1/3"'))
+    if isinstance(raw, list):
+        if not raw:
+            raise TrialParseError("tuple statistic value may not be empty", field=field)
+        return LexTuple(tuple(_ref_value(v, f"{field}[{i}]") for i, v in enumerate(raw)))
+    raise TrialParseError(f"unsupported statistic value: {raw!r}", field=field)
+
+
+def reference_parse(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise TrialParseError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except RecursionError:
+        raise TrialParseError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        _check_digits(text)
+        raise
+    if not isinstance(doc, dict):
+        raise TrialParseError("trial document must be a JSON object")
+    unknown = sorted(set(doc) - {"outcomes", "statistic"})
+    if unknown:
+        raise TrialParseError(f"unknown top-level fields: {unknown}")
+    outcomes = doc.get("outcomes")
+    if not isinstance(outcomes, list) or not outcomes:
+        raise TrialParseError("a non-empty list is required", field="outcomes")
+    pairs = []
+    for i, entry in enumerate(outcomes):
+        field = f"outcomes[{i}]"
+        if not isinstance(entry, dict) or set(entry) != {"label", "prob"}:
+            raise TrialParseError("each outcome needs exactly the keys label and prob", field=field)
+        label = _ref_label(entry["label"], f"{field}.label")
+        prob = _ref_literal(entry["prob"], _REF_PROB_RE, f"{field}.prob",
+                            'probability must be a nonnegative rational string like "1/2"')
+        pairs.append((label, prob))
+    try:
+        trial = FiniteTrial(tuple(pairs))
+    except InvalidTrialError as e:
+        raise TrialParseError(str(e), field="outcomes") from None
+    statistic = doc.get("statistic")
+    if not isinstance(statistic, dict) or not statistic:
+        raise TrialParseError("a non-empty object is required", field="statistic")
+    values = {}
+    for label, raw in statistic.items():
+        label = _ref_label(label, "statistic")
+        if label not in trial:
+            raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
+        try:
+            values[label] = _ref_value(raw, f"statistic.{label}")
+        except RecursionError:
+            raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
+    missing = [label for label in trial.labels if label not in values]
+    if missing:
+        raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")
+    try:
+        stat = Statistic(values)
+    except InvalidStatisticError as e:
+        raise TrialParseError(str(e), field="statistic") from None
+    return trial, stat
+
+
+def parse_result(parse, text):
+    """What a parser makes of a document: the trial and statistic, or the error's message, field and line."""
+    try:
+        trial, stat = parse(text)
+    except TrialParseError as e:
+        return "error", str(e), e.field, e.line
+    return "parsed", trial.outcomes, trial.weights, trial.denominator, stat.values
+
+
+LONG_INT = "__long_int__"  # a JSON integer past Python's int conversion limit, put in after json.dumps
+LONG_DIGITS = "1" + "0" * sys.get_int_max_str_digits()
+BAD_VALUES = (True, False, 0.5, 2.0, "0.5", [], {}, None, "1/0", "1/-2", "", LONG_INT, "1/" + LONG_DIGITS,
+              "-" + LONG_DIGITS, [1, True], [[]])
+BAD_LABELS = ("a:b", " o", "o ", "\x1co", "o\x1f", "\x85", "o\xa0", "\u2028", "o\u2028p", "", "o\n", "o\rp", 7, None)
+TWO_OUTCOMES = '{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}], "statistic": {"a": %s, "b": %s}}'
+RATIONAL_LITERALS = ("1/2", "2/4", " 1/2", "-1/3", "-2/6", "0", "-0", "0/5", " 3", "6/2", "-7")
+
+
+@st.composite
+def trial_documents(draw):
+    """Trial documents whose probabilities and values repeat, often spelled differently, with bad entries put in.
+
+    Probabilities are k/d spelled several ways, with k from 0 to 3, so most
+    outcomes share one; the statistic takes at most three distinct rational,
+    rank or [rank, [rational, rank]] values. Up to three bad entries replace
+    a label, probability, outcome, value (one of another shape among them),
+    tuple component or statistic key, add an unknown key, or drop a
+    statistic entry.
+    """
+    n = draw(st.integers(1, 8))
+    ks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ks[0] += not sum(ks)
+    d = sum(ks)
+
+    def spell(k):
+        q = F(k, d)
+        whole = (str(q.numerator),) if q.denominator == 1 else ()
+        return draw(st.sampled_from((f"{k}/{d}", f"{2 * k}/{2 * d}", f" {k}/{d}", f"{k}/{d} ",
+                                     f"{q.numerator}/{q.denominator}") + whole))
+
+    labels = [draw(st.sampled_from(("o", "x y", "\xe9", "a-b/c"))) + str(i) for i in range(n)]
+    outcomes = [{"label": label, "prob": spell(k)} for label, k in zip(labels, ks)]
+    rank, rational = st.integers(-2, 2), st.sampled_from(RATIONAL_LITERALS)
+    value = draw(st.sampled_from((rank, rational, st.tuples(rank, rational, rank).map(lambda t: [t[0], [t[1], t[2]]]))))
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    statistic = {label: draw(st.sampled_from(pool)) for label in draw(st.permutations(labels))}
+    doc = {"outcomes": outcomes, "statistic": statistic}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        where = draw(st.sampled_from(("label", "prob", "outcome", "unknown") + ("value", "component", "key", "missing") * 2))
+        if where == "label" and isinstance(outcomes[i], dict):
+            outcomes[i]["label"] = draw(st.sampled_from(BAD_LABELS + tuple(labels)))
+        elif where == "prob" and isinstance(outcomes[i], dict):
+            outcomes[i]["prob"] = draw(st.sampled_from(BAD_VALUES + ("-1/4", "3", str(d))))
+        elif where == "outcome":
+            outcomes[i] = draw(st.sampled_from(("o", 5, [], {"label": "o"}, {"label": "o", "prob": "1", "extra": 1})))
+        elif where == "value" and labels[i] in statistic:
+            statistic[labels[i]] = draw(st.sampled_from(BAD_VALUES + (1, "1/3", [1, ["1/2", 0]], [1])))
+        elif where == "component" and isinstance(statistic.get(labels[i]), list):
+            statistic[labels[i]] = [statistic[labels[i]][0], [draw(st.sampled_from(BAD_VALUES)), 0]]
+        elif where == "key":
+            statistic[draw(st.sampled_from(BAD_LABELS[:-2] + ("zz",)))] = pool[0]
+        elif where == "unknown":
+            doc[draw(st.sampled_from(("extra", "outcomes ")))] = 1
+        elif where == "missing":
+            statistic.pop(labels[i], None)
+    return json.dumps(doc).replace(json.dumps(LONG_INT), LONG_DIGITS)
 
 
 class TestTrialDocument:
@@ -113,6 +285,44 @@ class TestTrialDocument:
         doc = '{"outcomes": [{"label": "a", "prob": "1"}], "statistic": {"a": true}}'
         with pytest.raises(TrialParseError):
             parse_trial_document(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trial_documents())
+    @example(TWO_OUTCOMES % ("1", "true"))  # equal in Python (True == 1), told apart by the cache keys
+    @example(TWO_OUTCOMES % ("[0, 1]", "[0, true]"))
+    @example(TWO_OUTCOMES % ("[1, [0]]", "[1.0, [false]]"))
+    def test_parser_equals_reference(self, text):
+        assert parse_result(parse_trial_document, text) == parse_result(reference_parse, text)
+
+    def test_repeated_literals_share_one_object(self):
+        trial, stat = load_trial(DATA / "ties200.json")
+        assert len({id(prob) for _, prob in trial.outcomes}) == 7  # one per spelling
+        assert len({id(stat[label]) for label in trial.labels}) == 44
+        assert parse_result(parse_trial_document, (DATA / "ties200.json").read_text()) == parse_result(
+            reference_parse, (DATA / "ties200.json").read_text())
+
+
+def _accepts_label(label) -> bool:
+    try:
+        _parse_label(label, "f")
+    except TrialParseError:
+        return False
+    return True
+
+
+class TestLabelPattern:
+    """The one-pattern label check accepts exactly the labels _parse_label accepts."""
+
+    def test_agrees_on_every_whitespace_character(self):
+        spaces = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+        assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"} <= set(spaces)
+        for ch in spaces + [":", "a", "\xe9", "\x00", "\x1b", "\u200b", "\ufeff"]:
+            for label in (ch, "a" + ch, ch + "a", "a" + ch + "b", ch + ch):
+                assert bool(_LABEL_RE.fullmatch(label)) is _accepts_label(label), repr(label)
+
+    @given(st.text(alphabet=st.sampled_from("ab :\n\r\t\x1c\x1f\x85\xa0\u2028\u3000\xe9")) | st.text())
+    def test_agrees_on_text(self, label):
+        assert bool(_LABEL_RE.fullmatch(label)) is _accepts_label(label)
 
 
 class TestRationalGrammar:

@@ -81,6 +81,16 @@ class TestFiniteTrial:
         with pytest.raises(TypeError):
             trial(("a", 0.5), ("b", 0.5))
 
+    def test_shared_probability_objects(self):
+        # Each distinct object is converted once; the trial is the one fresh objects give, in any iterable.
+        quarter, half = F(1, 4), "1/2"
+        shared = FiniteTrial(iter([("a", quarter), ("b", quarter), ("c", half)]))
+        fresh = trial(("a", F(1, 4)), ("b", F(2, 8)), ("c", F(1, 2)))
+        assert (shared, shared.weights, shared.denominator) == (fresh, (1, 1, 2), 4)
+        minus = F(-1, 4)
+        with pytest.raises(InvalidTrialError, match="negative probability for 'b': -1/4"):
+            trial(("a", F(3, 2)), ("b", minus), ("c", minus))
+
 
 class TestStatistic:
     def test_mixed_shapes_rejected(self):
@@ -90,6 +100,16 @@ class TestStatistic:
     def test_empty_rejected(self):
         with pytest.raises(InvalidStatisticError):
             Statistic({})
+
+    def test_shared_value_objects(self):
+        one = Rank(1)
+        assert Statistic({"a": one, "b": one}) == Statistic({"a": Rank(1), "b": Rank(1)})
+        with pytest.raises(InvalidStatisticError, match="found 2"):
+            Statistic({"a": one, "b": one, "c": Rational(F(1))})
+        third = F(1, 3)
+        stat = PFunction({"a": third, "b": third, "c": F(1, 3)}).as_statistic()
+        assert stat == Statistic({"a": Rational(third), "b": Rational(third), "c": Rational(third)})
+        assert stat["a"] is stat["b"] is not stat["c"]
 
 
 @st.composite
