@@ -53,7 +53,7 @@ from .ranktests import (
     observed_cascade_value,
     reference_for,
 )
-from .files import TrialParseError, _check_digits, format_rational, load_two_sample, parse_rational, parse_trial_document
+from .files import TrialParseError, _check_digits, format_rational, parse_rational, parse_trial_document, parse_two_sample
 
 EXACTNESS_GRID = 97
 MAX_PRECISION = 100
@@ -115,10 +115,14 @@ def _digest_params(*parts) -> str:
     return _digest("\x1f".join(str(p) for p in parts).encode("utf-8"))
 
 
-def _load_trial(args, report: RunReport) -> tuple:
-    data = Path(args.trial).read_bytes()  # read once; decoded as load_trial's read_text decodes it
-    trial, stat = parse_trial_document(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+def _read_input(path, report: RunReport) -> str:
+    data = Path(path).read_bytes()  # read once: digested, and decoded as read_text(encoding="utf-8") does
     report.inputs_digest = _digest(data)
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _load_trial(args, report: RunReport) -> tuple:
+    trial, stat = parse_trial_document(_read_input(args.trial, report))
     for label in trial.zero_probability_labels():
         report.warn(f"zero-probability outcome: {label}")
     return trial, stat
@@ -191,8 +195,7 @@ def cmd_midp(args, report: RunReport) -> None:
 
 
 def cmd_twosample(args, report: RunReport) -> None:
-    sample = load_two_sample(args.data)
-    report.inputs_digest = _digest(Path(args.data).read_bytes())
+    sample = parse_two_sample(_read_input(args.data, report))
     cascade = CascadeStatistic.parse(args.cascade)
     report.add("m", sample.m)
     report.add("n", sample.n)

@@ -20,24 +20,27 @@ components of a cascade key are exact int sums (the rank sum for wilcoxon),
 for enumeration, the observed value and Monte Carlo draws alike; only the t
 component of a draw is compared in floats. Score sums u and v at precision
 p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties
-and counted on a CompareContext. This threshold is the rank cascades' own
-rule; order.compare orders Scores exactly. Each key part gives the closed
-int window of sums that tie with a sum, decided exactly, and enumeration,
-grouping and the recount all compare against that window. Every attainable
-set is verified range-exact at every size, by an independent recount that
-bisects the sorted keys.
+and counted on a CompareContext; this threshold is the rank cascades' own
+rule, as order.compare orders Scores exactly. Each key part gives the int
+window of sums that tie with a sum, decided exactly, and enumeration,
+grouping and the recount all compare against it. A wilcoxon-first exact
+p-value counts the smaller rank sums from the rank-sum counts and visits
+only the observed rank sum's slice. An attainable set groups runs of equal
+sorted keys, builds a group's value when it is read, and is verified
+range-exact at every size by an independent recount that bisects the keys.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import decimal
 import enum
 import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -47,7 +50,6 @@ from .order import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
     LexTuple,
-    OrdValue,
     Ordering,
     Rank,
     Score,
@@ -502,11 +504,12 @@ def exact_perm_pvalue(
     max_enum: int = DEFAULT_MAX_ENUM,
     ctx: CompareContext | None = None,
 ) -> Fraction:
-    """P[cascade value of a random assignment <= observed], by full enumeration.
+    """P[cascade value of a random assignment <= observed], counted exactly.
 
     Every assignment of m of the pooled observations to the x-role is
     equally likely; rank-based cascades depend on the assignment only
-    through its ranks, so the enumeration runs over rank subsets. Cascades
+    through its ranks, so the count runs over rank subsets (for a
+    wilcoxon-first cascade, only those with the observed rank sum). Cascades
     containing the t component are rejected: their null calibration is the
     Gaussian sampling model (use mc_gaussian_pvalue).
     """
@@ -515,8 +518,13 @@ def exact_perm_pvalue(
     total = _check_enum_size(sample.m, sample.n, max_enum)
     steps = _steps(_key_parts(cascade, sample.pool, precision), x_ranks(sample))
     own = ctx if ctx is not None else CompareContext()
-    count = 0
-    for combo in itertools.combinations(range(1, sample.pool + 1), sample.m):
+    count, combos = 0, itertools.combinations(range(1, sample.pool + 1), sample.m)
+    if cascade.components[0] is Component.WILCOXON:
+        # Rank sums tie only when equal, so every imprecise tie lies on the slice W = w_obs.
+        w, steps = steps[0][3], steps[1:]
+        count = sum(_rank_sum_counts(sample.m, sample.pool)[: w if steps else w + 1])
+        combos = _rank_sum_slice(sample.m, sample.pool, w) if steps else ()
+    for combo in combos:
         # Later components are summed only where the earlier ones tie.
         for key_total, lo, hi, want in steps:
             s = key_total(combo)
@@ -532,17 +540,42 @@ def exact_perm_pvalue(
     return Fraction(count, total)
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_sum_counts(m: int, pool: int) -> tuple:
+    """counts[w]: the m-subsets of 1..pool with rank sum w, a factor 1 + t x^r per rank (Streitberg & Roehmel 1986)."""
+    rows = [[1]] + [[] for _ in range(m)]  # rows[k][w]: the k-subsets of the ranks so far with sum w
+    for r in range(1, pool + 1):
+        for k in range(min(r, m), 0, -1):
+            rows[k] = [a + b for a, b in itertools.zip_longest(rows[k], [0] * r + rows[k - 1], fillvalue=0)]
+    return tuple(rows[m])
+
+
+def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1):
+    """The m-subsets of 1..pool with rank sum w (attained), after prefix, in the order of itertools.combinations."""
+    # m - 1 distinct ranks above r reach every sum from their least to `most`: no prefix is a dead end.
+    most = (m - 1) * (2 * pool - m + 2) // 2
+    for r in range(max(low, w - most), (w - m * (m - 1) // 2) // m + 1):
+        if m > 2:
+            yield from _rank_sum_slice(m - 1, pool, w - r, prefix + (r,), r + 1)
+        else:  # the last rank, or the last two
+            yield prefix + (r, w - r)[:m]
+
+
 @dataclass(frozen=True)
 class TieGroup:
-    """Assignments sharing one cascade value; cum_count counts assignments <= it."""
+    """Assignments sharing one cascade value, built from the first member when read; cum_count counts those <= it."""
 
-    value: OrdValue
+    parts: tuple = field(repr=False, compare=False)
     members: tuple
     cum_count: int
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @functools.cached_property
+    def value(self) -> LexTuple:
+        return _value(self.parts, self.members[0])
 
 
 @dataclass(frozen=True)
@@ -580,24 +613,28 @@ def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_
         raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
     _check_enum_size(m, n, max_enum)
     parts = _key_parts(cascade, m + n, precision)
+    terms = (range(1, m + n + 1) if part is _RankSum else part.ints[1:] for part in parts)
+    keys = list(zip(*(map(sum, itertools.combinations(t, m)) for t in terms)))  # in the order of combos
     combos = list(itertools.combinations(range(1, m + n + 1), m))
-    keys = list(zip(*(map(part.total, combos) for part in parts)))
     # Exact int keys sort natively and stably. Threshold (near-)equality is
     # handled afterwards by adjacent grouping.
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return parts, tuple(keys[i] for i in order), tuple(combos[i] for i in order)
+    return parts, tuple(map(keys.__getitem__, order)), tuple(map(combos.__getitem__, order))
 
 
 def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> tuple:
-    # Each sorted key joins the current group when it compares EQ to the group's first key.
-    starts = []
-    for i, key in enumerate(keys):
-        if not starts or _order(parts, key, keys[starts[-1]], ctx) is not Ordering.EQ:
-            starts.append(i)
+    # Runs of equal keys, counted in sorted order, join the group if they compare EQ to its first key.
+    # Imprecise ties count per key of a joining run, once for an opening run (its other keys equal the first).
+    starts, start = [0], 0
+    for key, size in collections.Counter(keys).items():
+        before = ctx.imprecise_ties
+        if _order(parts, key, keys[starts[-1]], ctx) is Ordering.EQ:
+            ctx.imprecise_ties += (ctx.imprecise_ties - before) * (size - 1)
+        else:
+            starts.append(start)
+        start += size
     ends = starts[1:] + [len(keys)]
-    return tuple(
-        TieGroup(value=_value(parts, combos[a]), members=combos[a:b], cum_count=b) for a, b in zip(starts, ends)
-    )
+    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, ends))
 
 
 def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:

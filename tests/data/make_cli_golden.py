@@ -23,14 +23,19 @@ distinct ``[rank, [rational, rank]]`` values, so nine in ten outcomes tie,
 each value and probability spelled several ways (``"1/2"``, ``"2/4"``,
 ``" 1/200"``) and two zero-probability outcomes. The trial commands
 run at the default precision, so ``ORDSTAT_PRECISION`` is unset for the
-run.
+run. Last come exact ``twosample`` reports on ``mid7.csv``, whose rank sum
+56 lies in the middle of its null distribution, under ``wilcoxon``,
+``wilcoxon,fyt,vdw --precision 20`` and ``wilcoxon,laplace --precision 4``
+(imprecise ties), and ``table 7 7 wilcoxon,laplace --precision 8``.
 
 The first 71 entries were recorded at commit 231043d, whose Score
 comparison rounded the relative distance to precision + 10 digits and
 whose cascade keys found their tie window by bisecting a comparison
 predicate; the next 12 were recorded at ee89821, the 40-outcome
-documents' 9 at 85fa939 and the two ``ties200.json`` reports at 9e59851,
-whose trial parser parsed every literal once per occurrence. The fixture pins those
+documents' 9 at 85fa939, the two ``ties200.json`` reports at 9e59851,
+whose trial parser parsed every literal once per occurrence, and the four
+``mid7.csv`` and 7x7 reports at b7554a5, whose exact p-values enumerated
+every assignment. The fixture pins those
 reports so that later code must reproduce them byte for byte. It pins the
 threshold's wrong 6x6 ``laplace`` table (ROADMAP item 1) as well: a change
 to an exact order must re-record the fixture and list every changed report.
@@ -114,6 +119,12 @@ COMMANDS += [
                  ["randomize", "--trial", trial, "--outcome", outcome, "--seed", "3", "--verify-exact"])
 ]
 COMMANDS += [[command, "--trial", "ties200.json"] for command in ("induce", "midp")]
+COMMANDS += [
+    ["twosample", "--data", "mid7.csv", "--cascade", cascade, "--mode", "exact", *precision]
+    for cascade, precision in (("wilcoxon", []), ("wilcoxon,fyt,vdw", ["--precision", "20"]),
+                               ("wilcoxon,laplace", ["--precision", "4"]))
+]
+COMMANDS += [["table", "7", "7", "wilcoxon,laplace", "--precision", "8"]]
 
 
 def run(argv: list) -> dict:

@@ -8,7 +8,17 @@ import pytest
 from mpmath.calculus.quadrature import TanhSinh
 
 import ordstat.cli
-from ordstat import PFunction, RandomizedPFunction, TrialParseError, load_trial, parse_rational, randomized, trial
+from ordstat import (
+    PFunction,
+    RandomizedPFunction,
+    RankTestError,
+    TrialParseError,
+    load_trial,
+    load_two_sample,
+    parse_rational,
+    randomized,
+    trial,
+)
 from ordstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -459,6 +469,49 @@ class TestTrialFileReading:
         with pytest.raises((TrialParseError, ValueError)) as err:
             load_trial(path)
         assert run(capsys, "midp", "--trial", str(path)) == (2, "", f"error: {err.value}\n")
+
+
+UNREADABLE_SAMPLES = [
+    b"1 x\n2 y\nbad x\n",
+    b"1 x\n2 y\n3 z\n",
+    b"1 x\n2 y z\n",
+    b"1 x\n1 y\n",
+    b"\xef\xbb\xbf1 x\n2 y\n",
+    b"1 x\n2 \xff\n",
+]
+
+
+class TestTwoSampleFileReading:
+    """twosample reads its file once: it digests the bytes and decodes them as load_two_sample does."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize(
+        "mode", [["--cascade", "wilcoxon,fyt", "--mode", "exact"],
+                 ["--cascade", "wilcoxon,fyt,t", "--mode", "mc", "--seed", "1", "--draws", "200"]]
+    )
+    def test_line_ends_do_not_change_the_report(self, capsys, monkeypatch, tmp_path, newline, mode):
+        reports = []
+        for name, end in (("lf", "\n"), ("other", newline)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            data = (DATA / "six.csv").read_text().replace("\n", end).encode()
+            Path("s.csv").write_bytes(data)
+            code, out, err = run(capsys, "twosample", "--data", "s.csv", *mode)
+            assert (code, err) == (0, "")
+            digest = "sha256:" + hashlib.sha256(data).hexdigest()
+            assert parse_report(out)["inputs-digest"] == digest
+            reports.append(out.replace(digest, ""))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("data", UNREADABLE_SAMPLES)
+    def test_errors_are_those_of_load_two_sample(self, capsys, tmp_path, newline, data):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data.replace(b"\n", newline.encode()))
+        with pytest.raises((TrialParseError, RankTestError, ValueError)) as err:
+            load_two_sample(path)
+        got = run(capsys, "twosample", "--data", str(path), "--cascade", "wilcoxon", "--mode", "exact")
+        assert got == (2, "", f"error: {err.value}\n")
 
 
 class TestReportHygiene:

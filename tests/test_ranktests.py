@@ -48,10 +48,15 @@ from ordstat.ranktests import (
     _count_not_above,
     _decimal_from_mpf,
     _grouped,
+    _key_parts,
     _normals,
     _order,
+    _rank_sum_counts,
+    _rank_sum_slice,
     _ScoreSum,
     _sorted_keys,
+    _steps,
+    _value,
     _verify_range_exact,
     compare_with_reference,
     reference_for,
@@ -616,9 +621,113 @@ class TestIntegerKernel:
         _verify_range_exact(parts, keys, groups, CompareContext())
         i = len(groups) // 2
         a, b = groups[i], groups[i + 1]
-        merged = TieGroup(value=a.value, members=a.members + b.members, cum_count=a.cum_count)
+        merged = TieGroup(parts=a.parts, members=a.members + b.members, cum_count=a.cum_count)
         with pytest.raises(TheoremCheckError):
             _verify_range_exact(parts, keys, groups[:i] + (merged,) + groups[i + 2 :], CompareContext())
+
+
+# ---------------------------------------------------------------------------
+# Wilcoxon-first exact p-values against full enumeration
+
+
+def full_enumeration_pvalue(s: TwoSample, cascade, precision) -> tuple:
+    """(p-value, imprecise ties) by visiting every rank subset, the loop exact_perm_pvalue ran for every cascade."""
+    steps = _steps(_key_parts(cascade, s.pool, precision), x_ranks(s))
+    ctx, count = CompareContext(), 0
+    for combo in itertools.combinations(range(1, s.pool + 1), s.m):
+        for key_total, lo, hi, want in steps:
+            total = key_total(combo)
+            if total < lo:
+                count += 1
+                break
+            if total > hi:
+                break
+            if total != want:
+                ctx.flag_imprecise()
+        else:
+            count += 1
+    return F(count, math.comb(s.pool, s.m)), ctx.imprecise_ties
+
+
+def rank_sum_slices(m: int, pool: int) -> dict:
+    """Rank sum -> the m-subsets of 1..pool with that sum, in the order of itertools.combinations."""
+    slices = {}
+    for combo in itertools.combinations(range(1, pool + 1), m):
+        slices.setdefault(sum(combo), []).append(combo)
+    return slices
+
+
+WILCOXON_FIRST = tuple(c for c in RANK_CASCADES if c.components[0] is Component.WILCOXON)
+
+
+class TestRankSumSlices:
+    @pytest.mark.parametrize("pool", range(1, 13))
+    def test_counts_are_brute_force_counts(self, pool):
+        for m in range(1, pool + 1):
+            counts = _rank_sum_counts(m, pool)
+            want = {w: len(combos) for w, combos in rank_sum_slices(m, pool).items()}
+            assert {w: c for w, c in enumerate(counts) if c} == want
+            assert sum(counts) == math.comb(pool, m)
+
+    @pytest.mark.parametrize("pool", range(1, 13))
+    def test_slice_is_combinations_filtered_on_the_sum(self, pool):
+        for m in range(1, pool + 1):
+            for w, combos in rank_sum_slices(m, pool).items():
+                assert list(_rank_sum_slice(m, pool, w)) == combos
+
+    @pytest.mark.parametrize("cascade", WILCOXON_FIRST, ids=CascadeStatistic.label)
+    def test_pvalue_equals_full_enumeration(self, cascade):
+        # Every observed set up to pool 9, where fyt and vdw sums tie
+        # imprecisely at precision 4; above it, the first and last subset of
+        # the two least, the two central and the two greatest rank sums.
+        for m in range(1, 8):
+            for n in range(1, 8):
+                slices = rank_sum_slices(m, m + n)
+                sums = sorted(slices)
+                centre = len(sums) // 2
+                observed_sets = [c for w in sums for c in slices[w]] if m + n <= 9 else {
+                    c for w in {*sums[:2], *sums[max(0, centre - 1) : centre + 1], *sums[-2:]}
+                    for c in (slices[w][0], slices[w][-1])
+                }
+                for observed in observed_sets:
+                    s = TwoSample(observed, tuple(r for r in range(1, m + n + 1) if r not in observed))
+                    for precision in (4, 50):
+                        ctx = CompareContext()
+                        got = exact_perm_pvalue(s, cascade, precision, ctx=ctx)
+                        assert (got, ctx.imprecise_ties) == full_enumeration_pvalue(s, cascade, precision)
+
+    def test_size_cap_still_counts_every_assignment(self):
+        s = sample([1, 2, 3], [4, 5, 6])
+        for cascade in WILCOXON_FIRST[:2]:
+            with pytest.raises(SizeLimitError):
+                exact_perm_pvalue(s, cascade, max_enum=math.comb(6, 3) - 1)
+            assert exact_perm_pvalue(s, cascade, max_enum=math.comb(6, 3)) == F(1, 20)
+
+
+class TestTieGroupValues:
+    def test_built_only_when_read(self, monkeypatch):
+        built = []
+
+        def spy(parts, ranks):
+            built.append(ranks)
+            return _value(parts, ranks)
+
+        monkeypatch.setattr(ranktests, "_value", spy)
+        att = attainable_set(8, 8, CascadeStatistic.parse("wilcoxon,vdw"), 50)
+        assert built == []
+        group = att.groups[len(att.groups) // 2]
+        value = group.value
+        assert built == [group.members[0]]
+        assert group.value is value and len(built) == 1
+
+    @pytest.mark.parametrize(
+        "m,n,cascade,precision", [(4, 4, "wilcoxon,fyt", 8), (5, 4, "laplace", 4), (4, 5, "fyt,wilcoxon,vdw", 50)]
+    )
+    def test_value_is_that_of_the_first_member(self, m, n, cascade, precision):
+        cascade = CascadeStatistic.parse(cascade)
+        parts = _key_parts(cascade, m + n, precision)
+        for g in attainable_set(m, n, cascade, precision).groups:
+            assert format_ord(g.value) == format_ord(_value(parts, g.members[0]))
 
 
 # ---------------------------------------------------------------------------
