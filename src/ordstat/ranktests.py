@@ -22,18 +22,16 @@ component of a draw is compared in floats. Score sums u and v at precision
 p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties
 and counted on a CompareContext; this threshold is the rank cascades' own
 rule, as order.compare orders Scores exactly. Each key part gives the int
-window of sums that tie with a sum, decided exactly, and enumeration,
-grouping and the recount all compare against it. A wilcoxon-first exact
-p-value counts the smaller rank sums from the rank-sum counts and visits
-only the observed rank sum's slice. An attainable set groups runs of equal
-sorted keys, builds a group's value when it is read, and is verified
+window of sums that tie with a sum, decided exactly, and every comparison
+uses it. A wilcoxon-first exact p-value counts the smaller rank sums from
+their Gaussian binomial and visits only the observed rank sum's slice. An
+attainable set builds a tie group's value when it is read, and is verified
 range-exact at every size by an independent recount that bisects the keys.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import decimal
 import enum
 import functools
@@ -507,11 +505,10 @@ def exact_perm_pvalue(
     """P[cascade value of a random assignment <= observed], counted exactly.
 
     Every assignment of m of the pooled observations to the x-role is
-    equally likely; rank-based cascades depend on the assignment only
-    through its ranks, so the count runs over rank subsets (for a
-    wilcoxon-first cascade, only those with the observed rank sum). Cascades
-    containing the t component are rejected: their null calibration is the
-    Gaussian sampling model (use mc_gaussian_pvalue).
+    equally likely, and rank-based cascades see only its ranks; a
+    wilcoxon-first cascade visits only the rank sets at the observed sum.
+    Cascades containing the t component are rejected: their null
+    calibration is the Gaussian sampling model (use mc_gaussian_pvalue).
     """
     if cascade.has_student_t:
         raise TCascadeNotExactError("t cascades have no exact permutation p-value; use mc_gaussian_pvalue")
@@ -522,7 +519,7 @@ def exact_perm_pvalue(
     if cascade.components[0] is Component.WILCOXON:
         # Rank sums tie only when equal, so every imprecise tie lies on the slice W = w_obs.
         w, steps = steps[0][3], steps[1:]
-        count = sum(_rank_sum_counts(sample.m, sample.pool)[: w if steps else w + 1])
+        count = _rank_sum_below(sample.m, sample.pool, w if steps else w + 1)
         combos = _rank_sum_slice(sample.m, sample.pool, w) if steps else ()
     for combo in combos:
         # Later components are summed only where the earlier ones tie.
@@ -540,23 +537,31 @@ def exact_perm_pvalue(
     return Fraction(count, total)
 
 
-@functools.lru_cache(maxsize=None)
-def _rank_sum_counts(m: int, pool: int) -> tuple:
-    """counts[w]: the m-subsets of 1..pool with rank sum w, a factor 1 + t x^r per rank (Streitberg & Roehmel 1986)."""
-    rows = [[1]] + [[] for _ in range(m)]  # rows[k][w]: the k-subsets of the ranks so far with sum w
-    for r in range(1, pool + 1):
-        for k in range(min(r, m), 0, -1):
-            rows[k] = [a + b for a, b in itertools.zip_longest(rows[k], [0] * r + rows[k - 1], fillvalue=0)]
-    return tuple(rows[m])
+def _rank_sum_below(m: int, pool: int, w: int) -> int:
+    """The m-subsets of 1..pool with rank sum < w, read off the Gaussian binomial [pool, m]_q (Andrews 1976, ch. 3)."""
+    # W - m(m+1)/2 has generating function prod (1 - x^(pool-k+i)) / (1 - x^i), i <= k, symmetric about top/2: its
+    # d first coefficients give the tail below t or the mirror of the tail from t, in some k*d <= k*(top/2 + 1) steps.
+    k, t, top = min(m, pool - m), w - m * (m + 1) // 2, m * (pool - m)
+    d = max(0, min(t, top + 1 - t))
+    c = ([1] + [0] * d)[:d]
+    for i in range(1, k + 1):
+        c[pool - k + i :] = [a - b for a, b in zip(c[pool - k + i :], c)]
+        for r in range(i):
+            c[r::i] = itertools.accumulate(c[r::i])
+    return sum(c) if 2 * t <= top + 1 else math.comb(pool, m) - sum(c)
 
 
-def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1):
-    """The m-subsets of 1..pool with rank sum w (attained), after prefix, in the order of itertools.combinations."""
+def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1, step: int = 1):
+    """The m-subsets of 1..pool with the attained rank sum w after prefix, in combinations order (step -1: reversed)."""
+    if 2 * m > pool:  # complements of the smaller group's slice, reversed, so recursion is at most pool/2 deep
+        for y in _rank_sum_slice(pool - m, pool, pool * (pool + 1) // 2 - w, step=-step):
+            yield tuple(itertools.filterfalse(set(y).__contains__, range(1, pool + 1)))
+        return
     # m - 1 distinct ranks above r reach every sum from their least to `most`: no prefix is a dead end.
     most = (m - 1) * (2 * pool - m + 2) // 2
-    for r in range(max(low, w - most), (w - m * (m - 1) // 2) // m + 1):
+    for r in range(max(low, w - most), (w - m * (m - 1) // 2) // m + 1)[::step]:
         if m > 2:
-            yield from _rank_sum_slice(m - 1, pool, w - r, prefix + (r,), r + 1)
+            yield from _rank_sum_slice(m - 1, pool, w - r, prefix + (r,), r + 1, step)
         else:  # the last rank, or the last two
             yield prefix + (r, w - r)[:m]
 
@@ -623,18 +628,18 @@ def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_
 
 
 def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> tuple:
-    # Runs of equal keys, counted in sorted order, join the group if they compare EQ to its first key.
-    # Imprecise ties count per key of a joining run, once for an opening run (its other keys equal the first).
+    # A run of equal sorted keys joins the group if it compares EQ to its first key; its imprecise ties count per
+    # key when it joins, once when it opens a group (its other keys equal the first).
     starts, start = [0], 0
-    for key, size in collections.Counter(keys).items():
+    for key, run in itertools.groupby(keys):
+        size = len(list(run))
         before = ctx.imprecise_ties
         if _order(parts, key, keys[starts[-1]], ctx) is Ordering.EQ:
             ctx.imprecise_ties += (ctx.imprecise_ties - before) * (size - 1)
         else:
             starts.append(start)
         start += size
-    ends = starts[1:] + [len(keys)]
-    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, ends))
+    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(keys)]))
 
 
 def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:

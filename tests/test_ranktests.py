@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from ordstat.ranktests import (
     _key_parts,
     _normals,
     _order,
-    _rank_sum_counts,
+    _rank_sum_below,
     _rank_sum_slice,
     _ScoreSum,
     _sorted_keys,
@@ -662,16 +663,18 @@ WILCOXON_FIRST = tuple(c for c in RANK_CASCADES if c.components[0] is Component.
 
 class TestRankSumSlices:
     @pytest.mark.parametrize("pool", range(1, 13))
-    def test_counts_are_brute_force_counts(self, pool):
+    def test_counts_below_are_brute_force_counts(self, pool):
+        # Every rank sum from below the least to above the greatest, either group the smaller.
         for m in range(1, pool + 1):
-            counts = _rank_sum_counts(m, pool)
-            want = {w: len(combos) for w, combos in rank_sum_slices(m, pool).items()}
-            assert {w: c for w, c in enumerate(counts) if c} == want
-            assert sum(counts) == math.comb(pool, m)
+            sums = sorted(map(sum, itertools.combinations(range(1, pool + 1), m)))
+            for w in range(sums[0] - 1, sums[-1] + 3):
+                assert _rank_sum_below(m, pool, w) == bisect.bisect_left(sums, w)
+            assert _rank_sum_below(m, pool, sums[-1] + 1) == math.comb(pool, m)
 
-    @pytest.mark.parametrize("pool", range(1, 13))
+    @pytest.mark.parametrize("pool", range(2, 13))
     def test_slice_is_combinations_filtered_on_the_sum(self, pool):
-        for m in range(1, pool + 1):
+        # Both groups nonempty, as in a sample; for m > pool/2 the slice is built from the other group's.
+        for m in range(1, pool):
             for w, combos in rank_sum_slices(m, pool).items():
                 assert list(_rank_sum_slice(m, pool, w)) == combos
 
@@ -695,6 +698,22 @@ class TestRankSumSlices:
                         ctx = CompareContext()
                         got = exact_perm_pvalue(s, cascade, precision, ctx=ctx)
                         assert (got, ctx.imprecise_ties) == full_enumeration_pvalue(s, cascade, precision)
+
+    @pytest.mark.parametrize("m,n", [(1, 1999), (1999, 1), (2, 298), (298, 2)])
+    def test_small_group_against_a_large_pool(self, m, n):
+        # The counts go through the smaller group, whichever it is, and the slice runs at any m.
+        pool, k = m + n, min(m, n)
+        for start in (1, pool // 3, pool - k + 1):
+            small = tuple(range(start, start + k))
+            rest = tuple(r for r in range(1, pool + 1) if r not in small)
+            s = TwoSample(small, rest) if m == k else TwoSample(rest, small)
+            w = sum(x_ranks(s))
+            want = [c for c in itertools.combinations(range(1, pool + 1), m) if sum(c) == w]
+            assert list(_rank_sum_slice(m, pool, w)) == want
+            for cascade in (W, CascadeStatistic.parse("wilcoxon,laplace")):
+                ctx = CompareContext()
+                got = exact_perm_pvalue(s, cascade, 4, ctx=ctx)
+                assert (got, ctx.imprecise_ties) == full_enumeration_pvalue(s, cascade, 4)
 
     def test_size_cap_still_counts_every_assignment(self):
         s = sample([1, 2, 3], [4, 5, 6])
