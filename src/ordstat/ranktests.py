@@ -27,6 +27,7 @@ uses it. A wilcoxon-first exact p-value counts the smaller rank sums from
 their Gaussian binomial and visits only the observed rank sum's slice. An
 attainable set builds a tie group's value when it is read, and is verified
 range-exact at every size by an independent recount that bisects the keys.
+mpmath is loaded at the first score-vector or t build, never at import.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .order import (
     DEFAULT_PRECISION,
@@ -214,6 +213,7 @@ def rank_sum(sample: TwoSample) -> int:
 
 
 def _mpf_fraction(f: Fraction):
+    import mpmath
     return mpmath.mpf(f.numerator) / f.denominator
 
 
@@ -227,6 +227,7 @@ _QUANTILE_GUARD_DIGITS = (15, 25)
 
 def _lower_half(scheme: Component, pool: int, precision: int) -> list:
     # Scores of ranks 1..pool // 2 as Decimals correctly rounded to `precision` digits.
+    import mpmath
     fyt = scheme is Component.FYT
     rungs = _FYT_GUARD_DIGITS if fyt else _QUANTILE_GUARD_DIGITS
     for guard in rungs:
@@ -244,6 +245,7 @@ def _quantiles(scheme: Component, pool: int, precision: int):
     # vdw: the Gaussian quantile sqrt(2) erfinv(2p - 1); laplace: the unit
     # Laplace quantile ln(2p). Both at p = i / (pool + 1) < 1/2, each taken to
     # be within a relative 10^-(precision+10); None when a rounding is undecided.
+    import mpmath
     decimals = []
     for i in range(1, pool // 2 + 1):
         p = mpmath.mpf(i) / (pool + 1)
@@ -267,6 +269,7 @@ def _folded_order_stats(pool: int, precision: int):
     # bound at cut to every level's error. The loop stops at the first level
     # where every error is at most 10^-(precision+3) of its value. None unless
     # both ends of every value's error interval then round alike.
+    import mpmath
     ctx = mpmath.mp
     rule, prec, half = mpmath.calculus.quadrature.TanhSinh(ctx), ctx.prec, pool // 2
     coeffs = [pool * math.comb(pool - 1, i) for i in range(half)]
@@ -304,6 +307,7 @@ def _folded_order_stats(pool: int, precision: int):
 
 
 def _decimal_from_mpf(x, precision: int) -> Decimal:
+    import mpmath
     return Decimal(mpmath.nstr(x, precision, strip_zeros=False))
 
 
@@ -365,6 +369,7 @@ def student_t(sample: TwoSample, precision: int = DEFAULT_PRECISION) -> Score:
     The conventional constant factor is irrelevant for ordering and is
     omitted. Distinct observations make S > 0 whenever m + n >= 3.
     """
+    import mpmath
     with mpmath.workdps(precision + 10):
         xs = [_mpf_fraction(v) for v in sample.xs]
         ys = [_mpf_fraction(v) for v in sample.ys]
@@ -520,7 +525,11 @@ def exact_perm_pvalue(
         # Rank sums tie only when equal, so every imprecise tie lies on the slice W = w_obs.
         w, steps = steps[0][3], steps[1:]
         count = _rank_sum_below(sample.m, sample.pool, w if steps else w + 1)
-        combos = _rank_sum_slice(sample.m, sample.pool, w) if steps else ()
+        k, pool = min(sample.m, sample.n), sample.pool
+        if k < sample.m:  # visit the smaller y group's slice: an x-side sum is the part's total over all ranks less y's
+            steps = tuple((lambda ys, t=t, whole=t(range(1, pool + 1)): whole - t(ys), lo, hi, want) for t, lo, hi, want in steps)
+            w = pool * (pool + 1) // 2 - w
+        combos = _rank_sum_slice(k, pool, w) if steps else ()
     for combo in combos:
         # Later components are summed only where the earlier ones tie.
         for key_total, lo, hi, want in steps:
@@ -551,17 +560,13 @@ def _rank_sum_below(m: int, pool: int, w: int) -> int:
     return sum(c) if 2 * t <= top + 1 else math.comb(pool, m) - sum(c)
 
 
-def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1, step: int = 1):
-    """The m-subsets of 1..pool with the attained rank sum w after prefix, in combinations order (step -1: reversed)."""
-    if 2 * m > pool:  # complements of the smaller group's slice, reversed, so recursion is at most pool/2 deep
-        for y in _rank_sum_slice(pool - m, pool, pool * (pool + 1) // 2 - w, step=-step):
-            yield tuple(itertools.filterfalse(set(y).__contains__, range(1, pool + 1)))
-        return
+def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1):
+    """The m-subsets of 1..pool with the attained rank sum w after prefix, in combinations order; m - 2 levels deep."""
     # m - 1 distinct ranks above r reach every sum from their least to `most`: no prefix is a dead end.
     most = (m - 1) * (2 * pool - m + 2) // 2
-    for r in range(max(low, w - most), (w - m * (m - 1) // 2) // m + 1)[::step]:
+    for r in range(max(low, w - most), (w - m * (m - 1) // 2) // m + 1):
         if m > 2:
-            yield from _rank_sum_slice(m - 1, pool, w - r, prefix + (r,), r + 1, step)
+            yield from _rank_sum_slice(m - 1, pool, w - r, prefix + (r,), r + 1)
         else:  # the last rank, or the last two
             yield prefix + (r, w - r)[:m]
 

@@ -152,12 +152,15 @@ class PFunction:
     values: dict
 
     def __post_init__(self):
-        vals = {label: exact_fraction(v) for label, v in dict(self.values).items()}
-        if not vals:
+        given = dict(self.values)
+        exact = _per_object(exact_fraction, given.values())
+        if not exact:
             raise InvalidPFunctionError("a p-function needs at least one value")
-        for label, v in vals.items():
-            if not 0 <= v.numerator <= v.denominator:
-                raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {v}")
+        vals = {label: exact[id(v)] for label, v in given.items()}
+        outside = {key for key, v in exact.items() if not 0 <= v.numerator <= v.denominator}
+        if outside:
+            label = next(label for label, v in given.items() if id(v) in outside)
+            raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {vals[label]}")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, label) -> Fraction:

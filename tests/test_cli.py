@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -608,3 +610,36 @@ class TestRobustness:
             code, out, err = run(capsys, "induce", "--trial", _deep_trial(tmp_path, depth))
             assert code in (0, 2), depth
             assert (out == "") is (code == 2) and err.count("\n") == (code == 2), depth
+
+
+# Runs in a fresh interpreter, since this one has mpmath loaded: prints the exit code and whether mpmath was imported.
+MPMATH_PROBE = """
+import contextlib, io, json, sys
+import ordstat.cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ordstat.cli.main(argv) if argv else 0
+print(json.dumps([code, "mpmath" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ([], False),
+    (["induce", "--trial", "three.json"], False),
+    (["midp", "--trial", "three.json"], False),
+    (["randomize", "--trial", "three.json", "--outcome", "a", "--r", "1/2", "--verify-exact"], False),
+    (["demo", "bernoulli1735"], False),
+    (["demo", "arbuthnott1710"], False),
+    (["table", "4", "4", "wilcoxon"], False),
+    (["twosample", "--data", "six.csv", "--mode", "exact", "--cascade", "wilcoxon"], False),
+    (["table", "3", "3", "wilcoxon,fyt"], True),
+    (["twosample", "--data", "six.csv", "--mode", "mc", "--cascade", "wilcoxon,t",
+      "--seed", "1", "--draws", "100"], True),
+], ids=lambda v: " ".join(v) or "import" if isinstance(v, list) else None)
+def test_mpmath_loaded_only_by_score_or_t_builds(argv, loads):
+    """Import and the trial, demo and wilcoxon-only commands never load mpmath; a score vector or a t statistic does."""
+    src = str(Path(ordstat.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", MPMATH_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=DATA, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, loads]

@@ -183,7 +183,7 @@ def trial_documents(draw):
             outcomes[i] = draw(st.sampled_from(("o", 5, [], {"label": "o"}, {"label": "o", "prob": "1", "extra": 1})))
         elif where == "value" and labels[i] in statistic:
             statistic[labels[i]] = draw(st.sampled_from(BAD_VALUES + (1, "1/3", [1, ["1/2", 0]], [1])))
-        elif where == "component" and isinstance(statistic.get(labels[i]), list):
+        elif where == "component" and isinstance(statistic.get(labels[i]), list) and statistic[labels[i]]:
             statistic[labels[i]] = [statistic[labels[i]][0], [draw(st.sampled_from(BAD_VALUES)), 0]]
         elif where == "key":
             statistic[draw(st.sampled_from(BAD_LABELS[:-2] + ("zz",)))] = pool[0]

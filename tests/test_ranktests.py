@@ -673,43 +673,46 @@ class TestRankSumSlices:
 
     @pytest.mark.parametrize("pool", range(2, 13))
     def test_slice_is_combinations_filtered_on_the_sum(self, pool):
-        # Both groups nonempty, as in a sample; for m > pool/2 the slice is built from the other group's.
-        for m in range(1, pool):
+        # The smaller group of a sample, the only one exact_perm_pvalue slices: m - 2 levels of recursion.
+        for m in range(1, pool // 2 + 1):
             for w, combos in rank_sum_slices(m, pool).items():
                 assert list(_rank_sum_slice(m, pool, w)) == combos
 
     @pytest.mark.parametrize("cascade", WILCOXON_FIRST, ids=CascadeStatistic.label)
     def test_pvalue_equals_full_enumeration(self, cascade):
         # Every observed set up to pool 9, where fyt and vdw sums tie
-        # imprecisely at precision 4; above it, the first and last subset of
-        # the two least, the two central and the two greatest rank sums.
-        for m in range(1, 8):
-            for n in range(1, 8):
-                slices = rank_sum_slices(m, m + n)
-                sums = sorted(slices)
-                centre = len(sums) // 2
-                observed_sets = [c for w in sums for c in slices[w]] if m + n <= 9 else {
-                    c for w in {*sums[:2], *sums[max(0, centre - 1) : centre + 1], *sums[-2:]}
-                    for c in (slices[w][0], slices[w][-1])
-                }
-                for observed in observed_sets:
-                    s = TwoSample(observed, tuple(r for r in range(1, m + n + 1) if r not in observed))
-                    for precision in (4, 50):
-                        ctx = CompareContext()
-                        got = exact_perm_pvalue(s, cascade, precision, ctx=ctx)
-                        assert (got, ctx.imprecise_ties) == full_enumeration_pvalue(s, cascade, precision)
+        # imprecisely at precision 4, and for the unbalanced 1-2 x 10-13
+        # shapes and their mirrors, where the larger x group is counted from
+        # the y group's slice; otherwise the first and last subset of the two
+        # least, the two central and the two greatest rank sums.
+        unbalanced = [(k, n) for k in (1, 2) for n in range(10, 14)]
+        shapes = [(m, n) for m in range(1, 8) for n in range(1, 8)] + unbalanced + [(n, k) for k, n in unbalanced]
+        for m, n in shapes:
+            slices = rank_sum_slices(m, m + n)
+            sums = sorted(slices)
+            centre = len(sums) // 2
+            observed_sets = [c for w in sums for c in slices[w]] if m + n <= 9 or min(m, n) <= 2 else {
+                c for w in {*sums[:2], *sums[max(0, centre - 1) : centre + 1], *sums[-2:]}
+                for c in (slices[w][0], slices[w][-1])
+            }
+            for observed in observed_sets:
+                s = TwoSample(observed, tuple(r for r in range(1, m + n + 1) if r not in observed))
+                for precision in (4, 50):
+                    ctx = CompareContext()
+                    got = exact_perm_pvalue(s, cascade, precision, ctx=ctx)
+                    assert (got, ctx.imprecise_ties) == full_enumeration_pvalue(s, cascade, precision)
 
     @pytest.mark.parametrize("m,n", [(1, 1999), (1999, 1), (2, 298), (298, 2)])
     def test_small_group_against_a_large_pool(self, m, n):
-        # The counts go through the smaller group, whichever it is, and the slice runs at any m.
+        # The counts and the slice go through the smaller group, whichever it is.
         pool, k = m + n, min(m, n)
         for start in (1, pool // 3, pool - k + 1):
             small = tuple(range(start, start + k))
             rest = tuple(r for r in range(1, pool + 1) if r not in small)
             s = TwoSample(small, rest) if m == k else TwoSample(rest, small)
-            w = sum(x_ranks(s))
-            want = [c for c in itertools.combinations(range(1, pool + 1), m) if sum(c) == w]
-            assert list(_rank_sum_slice(m, pool, w)) == want
+            w = sum(small)
+            want = [c for c in itertools.combinations(range(1, pool + 1), k) if sum(c) == w]
+            assert list(_rank_sum_slice(k, pool, w)) == want
             for cascade in (W, CascadeStatistic.parse("wilcoxon,laplace")):
                 ctx = CompareContext()
                 got = exact_perm_pvalue(s, cascade, 4, ctx=ctx)

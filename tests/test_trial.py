@@ -32,6 +32,7 @@ from ordstat import (
     pvalue_kinds,
     scale_pfunction,
 )
+from ordstat.order import exact_fraction
 from ordstat.trial import attained_cdf, cdf_at
 
 F = Fraction
@@ -411,3 +412,29 @@ class TestPFunction:
             PFunction({"a": F(3, 2)})
         with pytest.raises(InvalidPFunctionError):
             PFunction({"a": F(-1, 2)})
+
+    def test_first_bad_value_after_valid_ones(self):
+        # Every value is converted before any is range-checked; a range error names the first label holding a bad value.
+        half, bad = F(1, 2), F(3, 2)
+        with pytest.raises(TypeError, match=r"not an exact value: 0\.5"):
+            PFunction({"a": half, "b": half, "c": bad, "d": 0.5})
+        with pytest.raises(TypeError, match="not an exact value: True"):
+            PFunction({"a": half, "b": "1/3", "c": True, "d": 0.5})
+        with pytest.raises(InvalidPFunctionError, match=r"^value for 'c' outside \[0, 1\]: 3/2$"):
+            PFunction({"a": half, "b": half, "c": bad, "d": F(-1), "e": bad})
+        with pytest.raises(InvalidPFunctionError, match=r"^value for 'b' outside \[0, 1\]: -1$"):
+            PFunction({"a": half, "b": -1, "c": bad})
+
+    def test_one_conversion_per_distinct_object(self, monkeypatch):
+        calls = []
+
+        def spy(v):
+            calls.append(v)
+            return exact_fraction(v)
+
+        monkeypatch.setattr("ordstat.trial.exact_fraction", spy)
+        third, half = F(1, 3), F(1, 2)
+        p = PFunction({"a": third, "b": half, "c": third, "d": "1/2", "e": half, "f": F(1, 3)})
+        assert len(calls) == 4
+        assert p.values == {"a": third, "b": half, "c": third, "d": half, "e": half, "f": third}
+        assert p["a"] is p["c"] and p["b"] is p["e"]
