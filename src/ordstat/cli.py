@@ -25,6 +25,7 @@ from .trial import (
     TheoremCheckError,
     TrialError,
     Validity,
+    _per_object,
     check_idempotence,
     classify_pfunction,
     induce_phat,
@@ -34,8 +35,7 @@ from .randomized import (
     build_randomized,
     draw_uniform_r,
     exactness_sweep,
-    mid_pvalue,
-    midp_validity_check,
+    mid_pfunction,
     randomized_pvalue,
 )
 from .ranktests import (
@@ -128,11 +128,11 @@ def _load_trial(args, report: RunReport) -> tuple:
     return trial, stat
 
 
-def _add_per_label(report: RunReport, prefix: str, labels, shared: dict, text) -> None:
-    """Add ``prefix.label: text(label)`` per label, calling text once per distinct object in ``shared``."""
-    texts = {key: text(label) for key, label in {id(shared[label]): label for label in labels}.items()}
+def _add_per_label(report: RunReport, prefix: str, labels, values: dict) -> None:
+    """Add ``prefix.label: values[label]`` per label as a rational, formatting each distinct value object once."""
+    texts = _per_object(format_rational, [values[label] for label in labels])
     for label in labels:
-        report.add(f"{prefix}.{label}", texts[id(shared[label])])
+        report.add(f"{prefix}.{label}", texts[id(values[label])])
 
 
 def cmd_induce(args, report: RunReport) -> None:
@@ -144,7 +144,7 @@ def cmd_induce(args, report: RunReport) -> None:
     report.headline = (f"induced p-values for {len(trial)} outcomes"
                        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
-    _add_per_label(report, "phat", trial.labels, phat.values, lambda label: format_rational(phat[label]))
+    _add_per_label(report, "phat", trial.labels, phat.values)
     for label in trial.labels:
         report.add(f"pvalue-kind.{label}", kinds[label])
     report.add("classification", classification.kind.value)
@@ -183,11 +183,11 @@ def cmd_randomize(args, report: RunReport) -> None:
 
 def cmd_midp(args, report: RunReport) -> None:
     trial, stat = _load_trial(args, report)
-    rpf = build_randomized(trial, stat)
-    classification = midp_validity_check(trial, rpf)
+    mids = mid_pfunction(trial, build_randomized(trial, stat))
+    classification = classify_pfunction(trial, mids)
     report.headline = f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})"
     report.add("outcome-count", len(trial))
-    _add_per_label(report, "midp", trial.labels, rpf.values, lambda label: format_rational(mid_pvalue(rpf, label)))
+    _add_per_label(report, "midp", trial.labels, mids.values)
     report.add("classification", classification.kind.value)
     if classification.witness is not None:
         report.add("witness", format_rational(classification.witness))

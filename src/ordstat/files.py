@@ -21,9 +21,9 @@ from .ranktests import TwoSample
 
 _PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
-_LABEL_FORBIDDEN = (":", "\n", "\r")
-# Accepts exactly the labels _parse_label accepts: \s is str.isspace(), which str.strip() strips.
+# A label holds no ':', '\n' or '\r' and no outer whitespace: \s is str.isspace(), which str.strip() strips.
 _LABEL_RE = re.compile(r"[^\s:](?:[^:\n\r]*[^\s:])?")
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d[\d_]*)$")  # Fraction builds the int 10**exponent
 
 
 class TrialParseError(Exception):
@@ -75,10 +75,8 @@ def _parse_literal(raw, pattern, field: str, expected: str) -> Fraction:
 def _parse_label(raw, field: str) -> str:
     if not isinstance(raw, str) or not raw:
         raise TrialParseError(f"label must be a non-empty string, got {raw!r}", field=field)
-    if any(ch in raw for ch in _LABEL_FORBIDDEN) or raw != raw.strip():
-        raise TrialParseError(
-            f"label may not contain ':' or newlines or outer whitespace: {raw!r}", field=field
-        )
+    if not _LABEL_RE.fullmatch(raw):
+        raise TrialParseError(f"label may not contain ':' or newlines or outer whitespace: {raw!r}", field=field)
     return raw
 
 
@@ -169,6 +167,7 @@ def parse_two_sample(text: str) -> TwoSample:
     """
     groups: dict = {}
     order = []
+    limit = sys.get_int_max_str_digits()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,7 +177,10 @@ def parse_two_sample(text: str) -> TwoSample:
             raise TrialParseError("expected two columns: value and group label", line=lineno)
         value_text, group = parts
         try:
-            value = Fraction(_check_digits(value_text, line=lineno))
+            exponent = _EXPONENT_RE.search(_check_digits(value_text, line=lineno))
+            if limit and exponent and int(exponent[1].replace("_", "")) > limit:
+                raise TrialParseError(f"exponent gives an integer with too many digits (limit {limit})", line=lineno)
+            value = Fraction(value_text)
         except (ValueError, ZeroDivisionError):
             raise TrialParseError(f"not an exact value: {value_text!r}", line=lineno) from None
         if group not in groups:

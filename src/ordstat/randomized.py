@@ -74,9 +74,9 @@ def build_randomized(trial: FiniteTrial, stat: Statistic) -> RandomizedPFunction
     out = {}
     d = trial.denominator
     below = 0
-    for _, members, mass in value_groups(trial, stat):
-        out.update(dict.fromkeys(members, (Fraction(below, d), mass)))
-        below += mass.numerator * (d // mass.denominator)
+    for _, members, weight in value_groups(trial, stat):
+        out.update(dict.fromkeys(members, (Fraction(below, d), Fraction(weight, d))))
+        below += weight
     return RandomizedPFunction(out)
 
 
@@ -189,9 +189,14 @@ def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> b
     return all(phat[f"({label},{r})"] == randomized_pvalue(rpf, label, r) for label in trial.labels for r in grid)
 
 
-def midp_validity_check(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunctionClass:
-    """Classify the mid-p-values of ``rpf``; NOT_PFUNCTION (with witness) is a legitimate verdict."""
+def mid_pfunction(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunction:
+    """The mid-p-value low(x) + atom(x)/2 of every outcome, outcomes with one value sharing one Fraction."""
     g, keys = on_grid([part for label in trial.labels for part in rpf._pair(label)])
     mids = [2 * low + atom for low, atom in zip(keys[::2], keys[1::2])]
     values = {mid: Fraction(mid, 2 * g) for mid in set(mids)}
-    return classify_pfunction(trial, PFunction({label: values[mid] for label, mid in zip(trial.labels, mids)}))
+    return PFunction({label: values[mid] for label, mid in zip(trial.labels, mids)})
+
+
+def midp_validity_check(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunctionClass:
+    """Classify the mid-p-values of ``rpf``; NOT_PFUNCTION (with witness) is a legitimate verdict."""
+    return classify_pfunction(trial, mid_pfunction(trial, rpf))

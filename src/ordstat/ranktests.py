@@ -461,6 +461,19 @@ def _steps(parts: tuple, observed) -> tuple:
     return tuple(steps)
 
 
+def _walk(steps: tuple, ranks, ctx: CompareContext) -> int:
+    """Sign of a rank set's key minus the observed one: -1 or 1 at the first part out of its window, else 0."""
+    for key_total, lo, hi, want in steps:
+        s = key_total(ranks)
+        if s < lo:
+            return -1
+        if s > hi:
+            return 1
+        if s != want:
+            ctx.flag_imprecise()
+    return 0
+
+
 def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
     """Lexicographic order of two cascade keys, sums tied within their windows."""
     for part, x, y in zip(parts, a, b):
@@ -530,19 +543,7 @@ def exact_perm_pvalue(
             steps = tuple((lambda ys, t=t, whole=t(range(1, pool + 1)): whole - t(ys), lo, hi, want) for t, lo, hi, want in steps)
             w = pool * (pool + 1) // 2 - w
         combos = _rank_sum_slice(k, pool, w) if steps else ()
-    for combo in combos:
-        # Later components are summed only where the earlier ones tie.
-        for key_total, lo, hi, want in steps:
-            s = key_total(combo)
-            if s < lo:
-                count += 1
-                break
-            if s > hi:
-                break
-            if s != want:
-                own.flag_imprecise()
-        else:
-            count += 1
+    count += sum(_walk(steps, combo, own) <= 0 for combo in combos)
     return Fraction(count, total)
 
 
@@ -920,24 +921,15 @@ def mc_gaussian_pvalue(
     steps = _steps(_key_parts(cascade, pool, precision), x_ranks(sample))
     own = ctx if ctx is not None else CompareContext()
     normals = _normals(seed)
-    count = 0
+    count, ranks = 0, ()
     for _ in range(num_draws):
         draw = list(itertools.islice(normals, pool))
         if steps:  # a t-only cascade never reads the ranks
             ordered = sorted(draw)
             ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
-        for key_total, lo, hi, want in steps:
-            s = key_total(ranks)
-            if s < lo:
-                count += 1
-                break
-            if s > hi:
-                break
-            if s != want:
-                own.flag_imprecise()
-        else:  # every rank component ties: t decides
-            if _float_t(draw[:m], draw[m:]) <= observed_t:
-                count += 1
+        order = _walk(steps, ranks, own)
+        if order < 0 or order == 0 and _float_t(draw[:m], draw[m:]) <= observed_t:
+            count += 1  # t decides only where every rank component ties
     return MonteCarloResult(
         estimate=count / num_draws,
         ci95=_wilson_ci95(count, num_draws),

@@ -210,7 +210,7 @@ def _canonical(value: OrdValue):
 
 
 def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
-    """Ascending groups of (value, labels, mass) with equal statistic values merged.
+    """Ascending groups of (value, labels, weight) with equal statistic values merged; weight/D is the group's mass.
 
     Values sort on ``order.sort_keys`` and equal keys share a group, so the
     result does not depend on the order the outcomes are listed in, and
@@ -227,7 +227,7 @@ def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
         (
             min((values[i] for i in g), key=_canonical) if scored else values[g[0]],
             [labels[i] for i in g],
-            Fraction(sum(weights[i] for i in g), trial.denominator),
+            sum(weights[i] for i in g),
         )
         for g in groups
     ]
@@ -239,17 +239,16 @@ def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
     All values are exact rationals k/D, and f(y) <= f(x) is decided exactly.
     """
     out = {}
-    d = trial.denominator
     cum = 0
-    for _, members, mass in value_groups(trial, stat):
-        cum += mass.numerator * (d // mass.denominator)
-        out.update(dict.fromkeys(members, Fraction(cum, d)))
+    for _, members, weight in value_groups(trial, stat):
+        cum += weight
+        out.update(dict.fromkeys(members, Fraction(cum, trial.denominator)))
     return PFunction(out)
 
 
 def induced_measure(trial: FiniteTrial, stat: Statistic) -> list:
     """Distinct statistic values in ascending order with their total mass."""
-    return [(value, mass) for value, _, mass in value_groups(trial, stat)]
+    return [(value, Fraction(weight, trial.denominator)) for value, _, weight in value_groups(trial, stat)]
 
 
 def check_idempotence(trial: FiniteTrial, pfunc: PFunction) -> bool:

@@ -22,7 +22,7 @@ from ordstat import (
     parse_trial_document,
     parse_two_sample,
 )
-from ordstat.files import _LABEL_RE, _check_digits, _parse_label
+from ordstat.files import _LABEL_RE, _check_digits
 
 DATA = Path(__file__).parent / "data"
 
@@ -304,14 +304,14 @@ class TestTrialDocument:
 
 def _accepts_label(label) -> bool:
     try:
-        _parse_label(label, "f")
+        _ref_label(label, "f")
     except TrialParseError:
         return False
     return True
 
 
 class TestLabelPattern:
-    """The one-pattern label check accepts exactly the labels _parse_label accepts."""
+    """The label pattern accepts exactly the labels the character-scan rule of _ref_label accepts."""
 
     def test_agrees_on_every_whitespace_character(self):
         spaces = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
@@ -342,13 +342,21 @@ class TestRationalGrammar:
 
 
 class TestTwoSampleFile:
-    @pytest.mark.parametrize("value", ["{big}", "1/{big}", "-0.{big}"])
+    # Fraction would build 10**exponent: an exponent past the digit limit is refused before it is read.
+    @pytest.mark.parametrize("value", ["{big}", "1/{big}", "-0.{big}", "1e{over}", "1e-{over}", "1e999999999"])
     def test_long_integer_literal_is_a_parse_error(self, value):
-        big = "1" + "0" * sys.get_int_max_str_digits()
-        with pytest.raises(TrialParseError, match="integer literal has too many digits") as err:
-            parse_two_sample("1, x\n" + value.replace("{big}", big) + ", y\n")
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * limit
+        message = "exponent gives an integer with" if "e" in value else "integer literal has"
+        with pytest.raises(TrialParseError, match=f"{message} too many digits") as err:
+            parse_two_sample("1, x\n" + value.replace("{big}", big).replace("{over}", str(limit + 1)) + ", y\n")
         assert err.value.line == 2
         assert big not in str(err.value)
+
+    def test_exponent_at_the_digit_limit_is_read(self):
+        limit = sys.get_int_max_str_digits()
+        s = parse_two_sample(f"1e{limit} x\n1e-{limit} y\n")
+        assert s.xs == (F(10) ** limit,) and s.ys == (F(1, 10**limit),)
 
     def test_comma_delimited_with_comment(self):
         s = parse_two_sample("# header\n1.5, x\n2.5, y\n")

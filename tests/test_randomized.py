@@ -19,6 +19,7 @@ from ordstat import (
     exactness_sweep,
     induce_phat,
     lex_equivalence_check,
+    mid_pfunction,
     mid_pvalue,
     midp_validity_check,
     randomized_pvalue,
@@ -243,6 +244,15 @@ class TestMidP:
             rpf = build_randomized(trial, stat)
             for label in trial.labels:
                 assert mid_pvalue(rpf, label) == randomized_pvalue(rpf, label, F(1, 2))
+
+    def test_mid_pfunction_holds_each_mid_pvalue(self, trial_corpus):
+        for trial, stat in trial_corpus:
+            rpf = build_randomized(trial, stat)
+            mids = mid_pfunction(trial, rpf)
+            assert set(mids.values) == set(trial.labels)
+            for label in trial.labels:
+                assert mids[label] == mid_pvalue(rpf, label)
+            assert midp_validity_check(trial, rpf) == classify_pfunction(trial, mids)
 
 
 class TestMidPValidity:

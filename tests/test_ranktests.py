@@ -417,6 +417,43 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateSpreadError):
             mc_gaussian_pvalue(sample([1], [2]), CascadeStatistic.parse(cascade), 10, seed=1)
 
+    @staticmethod
+    def inline_walk_count(s, cascade, num_draws, seed, precision):
+        """(count, imprecise ties) from the draw loop with the walk over the observed steps written inline."""
+        m, pool = s.m, s.pool
+        observed_t = float(student_t(s, 50).value)
+        steps = _steps(_key_parts(cascade, pool, precision), x_ranks(s))
+        ctx, normals, count = CompareContext(), _normals(seed), 0
+        for _ in range(num_draws):
+            draw = list(itertools.islice(normals, pool))
+            if steps:
+                ordered = sorted(draw)
+                ranks = [bisect.bisect(ordered, v) for v in draw[:m]]
+            for key_total, lo, hi, want in steps:
+                total = key_total(ranks)
+                if total < lo:
+                    count += 1
+                    break
+                if total > hi:
+                    break
+                if total != want:
+                    ctx.flag_imprecise()
+            else:
+                if ranktests._float_t(draw[:m], draw[m:]) <= observed_t:
+                    count += 1
+        return count, ctx.imprecise_ties
+
+    @pytest.mark.parametrize("cascade", ["wilcoxon,t", "wilcoxon,fyt,t", "wilcoxon,laplace,t"])
+    @pytest.mark.parametrize("precision", [4, 50])
+    @pytest.mark.parametrize("seed", [7, 1000])
+    def test_shared_walk_counts_as_the_inline_loop(self, cascade, precision, seed):
+        # At precision 4 this sample's fyt draws (both seeds) and laplace draws (seed 7) tie imprecisely.
+        s = sample([2, 5, 6, 7, 11, 12, 14], [1, 3, 4, 8, 9, 10, 13])
+        parsed = CascadeStatistic.parse(cascade)
+        ctx = CompareContext()
+        got = mc_gaussian_pvalue(s, parsed, 800, seed, precision, ctx)
+        assert (got.count, ctx.imprecise_ties) == self.inline_walk_count(s, parsed, 800, seed, precision)
+
     def test_pvalue_counts_the_observed_sample(self):
         # Every x far below every y: no draw is at or below the observed value.
         s = sample([1, 2, 3], [1000, 1001, 1002])

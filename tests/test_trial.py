@@ -33,7 +33,7 @@ from ordstat import (
     scale_pfunction,
 )
 from ordstat.order import exact_fraction
-from ordstat.trial import attained_cdf, cdf_at
+from ordstat.trial import attained_cdf, cdf_at, value_groups
 
 F = Fraction
 
@@ -272,6 +272,13 @@ class TestInducedMeasure:
     def test_masses_sum_to_one(self, trial_corpus):
         for t, stat in trial_corpus[:30]:
             assert sum(p for _, p in induced_measure(t, stat)) == 1
+
+    def test_group_weights_are_ints_over_the_trial_denominator(self, trial_corpus):
+        for t, stat in trial_corpus:
+            groups = value_groups(t, stat)
+            assert all(type(weight) is int for *_, weight in groups)
+            assert sum(weight for *_, weight in groups) == t.denominator
+            assert [mass for _, mass in induced_measure(t, stat)] == [F(w, t.denominator) for *_, w in groups]
 
 
 class TestIdempotence:
