@@ -22,11 +22,13 @@ component of a draw is compared in floats. Score sums u and v at precision
 p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties
 and counted on a CompareContext; this threshold is the rank cascades' own
 rule, as order.compare orders Scores exactly. Each key part gives the int
-window of sums that tie with a sum, decided exactly, and every comparison
-uses it. A wilcoxon-first exact p-value counts the smaller rank sums from
-their Gaussian binomial and visits only the observed rank sum's slice. An
-attainable set builds a tie group's value when it is read, and is verified
-range-exact at every size by an independent recount that bisects the keys.
+window of sums that tie with a sum, decided exactly, and one walk over those
+windows (_walk) makes every comparison: of rank sets for p-values and draws,
+of indices into the sorted key columns for a table. A wilcoxon-first exact
+p-value counts the smaller rank sums from their Gaussian binomial and visits
+only the observed rank sum's slice. An attainable set builds a tie group's
+value when it is read, and is verified range-exact at every size by an
+independent recount that bisects the key columns on the same windows.
 mpmath is loaded at the first score-vector or t build, never at import.
 """
 
@@ -47,7 +49,6 @@ from .order import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
     LexTuple,
-    Ordering,
     Rank,
     Score,
     exact_fraction,
@@ -452,17 +453,22 @@ def _key_parts(cascade: CascadeStatistic, pool: int, precision: int) -> tuple:
     )
 
 
-def _steps(parts: tuple, observed) -> tuple:
-    """(sum, lo, hi, observed sum) per key part: a rank set's sum is LT below lo, EQ on [lo, hi], GT above hi."""
+def _steps(parts: tuple, observed, columns: tuple | None = None) -> tuple:
+    """(total, lo, hi, observed total) per key part: a total is LT below lo, EQ on [lo, hi], GT above hi.
+
+    ``observed`` is a rank set, or an index when the sorted key columns are given: then a total reads column[index].
+    """
     steps = []
-    for part in parts:
-        want = part.total(observed)
-        steps.append((part.total, *part.window(want), want))
+    for i, part in enumerate(parts):
+        total = part.total if columns is None else columns[i].__getitem__
+        want = total(observed)
+        lo, hi = part.window(want)
+        steps.append((total, lo, hi, want))
     return tuple(steps)
 
 
 def _walk(steps: tuple, ranks, ctx: CompareContext) -> int:
-    """Sign of a rank set's key minus the observed one: -1 or 1 at the first part out of its window, else 0."""
+    """Sign of the key of ``ranks`` (or of a sorted index) minus the steps' one: -1 or 1 at the first part out of its window, else 0."""
     for key_total, lo, hi, want in steps:
         s = key_total(ranks)
         if s < lo:
@@ -472,19 +478,6 @@ def _walk(steps: tuple, ranks, ctx: CompareContext) -> int:
         if s != want:
             ctx.flag_imprecise()
     return 0
-
-
-def _order(parts: tuple, a: tuple, b: tuple, ctx: CompareContext) -> Ordering:
-    """Lexicographic order of two cascade keys, sums tied within their windows."""
-    for part, x, y in zip(parts, a, b):
-        if x != y:
-            lo, hi = part.window(y)
-            if x < lo:
-                return Ordering.LT
-            if x > hi:
-                return Ordering.GT
-            ctx.flag_imprecise()
-    return Ordering.EQ
 
 
 def _value(parts: tuple, ranks) -> LexTuple:
@@ -619,75 +612,76 @@ class AttainableSet:
 
 
 def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_enum: int) -> tuple:
-    """(key parts, ascending exact keys, rank sets in the same order) over all assignments."""
+    """(key parts, one column per part, rank sets), all in ascending key order, over all assignments."""
     if cascade.has_student_t:
         raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
     _check_enum_size(m, n, max_enum)
-    parts = _key_parts(cascade, m + n, precision)
-    terms = (range(1, m + n + 1) if part is _RankSum else part.ints[1:] for part in parts)
-    keys = list(zip(*(map(sum, itertools.combinations(t, m)) for t in terms)))  # in the order of combos
-    combos = list(itertools.combinations(range(1, m + n + 1), m))
-    # Exact int keys sort natively and stably. Threshold (near-)equality is
-    # handled afterwards by adjacent grouping.
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return parts, tuple(map(keys.__getitem__, order)), tuple(map(combos.__getitem__, order))
+    parts, ranks = _key_parts(cascade, m + n, precision), range(1, m + n + 1)
+    columns = [list(map(sum, itertools.combinations([part.total((r,)) for r in ranks], m))) for part in parts]
+    # Exact int keys, sorted stably on each column from the last one: the
+    # lexicographic order. Threshold (near-)equality is grouping's business.
+    order = range(len(columns[0]))
+    for column in reversed(columns):
+        order = sorted(order, key=column.__getitem__)
+    combos = list(itertools.combinations(ranks, m))
+    return parts, tuple(tuple(map(column.__getitem__, order)) for column in columns), tuple(map(combos.__getitem__, order))
 
 
-def _grouped(parts: tuple, keys: tuple, combos: tuple, ctx: CompareContext) -> tuple:
-    # A run of equal sorted keys joins the group if it compares EQ to its first key; its imprecise ties count per
-    # key when it joins, once when it opens a group (its other keys equal the first).
-    starts, start = [0], 0
-    for key, run in itertools.groupby(keys):
+def _grouped(parts: tuple, columns: tuple, combos: tuple, ctx: CompareContext) -> tuple:
+    # A run of equal sorted keys joins the group if it walks to 0 against its first key; its imprecise ties count
+    # per key when it joins, once when it opens a group (its other keys equal the first).
+    starts, start, steps = [0], 0, _steps(parts, 0, columns)
+    for _, run in itertools.groupby(zip(*columns)):
         size = len(list(run))
         before = ctx.imprecise_ties
-        if _order(parts, key, keys[starts[-1]], ctx) is Ordering.EQ:
+        if _walk(steps, start, ctx) == 0:
             ctx.imprecise_ties += (ctx.imprecise_ties - before) * (size - 1)
         else:
             starts.append(start)
+            steps = _steps(parts, start, columns)
         start += size
-    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(keys)]))
+    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(combos)]))
 
 
-def _count_not_above(parts: tuple, columns: tuple, key: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:
-    """#{v in keys[start:stop] : _order(v, key) is not GT}, by bisection.
+def _count_not_above(steps: tuple, columns: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:
+    """#{i in start..stop-1 : _walk(steps, i) is not 1}, by bisection.
 
-    keys[start:stop] must be exactly equal on the components before
-    ``depth``, so they ascend on component ``depth``. Against a fixed
-    value, that component compares EQ on the closed window
-    ``part.window(value)``, LT below it and GT above it, so two bisections
-    on the window's ends split the slice. Each window member that is not
-    exactly equal is one imprecise comparison.
+    The keys at start..stop-1 must be exactly equal on the components before
+    ``depth``, so they ascend on component ``depth``. There the walk ties
+    on the closed window [lo, hi] of the step, goes to -1 below it and to
+    1 above it, so two bisections on the window's ends split the slice.
+    Each window member that is not exactly equal is one imprecise tie.
     """
-    part, column, want = parts[depth], columns[depth], key[depth]
-    lo, hi = part.window(want)
+    _, lo, hi, want = steps[depth]
+    column = columns[depth]
     first = bisect.bisect_left(column, lo, start, stop)
     last = bisect.bisect_right(column, hi, first, stop)
     exact = bisect.bisect_right(column, want, first, last) - bisect.bisect_left(column, want, first, last)
     ctx.imprecise_ties += last - first - exact
     count = first - start
-    if depth + 1 == len(parts):
+    if depth + 1 == len(steps):
         return count + last - first
     while first < last:
         block = bisect.bisect_right(column, column[first], first, last)
-        count += _count_not_above(parts, columns, key, ctx, first, block, depth + 1)
+        count += _count_not_above(steps, columns, ctx, first, block, depth + 1)
         first = block
     return count
 
 
-def _verify_range_exact(parts: tuple, keys: tuple, groups: tuple, ctx: CompareContext) -> None:
-    total = len(keys)
+def _verify_range_exact(parts: tuple, columns: tuple, groups: tuple, ctx: CompareContext) -> None:
+    total = len(columns[0])
     if sum(g.size for g in groups) != total:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
-    group_keys = [keys[g.cum_count - g.size] for g in groups]
-    for a, b in zip(group_keys, group_keys[1:]):
-        if _order(parts, a, b, ctx) is not Ordering.LT:
+    starts = [g.cum_count - g.size for g in groups]
+    group_steps = [_steps(parts, start, columns) for start in starts]
+    for start, steps in zip(starts, group_steps[1:]):
+        if _walk(steps, start, ctx) != -1:
             raise TheoremCheckError("attainable groups are not strictly ascending")
     # Independent recount of P[value <= group value] at every group; the
     # groups up to each one must hold exactly that many assignments.
-    columns = tuple(zip(*keys))
     held = 0
-    for g, key in zip(groups, group_keys):
-        count = _count_not_above(parts, columns, key, ctx, 0, total)
+    for g, steps in zip(groups, group_steps):
+        count = _count_not_above(steps, columns, ctx, 0, total)
         held += g.size
         if count != g.cum_count:
             raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: recounted {count}")
@@ -704,15 +698,15 @@ def attainable_set(
 ) -> AttainableSet:
     """Grouped attainable p-values of a rank-based cascade, verified range-exact."""
     ctx = CompareContext()
-    parts, keys, combos = _sorted_keys(m, n, cascade, precision, max_enum)
-    groups = _grouped(parts, keys, combos, ctx)
-    _verify_range_exact(parts, keys, groups, ctx)
+    parts, columns, combos = _sorted_keys(m, n, cascade, precision, max_enum)
+    groups = _grouped(parts, columns, combos, ctx)
+    _verify_range_exact(parts, columns, groups, ctx)
     return AttainableSet(
         m=m,
         n=n,
         cascade=cascade,
         precision=precision,
-        total=len(keys),
+        total=len(combos),
         groups=groups,
         imprecise=ctx.imprecise,
     )

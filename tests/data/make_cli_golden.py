@@ -27,6 +27,13 @@ run. Last come exact ``twosample`` reports on ``mid7.csv``, whose rank sum
 56 lies in the middle of its null distribution, under ``wilcoxon``,
 ``wilcoxon,fyt,vdw --precision 20`` and ``wilcoxon,laplace --precision 4``
 (imprecise ties), and ``table 7 7 wilcoxon,laplace --precision 8``.
+The last eight are tables of other shapes and lengths: unbalanced
+``2 9 wilcoxon,vdw`` and ``9 2 fyt,vdw`` (precision 8) and ``1 10 laplace``
+(precision 6), ``4 5 wilcoxon,fyt --precision 4`` (imprecise ties),
+three-part ``4 6 wilcoxon,fyt,vdw --precision 20``, ``5 7 wilcoxon``, the
+three-part Pratt-Gibbons reference ``6 6 wilcoxon,fyt,vdw``, and ``7 7
+laplace,vdw``, which exits 4 because its threshold groups are not strictly
+ascending.
 
 The first 71 entries were recorded at commit 231043d, whose Score
 comparison rounded the relative distance to precision + 10 digits and
@@ -35,7 +42,8 @@ predicate; the next 12 were recorded at ee89821, the 40-outcome
 documents' 9 at 85fa939, the two ``ties200.json`` reports at 9e59851,
 whose trial parser parsed every literal once per occurrence, and the four
 ``mid7.csv`` and 7x7 reports at b7554a5, whose exact p-values enumerated
-every assignment. The fixture pins those
+every assignment, and the last eight tables at 1b2b46f, whose attainable
+sets compared keys through a second window walk. The fixture pins those
 reports so that later code must reproduce them byte for byte. It pins the
 threshold's wrong 6x6 ``laplace`` table (ROADMAP item 1) as well: a change
 to an exact order must re-record the fixture and list every changed report.
@@ -125,6 +133,15 @@ COMMANDS += [
                                ("wilcoxon,laplace", ["--precision", "4"]))
 ]
 COMMANDS += [["table", "7", "7", "wilcoxon,laplace", "--precision", "8"]]
+COMMANDS += [
+    ["table", m, n, cascade, *precision]
+    for m, n, cascade, precision in (
+        ("2", "9", "wilcoxon,vdw", ["--precision", "8"]), ("9", "2", "fyt,vdw", ["--precision", "8"]),
+        ("1", "10", "laplace", ["--precision", "6"]), ("4", "5", "wilcoxon,fyt", ["--precision", "4"]),
+        ("4", "6", "wilcoxon,fyt,vdw", ["--precision", "20"]), ("5", "7", "wilcoxon", []),
+        ("6", "6", "wilcoxon,fyt,vdw", []), ("7", "7", "laplace,vdw", []),
+    )
+]
 
 
 def run(argv: list) -> dict:

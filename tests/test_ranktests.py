@@ -51,7 +51,6 @@ from ordstat.ranktests import (
     _grouped,
     _key_parts,
     _normals,
-    _order,
     _rank_sum_below,
     _rank_sum_slice,
     _ScoreSum,
@@ -59,6 +58,7 @@ from ordstat.ranktests import (
     _steps,
     _value,
     _verify_range_exact,
+    _walk,
     compare_with_reference,
     reference_for,
 )
@@ -537,25 +537,25 @@ def pairwise_recount(values, group_value, ctx) -> int:
 
 def check_grouping_and_recount(cascade, m, n, precision) -> int:
     """Int-key sort, grouping and bisection recount equal the Decimal brute force; returns its imprecise ties."""
-    parts, keys, combos = _sorted_keys(m, n, cascade, precision, DEFAULT_MAX_ENUM)
+    parts, columns, combos = _sorted_keys(m, n, cascade, precision, DEFAULT_MAX_ENUM)
     assert sorted(combos) == list(itertools.combinations(range(1, m + n + 1), m))
+    assert list(zip(*columns)) == [tuple(part.total(c) for part in parts) for c in combos]
     values = [decimal_value(c, cascade, m + n, precision) for c in combos]
     exact = [tuple(p.value for p in v.components) for v in values]
     assert exact == sorted(exact)
     ctx, ref = CompareContext(), CompareContext()
-    groups = _grouped(parts, keys, combos, ctx)
+    groups = _grouped(parts, columns, combos, ctx)
     starts = []
     for i, v in enumerate(values):
         if not starts or threshold_compare(v, values[starts[-1]], ref) is not Ordering.EQ:
             starts.append(i)
     assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
     assert ctx.imprecise_ties == ref.imprecise_ties
-    columns = tuple(zip(*keys))
     for g, start in zip(groups, starts):
         # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
         assert format_ord(g.value) == format_ord(values[start])
         fast, slow = CompareContext(), CompareContext()
-        got = _count_not_above(parts, columns, keys[start], fast, 0, len(keys))
+        got = _count_not_above(_steps(parts, start, columns), columns, fast, 0, len(combos))
         assert got == pairwise_recount(values, values[start], slow)
         assert fast.imprecise_ties == slow.imprecise_ties
     return ref.imprecise_ties
@@ -626,11 +626,13 @@ class TestIntegerKernel:
         ints = [*range(9890, 9910), *range(9990, 10010), *range(10090, 10110)]
         ints += [10**16, 10**16 - 10**14 - 1, 10**16 - 10**14 - 2, 10**16 - 10**14]
         ints += [-v for v in ints]
-        for a in ints:
-            for b in ints:
+        columns, order = (ints,), {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+        for j, b in enumerate(ints):
+            steps = _steps(parts, j, columns)
+            for i, a in enumerate(ints):
                 fast, slow = CompareContext(), CompareContext()
                 want = threshold_compare(Score(Decimal(a).scaleb(-4), 4), Score(Decimal(b).scaleb(-4), 4), slow)
-                assert _order(parts, (a,), (b,), fast) is want
+                assert order[_walk(steps, i, fast)] is want
                 assert fast.imprecise_ties == slow.imprecise_ties
 
     @settings(max_examples=300, deadline=None)
@@ -653,15 +655,49 @@ class TestIntegerKernel:
     def test_corrupted_grouping_rejected_at_every_size(self):
         # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
         cascade = CascadeStatistic.parse("wilcoxon,vdw")
-        parts, keys, combos = _sorted_keys(8, 8, cascade, 50, DEFAULT_MAX_ENUM)
-        groups = _grouped(parts, keys, combos, CompareContext())
-        assert len(keys) * len(groups) > 2_000_000
-        _verify_range_exact(parts, keys, groups, CompareContext())
+        parts, columns, combos = _sorted_keys(8, 8, cascade, 50, DEFAULT_MAX_ENUM)
+        groups = _grouped(parts, columns, combos, CompareContext())
+        assert len(combos) * len(groups) > 2_000_000
+        _verify_range_exact(parts, columns, groups, CompareContext())
         i = len(groups) // 2
         a, b = groups[i], groups[i + 1]
         merged = TieGroup(parts=a.parts, members=a.members + b.members, cum_count=a.cum_count)
         with pytest.raises(TheoremCheckError):
-            _verify_range_exact(parts, keys, groups[:i] + (merged,) + groups[i + 2 :], CompareContext())
+            _verify_range_exact(parts, columns, groups[:i] + (merged,) + groups[i + 2 :], CompareContext())
+
+
+def _group(like, members, cum_count) -> TieGroup:
+    return TieGroup(like.parts, members, cum_count)
+
+
+# Corruptions of two adjacent groups a, b, and the message of the one check that rejects each.
+CORRUPTIONS = {
+    "drop a member": (lambda a, b: (_group(a, a.members[1:], a.cum_count), b), r"group sizes do not add up"),
+    "swap": (lambda a, b: (b, a), r"attainable groups are not strictly ascending"),
+    "merge": (lambda a, b: (_group(a, a.members + b.members, b.cum_count),), r"recounted \d+"),
+    # b's count takes in the moved member, so every group's first key stays in its own group.
+    "move a's last member into b": (
+        lambda a, b: (_group(a, a.members[:-1], a.cum_count), _group(a, a.members[-1:] + b.members, b.cum_count + 1)),
+        r"groups up to it hold \d+",
+    ),
+}
+
+
+class TestRangeExactChecks:
+    @pytest.fixture(scope="class")
+    def table(self):
+        parts, columns, combos = _sorted_keys(8, 8, CascadeStatistic.parse("wilcoxon,vdw"), 50, DEFAULT_MAX_ENUM)
+        return parts, columns, _grouped(parts, columns, combos, CompareContext())
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_each_check_rejects_its_corruption(self, table, corruption):
+        parts, columns, groups = table
+        _verify_range_exact(parts, columns, groups, CompareContext())
+        corrupt, message = CORRUPTIONS[corruption]
+        i = next(i for i in range(len(groups) // 2, len(groups)) if groups[i].size > 1)
+        corrupted = groups[:i] + corrupt(groups[i], groups[i + 1]) + groups[i + 2 :]
+        with pytest.raises(TheoremCheckError, match=message):
+            _verify_range_exact(parts, columns, corrupted, CompareContext())
 
 
 # ---------------------------------------------------------------------------
