@@ -11,6 +11,7 @@ from ordstat import (
     InvalidPFunctionError,
     InvalidStatisticError,
     InvalidTrialError,
+    LexTuple,
     MissingOutcomeError,
     Ordering,
     PFunction,
@@ -19,6 +20,7 @@ from ordstat import (
     ScaleBelowOneError,
     Score,
     Statistic,
+    TrialError,
     Validity,
     build_randomized,
     check_idempotence,
@@ -445,3 +447,108 @@ class TestPFunction:
         assert len(calls) == 4
         assert p.values == {"a": third, "b": half, "c": third, "d": half, "e": half, "f": third}
         assert p["a"] is p["c"] and p["b"] is p["e"]
+
+
+BAD_LITERALS = {"float": 0.5, "bool": True, "none": None}
+
+
+def literal(w: int, d: int, kind: str):
+    """w/d written as ``kind``: a Fraction, a "w/d" string, an int where it is one, or a bad type."""
+    if kind in BAD_LITERALS:
+        return BAD_LITERALS[kind]
+    v = F(w, d)
+    if kind == "int" and v.denominator == 1:
+        return v.numerator
+    return f"{w}/{d}" if kind == "str" else v
+
+
+def fresh(value):
+    """An equal copy of an input value that shares no object with it (small ints and singletons aside)."""
+    if isinstance(value, Fraction):
+        return F(value.numerator, value.denominator)
+    if isinstance(value, str):
+        return value.encode().decode()
+    if isinstance(value, float):
+        return float(repr(value))
+    if isinstance(value, Rank):
+        return Rank(value.value)
+    if isinstance(value, Rational):
+        return Rational(fresh(value.value))
+    if isinstance(value, Score):
+        return Score(Decimal(str(value.value)), value.precision)
+    if isinstance(value, LexTuple):
+        return LexTuple(tuple(fresh(c) for c in value.components))
+    return value
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: its result, or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except (TrialError, TypeError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def literal_lists(draw, kinds=("fraction", "str", "int")):
+    """(literals, d): n literals w/d, equal (w, kind) pairs sharing one object, some replaced by bad types.
+
+    d is mostly the weights' sum, so many lists are valid trial probabilities; weights run from -1 to d + 1.
+    """
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    d = draw(st.sampled_from([max(1, sum(weights)), max(1, sum(weights)), 2, 3]))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    for i, bad in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(BAD_LITERALS))), max_size=2)):
+        kinds[i] = bad
+    pool = {}
+    return [pool.setdefault((w, kind), literal(w, d, kind)) for w, kind in zip(weights, kinds)], d
+
+
+ORD_VALUES = {
+    "rank": lambda k: Rank(k),
+    "rational": lambda k: Rational(F(k, 2)),
+    "score": lambda k: Score(Decimal(k).scaleb(-1), 4),
+    "tuple": lambda k: lex_tuple([Rank(k % 2), Rational(F(k, 3))]),
+}
+
+
+class TestSharedInputs:
+    """Inputs that share objects give what fresh copies give: the same object or the same first error."""
+
+    @settings(max_examples=300)
+    @given(literal_lists(), st.lists(st.sampled_from(["a", "b", "c", "d", "e", ""]), min_size=6, max_size=6))
+    def test_finite_trial(self, probs, labels):
+        probs, _ = probs
+        shared = tuple(zip(labels, probs))
+        copies = tuple((fresh(label), fresh(prob)) for label, prob in shared)
+        got = outcome(FiniteTrial, shared)
+        assert got == outcome(FiniteTrial, copies)
+        if isinstance(got, FiniteTrial):
+            again = FiniteTrial(copies)
+            assert (got.outcomes, got.labels, got.weights, got.denominator) == (
+                again.outcomes, again.labels, again.weights, again.denominator)
+            assert type(got.weights) is tuple
+        bad = [prob for prob in probs if prob is None or isinstance(prob, (bool, float))]
+        if bad:
+            # A bad type wins over any bad label, duplicate, negative weight or wrong sum.
+            assert got == outcome(exact_fraction, bad[0])
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(ORD_VALUES)), st.integers(0, 3)), min_size=1, max_size=6))
+    def test_statistic(self, entries):
+        pool = {}
+        shared = {f"o{i}": pool.setdefault(entry, ORD_VALUES[entry[0]](entry[1])) for i, entry in enumerate(entries)}
+        copies = {label: fresh(v) for label, v in shared.items()}
+        assert outcome(Statistic, shared) == outcome(Statistic, copies)
+
+    @settings(max_examples=300)
+    @given(literal_lists(kinds=("fraction", "str", "int", "fraction")))
+    def test_pfunction_and_as_statistic(self, values):
+        values, _ = values
+        shared = {f"o{i}": v for i, v in enumerate(values)}
+        copies = {label: fresh(v) for label, v in shared.items()}
+        got = outcome(PFunction, shared)
+        assert got == outcome(PFunction, copies)
+        if isinstance(got, PFunction):
+            assert got.as_statistic() == PFunction(copies).as_statistic()
+            assert got.as_statistic() == Statistic({label: Rational(v) for label, v in got.values.items()})
