@@ -25,7 +25,6 @@ from .trial import (
     TheoremCheckError,
     TrialError,
     Validity,
-    _per_object,
     check_idempotence,
     classify_pfunction,
     induce_phat,
@@ -129,10 +128,9 @@ def _load_trial(args, report: RunReport) -> tuple:
 
 
 def _add_per_label(report: RunReport, prefix: str, labels, values: dict) -> None:
-    """Add ``prefix.label: values[label]`` per label as a rational, formatting each distinct value object once."""
-    texts = _per_object(format_rational, [values[label] for label in labels])
+    """Add ``prefix.label: values[label]`` per label as a rational."""
     for label in labels:
-        report.add(f"{prefix}.{label}", texts[id(values[label])])
+        report.add(f"{prefix}.{label}", format_rational(values[label]))
 
 
 def cmd_induce(args, report: RunReport) -> None:

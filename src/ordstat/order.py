@@ -53,10 +53,10 @@ class Ordering(enum.Enum):
 
 def exact_fraction(value) -> Fraction:
     """Convert to Fraction, refusing floats: binary noise is not exact input."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"not an exact value: {value!r} (pass Fraction, int, str or Decimal)")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise TypeError(f"not an exact value: {value!r} (pass Fraction, int, str or Decimal)")
     if isinstance(value, (int, str, Decimal)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

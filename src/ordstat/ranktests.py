@@ -41,6 +41,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -493,7 +494,11 @@ def _check_enum_size(m: int, n: int, max_enum: int) -> int:
         raise RankTestError(f"both groups need at least one observation, got m={m}, n={n}")
     total = math.comb(m + n, m)
     if total > max_enum:
-        raise SizeLimitError(f"C({m + n},{m}) = {total} exceeds the enumeration cap {max_enum}")
+        try:
+            count = f"= {total}"
+        except ValueError:  # more digits than str() may print (sys.get_int_max_str_digits)
+            count = f"has more than {sys.get_int_max_str_digits()} digits and"
+        raise SizeLimitError(f"C({m + n},{m}) {count} exceeds the enumeration cap {max_enum}")
     return total
 
 

@@ -58,11 +58,6 @@ class TheoremCheckError(TrialError):
     """An identity that must hold by theorem failed: implementation bug."""
 
 
-def _per_object(fn, values) -> dict:
-    """id(v) -> fn(v), one call per distinct object: tied values and equal literals often share one."""
-    return {key: fn(v) for key, v in {id(v): v for v in values}.items()}
-
-
 @dataclass(frozen=True)
 class FiniteTrial:
     """Finite probability space with exact rational outcome probabilities.
@@ -81,14 +76,11 @@ class FiniteTrial:
         outcomes = tuple(self.outcomes)
         if not outcomes:
             raise InvalidTrialError("a trial needs at least one outcome")
-        exact = _per_object(exact_fraction, [prob for _, prob in outcomes])
-        denominator, grid = on_grid(list(exact.values()))
-        on_denominator = dict(zip(exact, grid))
-        # Keep a caller's (label, probability) tuple whose probability is already exact: one tuple per outcome.
-        pairs = tuple(p if type(p) is tuple and exact[id(p[1])] is p[1] else (p[0], exact[id(p[1])]) for p in outcomes)
-        weights = tuple(on_denominator[id(prob)] for _, prob in outcomes)
+        labels = tuple(label for label, _ in outcomes)
+        probs = [exact_fraction(prob) for _, prob in outcomes]
+        denominator, weights = on_grid(probs)
         seen = set()
-        for (label, prob), weight in zip(pairs, weights):
+        for label, prob, weight in zip(labels, probs, weights):
             if not isinstance(label, str) or not label:
                 raise InvalidTrialError(f"outcome labels must be non-empty strings, got {label!r}")
             if label in seen:
@@ -98,7 +90,8 @@ class FiniteTrial:
                 raise InvalidTrialError(f"negative probability for {label!r}: {prob}")
         if sum(weights) != denominator:
             raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
-        vars(self).update(outcomes=pairs, labels=tuple(label for label, _ in pairs), weights=weights,
+        pairs = tuple(zip(labels, probs))
+        vars(self).update(outcomes=pairs, labels=labels, weights=tuple(weights),
                           denominator=denominator, _prob=dict(pairs))
 
     @classmethod
@@ -133,7 +126,7 @@ class Statistic:
         vals = dict(self.values)
         if not vals:
             raise InvalidStatisticError("a statistic needs at least one value")
-        shapes = set(_per_object(shape, vals.values()).values())
+        shapes = {shape(v) for v in vals.values()}
         if len(shapes) > 1:
             raise InvalidStatisticError(f"statistic values must share one shape, found {len(shapes)}")
         object.__setattr__(self, "values", vals)
@@ -152,15 +145,12 @@ class PFunction:
     values: dict
 
     def __post_init__(self):
-        given = dict(self.values)
-        exact = _per_object(exact_fraction, given.values())
-        if not exact:
+        vals = {label: exact_fraction(v) for label, v in dict(self.values).items()}
+        if not vals:
             raise InvalidPFunctionError("a p-function needs at least one value")
-        vals = {label: exact[id(v)] for label, v in given.items()}
-        outside = {key for key, v in exact.items() if not 0 <= v.numerator <= v.denominator}
-        if outside:
-            label = next(label for label, v in given.items() if id(v) in outside)
-            raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {vals[label]}")
+        for label, v in vals.items():
+            if not 0 <= v.numerator <= v.denominator:
+                raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {v}")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, label) -> Fraction:
@@ -168,8 +158,7 @@ class PFunction:
 
     def as_statistic(self) -> Statistic:
         """View the p-function as a rational-valued statistic (for re-inducing)."""
-        rational = _per_object(Rational, self.values.values())
-        return Statistic({label: rational[id(v)] for label, v in self.values.items()})
+        return Statistic({label: Rational(v) for label, v in self.values.items()})
 
 
 class Validity(enum.Enum):

@@ -346,6 +346,11 @@ class TestTable:
         assert code == 3
         assert "cap" in err
 
+    def test_size_cap_past_int_digit_limit_exit_code(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "table", "8000", "8000", "wilcoxon") == (
+            3, "", f"error: C(16000,8000) has more than {limit} digits and exceeds the enumeration cap 10000000\n")
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_max_enum_below_one_exit_code(self, capsys, cap):
         code, out, err = run(capsys, "table", "3", "3", "wilcoxon", "--max-enum", cap)

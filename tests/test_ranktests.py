@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -250,6 +251,15 @@ class TestExactPermPValue:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             exact_perm_pvalue(sample([1, 2], [3, 4]), W, max_enum=3)
+
+    def test_size_cap_past_int_digit_limit(self):
+        # C(16000,8000) has more digits than str() may print; the cap error says so instead of printing it.
+        message = (rf"^C\(16000,8000\) has more than {sys.get_int_max_str_digits()} digits "
+                   rf"and exceeds the enumeration cap {DEFAULT_MAX_ENUM}$")
+        with pytest.raises(SizeLimitError, match=message):
+            exact_perm_pvalue(sample(range(1, 16000, 2), range(2, 16001, 2)), W)
+        with pytest.raises(SizeLimitError, match=message):
+            attainable_set(8000, 8000, W)
 
     def test_invariant_under_increasing_transform(self):
         s = sample([1, 4, 6], [2, 3, 5])
