@@ -85,7 +85,11 @@ class RunReport:
     theorem_failures: list = field(default_factory=list)
 
     def add(self, key: str, value) -> None:
-        self.fields.append((key, str(value)))
+        try:
+            self.fields.append((key, str(value)))
+        except ValueError:  # str() refuses only an int past Python's int-to-str digit limit
+            raise ValueError(f"report key {key} holds an integer with too many digits to print"
+                             f" (limit {sys.get_int_max_str_digits()})") from None
 
     def warn(self, text: str) -> None:
         self.warnings.append(text)
@@ -127,12 +131,6 @@ def _load_trial(args, report: RunReport) -> tuple:
     return trial, stat
 
 
-def _add_per_label(report: RunReport, prefix: str, labels, values: dict) -> None:
-    """Add ``prefix.label: values[label]`` per label as a rational."""
-    for label in labels:
-        report.add(f"{prefix}.{label}", format_rational(values[label]))
-
-
 def cmd_induce(args, report: RunReport) -> None:
     trial, stat = _load_trial(args, report)
     phat = induce_phat(trial, stat)
@@ -142,7 +140,8 @@ def cmd_induce(args, report: RunReport) -> None:
     report.headline = (f"induced p-values for {len(trial)} outcomes"
                        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
-    _add_per_label(report, "phat", trial.labels, phat.values)
+    for label in trial.labels:
+        report.add(f"phat.{label}", phat[label])
     for label in trial.labels:
         report.add(f"pvalue-kind.{label}", kinds[label])
     report.add("classification", classification.kind.value)
@@ -159,15 +158,15 @@ def cmd_randomize(args, report: RunReport) -> None:
     rpf = build_randomized(trial, stat)
     r = draw_uniform_r(args.seed) if args.r is None else parse_rational(_check_digits(args.r, "--r"))
     value = randomized_pvalue(rpf, args.outcome, r)
-    report.headline = f"randomized p-value {format_rational(value)} for outcome {args.outcome}"
     report.add("outcome", args.outcome)
-    report.add("low", format_rational(rpf.low(args.outcome)))
-    report.add("atom", format_rational(rpf.atom(args.outcome)))
-    report.add("r", format_rational(r))
+    report.add("low", rpf.low(args.outcome))
+    report.add("atom", rpf.atom(args.outcome))
+    report.add("r", r)
     report.add("r-source", "seed" if args.r is None else "given")
     if args.r is None:
         report.add("seed", args.seed)
-    report.add("value", format_rational(value))
+    report.add("value", value)
+    report.headline = f"randomized p-value {format_rational(value)} for outcome {args.outcome}"
     if args.verify_exact:
         grid = [Fraction(k, EXACTNESS_GRID) for k in range(EXACTNESS_GRID + 1)]
         knot, bad = exactness_sweep(rpf, trial, grid)
@@ -185,11 +184,12 @@ def cmd_midp(args, report: RunReport) -> None:
     classification = classify_pfunction(trial, mids)
     report.headline = f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})"
     report.add("outcome-count", len(trial))
-    _add_per_label(report, "midp", trial.labels, mids.values)
+    for label in trial.labels:
+        report.add(f"midp.{label}", mids[label])
     report.add("classification", classification.kind.value)
     if classification.witness is not None:
-        report.add("witness", format_rational(classification.witness))
-        report.add("witness-mass", format_rational(classification.witness_mass))
+        report.add("witness", classification.witness)
+        report.add("witness-mass", classification.witness_mass)
 
 
 def cmd_twosample(args, report: RunReport) -> None:

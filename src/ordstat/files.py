@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .order import LexTuple, OrdValue, Rank, Rational
+from .order import LexTuple, OrdValue, Rank, Rational, on_grid
 from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statistic
 from .ranktests import TwoSample
 
@@ -50,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Lowest-terms "p/q" (or plain "p"); round-trips through parse_rational."""
-    return str(Fraction(value))
+    return str(value) if isinstance(value, Fraction) else str(Fraction(value))
 
 
 def _check_digits(text: str, field: str | None = None, line: int | None = None) -> str:
@@ -61,12 +61,13 @@ def _check_digits(text: str, field: str | None = None, line: int | None = None) 
     return text
 
 
-def _parse_literal(raw, pattern, field: str, expected: str) -> Fraction:
+def _parse_literal(raw, pattern, field: str, expected: str) -> tuple:
+    """The numerator and denominator of a rational literal."""
     match = isinstance(raw, str) and pattern.match(raw.strip())
     if not match:
         raise TrialParseError(f"{expected}, got {raw!r}", field=field)
     try:
-        return Fraction(int(match[1]), int(match[2] or 1))
+        return int(match[1]), int(match[2] or 1)
     except ValueError:  # the pattern matched, so only Python's int digit limit can refuse it
         _check_digits(raw, field)
         raise
@@ -80,23 +81,33 @@ def _parse_label(raw, field: str) -> str:
     return raw
 
 
-def _parse_value(raw, field: str) -> OrdValue:
+def _parse_statistic(raw, field: str) -> tuple:
+    """A statistic literal's ``order.shape`` and ``order.plain`` data."""
+    if type(raw) is int:  # not a bool
+        return "rank", raw
+    if isinstance(raw, str):
+        return "rational", _parse_literal(raw, _RATIONAL_RE, field, 'statistic value must be a rational string like "1/3"')
+    if isinstance(raw, list) and raw:
+        kinds, data = zip(*(_parse_statistic(v, f"{field}[{i}]") for i, v in enumerate(raw)))
+        return ("tuple", *kinds), data
     if isinstance(raw, bool):
         raise TrialParseError("statistic value must not be a boolean", field=field)
-    if isinstance(raw, int):
-        return Rank(raw)
-    if isinstance(raw, str):
-        return Rational(_parse_literal(raw, _RATIONAL_RE, field,
-                                       'statistic value must be a rational string like "1/3"'))
     if isinstance(raw, list):
-        if not raw:
-            raise TrialParseError("tuple statistic value may not be empty", field=field)
-        return LexTuple(tuple(_parse_value(v, f"{field}[{i}]") for i, v in enumerate(raw)))
+        raise TrialParseError("tuple statistic value may not be empty", field=field)
     raise TrialParseError(f"unsupported statistic value: {raw!r}", field=field)
 
 
+def _value(kind, data) -> OrdValue:
+    """The value of a parsed statistic literal."""
+    if kind == "rank":
+        return Rank(data)
+    if kind == "rational":
+        return Rational(Fraction(*data))
+    return LexTuple(tuple(_value(k, d) for k, d in zip(kind[1:], data)))
+
+
 def parse_trial_document(text: str):
-    """Parse a trial document into (FiniteTrial, Statistic); repeats of a literal share its parsed object."""
+    """Parse a trial document into (FiniteTrial, Statistic), each distinct literal once and into ints."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -114,7 +125,7 @@ def parse_trial_document(text: str):
     outcomes = doc.get("outcomes")
     if not isinstance(outcomes, list) or not outcomes:
         raise TrialParseError("a non-empty list is required", field="outcomes")
-    pairs, probs = [], {}
+    labels, raws, probs = [], [], {}
     for i, entry in enumerate(outcomes):
         if not isinstance(entry, dict) or len(entry) != 2 or "label" not in entry or "prob" not in entry:
             raise TrialParseError("each outcome needs exactly the keys label and prob", field=f"outcomes[{i}]")
@@ -122,33 +133,43 @@ def parse_trial_document(text: str):
         if not (isinstance(label, str) and _LABEL_RE.fullmatch(label)):
             _parse_label(label, f"outcomes[{i}].label")
         if not (isinstance(raw, str) and raw in probs):
-            probs[raw] = _parse_literal(raw, _PROB_RE, f"outcomes[{i}].prob",
-                                        'probability must be a nonnegative rational string like "1/2"')
-        pairs.append((label, probs[raw]))
+            probs[raw] = Fraction(*_parse_literal(raw, _PROB_RE, f"outcomes[{i}].prob",
+                                                  'probability must be a nonnegative rational string like "1/2"'))
+        labels.append(label)
+        raws.append(raw)
+    d, weights = on_grid(list(probs.values()))
+    weight = dict(zip(probs, weights))
     try:
-        trial = FiniteTrial(tuple(pairs))
+        trial = FiniteTrial._made(**FiniteTrial._checked(
+            tuple(labels), [probs[raw] for raw in raws], d, [weight[raw] for raw in raws]))
     except InvalidTrialError as e:
         raise TrialParseError(str(e), field="outcomes") from None
     statistic = doc.get("statistic")
     if not isinstance(statistic, dict) or not statistic:
         raise TrialParseError("a non-empty object is required", field="statistic")
-    values, parsed = {}, {}
+    at, literals = {}, {}
     for label, raw in statistic.items():
         if label not in trial:
             _parse_label(label, "statistic")
             raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
         try:
-            key = (type(raw), raw if isinstance(raw, (str, int)) else repr(raw))
-            if key not in parsed:
-                parsed[key] = _parse_value(raw, f"statistic.{label}")
+            # Equal literals of other types, such as 1 and true or [1] and [1.0], get different keys.
+            key = raw if type(raw) in (str, int) else (type(raw), repr(raw))
+            if key not in literals:
+                literals[key] = _parse_statistic(raw, f"statistic.{label}")
         except RecursionError:
             raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
-        values[label] = parsed[key]
-    missing = [label for label in trial.labels if label not in values]
+        at[label] = key
+    missing = [label for label in trial.labels if label not in at]
     if missing:
         raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")
+
+    def values():  # one value object per distinct literal
+        made = {key: _value(*literal) for key, literal in literals.items()}
+        return {label: made[key] for label, key in at.items()}
+
     try:
-        stat = Statistic(values)
+        stat = Statistic._made(values, **Statistic._keyed(literals, at))
     except InvalidStatisticError as e:
         raise TrialParseError(str(e), field="statistic") from None
     return trial, stat

@@ -3,11 +3,11 @@
 Values come in four shapes: exact rationals, integer ranks, fixed-precision
 decimal scores, and tuples compared lexicographically. Two values are
 comparable only if they share a shape; cross-shape comparison raises rather
-than coercing, so exactness is never lost by accident. ``sort_keys`` is the
-one definition of the order: it keys a batch of values exactly, rationals
-as ints over the lcm of their denominators. ``compare`` and the trial
-side's grouping both order by it, so the order is total: equality is
-transitive and EQ means equal values.
+than coercing, so exactness is never lost by accident. ``grid_keys`` is the
+one definition of the order: it keys a batch of values exactly from their
+``plain`` data, rationals as ints over the lcm of their denominators.
+``compare`` and the trial side's grouping both order by it, so the order is
+total: equality is transitive and EQ means equal values.
 
 The lexicographic tuple order here is the computational core of the package;
 tuples of ordered values are themselves ordered values, so cascades of
@@ -153,19 +153,32 @@ def on_grid(fractions: list) -> tuple:
     return d, [f.numerator * (d // f.denominator) for f in fractions]
 
 
-def sort_keys(values: list) -> list:
-    """Exact sort keys of a non-empty list of same-shape values.
+def plain(value: OrdValue):
+    """An int, a Decimal, a (numerator, denominator) or a tuple of these: what ``grid_keys`` reads."""
+    if isinstance(value, LexTuple):
+        return tuple(plain(c) for c in value.components)
+    if isinstance(value, Rational):
+        return value.value.numerator, value.value.denominator
+    return value.value
 
-    Rationals key as ints over the lcm of their denominators (``on_grid``),
-    ranks as themselves, Scores as their Decimals (precision plays no part),
-    tuples as tuples of their components' keys, each position keyed over
-    the batch. Within a batch, keys compare as the values do.
+
+def grid_keys(kind, column: list) -> list:
+    """Exact sort keys, which compare as the values do, of a column of ``plain`` data of ``shape`` kind.
+
+    Rationals key as ints over the lcm of their denominators, ranks and Scores (precision plays
+    no part) as themselves, and tuples position by position over the column.
     """
-    if isinstance(values[0], LexTuple):
-        return list(zip(*(sort_keys(list(column)) for column in zip(*(v.components for v in values)))))
-    if isinstance(values[0], Rational):
-        return on_grid([v.value for v in values])[1]
-    return [v.value for v in values]
+    if kind == "rational":
+        d = lcm(*{q for _, q in column})
+        return [p * (d // q) for p, q in column]
+    if isinstance(kind, tuple):
+        return list(zip(*(grid_keys(k, list(c)) for k, c in zip(kind[1:], zip(*column)))))
+    return column
+
+
+def sort_keys(values: list) -> list:
+    """Exact sort keys of a non-empty list of same-shape values."""
+    return grid_keys(shape(values[0]), [plain(v) for v in values])
 
 
 def compare(a: OrdValue, b: OrdValue) -> Ordering:

@@ -12,8 +12,8 @@ low and low + atom: ``exactness_cdf`` evaluates it at one eps, and
 ``exactness_sweep`` decides the identity on all of [0, 1] at once. Mid
 p-values replace the random share by 1/2 and are checked, not assumed, to
 be valid. All of this is int arithmetic on the trial's grid: a split built
-from the trial is k/D, a mid-p-value k/2D, and a split from elsewhere is
-keyed over the lcm of its own denominators.
+from the trial is held as ints k over D, a mid-p-value is k/2D, and a split
+given as Fractions is held over the lcm of its own denominators.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from .trial import (
     PFunctionClass,
     Statistic,
     TrialError,
+    _groups,
+    _Held,
     classify_pfunction,
     induce_phat,
     product_trial,
-    value_groups,
 )
 
 
@@ -48,36 +49,44 @@ class EpsOutOfRangeError(TrialError):
 
 
 @dataclass(frozen=True)
-class RandomizedPFunction:
-    """Per-outcome (low, atom) pairs: P[f < f(x)] and P[f = f(x)]."""
+class RandomizedPFunction(_Held):
+    """Per-outcome (low, atom) pairs: P[f < f(x)] and P[f = f(x)], built as Fractions when read.
+
+    ``split`` holds them as ints over ``denominator``: the trial's D, or the lcm of the given pairs'.
+    """
 
     values: dict
 
+    def __post_init__(self):
+        values = dict(self.values)
+        d, parts = on_grid([part for pair in values.values() for part in pair])
+        vars(self).update(values=values, denominator=d, split=dict(zip(values, zip(parts[::2], parts[1::2]))))
+
     def low(self, label: str) -> Fraction:
-        return self._pair(label)[0]
+        return Fraction(self._on([label])[0][0], self.denominator)
 
     def atom(self, label: str) -> Fraction:
-        return self._pair(label)[1]
+        return Fraction(self._on([label])[0][1], self.denominator)
 
-    def _pair(self, label: str):
+    def _on(self, labels) -> list:
         try:
-            return self.values[label]
-        except KeyError:
-            raise MissingOutcomeError(f"unknown outcome label: {label!r}") from None
+            return [self.split[label] for label in labels]
+        except KeyError as e:
+            raise MissingOutcomeError(f"unknown outcome label: {e.args[0]!r}") from None
 
     def __contains__(self, label) -> bool:
-        return label in self.values
+        return label in self.split
 
 
 def build_randomized(trial: FiniteTrial, stat: Statistic) -> RandomizedPFunction:
-    """Split each outcome's induced p-value into strict mass and tie mass."""
-    out = {}
-    d = trial.denominator
-    below = 0
-    for _, members, weight in value_groups(trial, stat):
-        out.update(dict.fromkeys(members, (Fraction(below, d), Fraction(weight, d))))
+    """Split each outcome's induced p-value into strict mass and tie mass, as ints over the trial's D."""
+    split, below, d = {}, 0, trial.denominator
+    for members, weight in _groups(trial, stat):
+        split.update(dict.fromkeys(members, (below, weight)))
         below += weight
-    return RandomizedPFunction(out)
+    return RandomizedPFunction._made(
+        lambda: {label: (Fraction(low, d), Fraction(atom, d)) for label, (low, atom) in split.items()},
+        denominator=d, split=split)
 
 
 def randomized_pvalue(rpf: RandomizedPFunction, label: str, r) -> Fraction:
@@ -85,14 +94,14 @@ def randomized_pvalue(rpf: RandomizedPFunction, label: str, r) -> Fraction:
     r = exact_fraction(r)
     if not 0 <= r <= 1:
         raise ROutOfRangeError(f"r must be in [0, 1], got {r}")
-    low, atom = rpf._pair(label)
-    return low + r * atom
+    low, atom = rpf._on([label])[0]
+    return (low + r * atom) / rpf.denominator
 
 
 def mid_pvalue(rpf: RandomizedPFunction, label: str) -> Fraction:
     """low(x) + atom(x)/2: the mean of P[f < f(x)] and P[f <= f(x)]."""
-    low, atom = rpf._pair(label)
-    return low + atom / 2
+    low, atom = rpf._on([label])[0]
+    return Fraction(2 * low + atom, 2 * rpf.denominator)
 
 
 def draw_uniform_r(seed: int) -> Fraction:
@@ -107,9 +116,9 @@ def _sweep(rpf: RandomizedPFunction, trial: FiniteTrial, levels) -> tuple:
     Outcomes sharing a (low, atom) with atom > 0 add slope mass/atom on
     [low, low + atom], and those with atom <= 0 a jump of their mass at low.
     The masses are summed from the trial, not taken to be atom, so a wrong
-    split shows. Points are ints t over q, the lcm of the split's and the
-    levels' denominators; F is the int m*q*D*F, where m clears the slopes'
-    denominators (1 for a split built from the trial).
+    split shows. Points are ints t over q, the lcm of the split's grid and
+    the levels' denominators; F is the int m*q*D*F, where m clears the
+    slopes' denominators (1 for a split built from the trial).
 
     Returns (the levels, F at each, the first point p in [0, 1] where F(p)
     or its left limit is not p, or None).
@@ -118,18 +127,18 @@ def _sweep(rpf: RandomizedPFunction, trial: FiniteTrial, levels) -> tuple:
     for eps in levels:
         if not 0 <= eps.numerator <= eps.denominator:
             raise EpsOutOfRangeError(f"eps must be in [0, 1], got {eps}")
-    q, keys = on_grid(levels + [part for label in trial.labels for part in rpf._pair(label)])
-    marks, d = keys[:len(levels)], trial.denominator
-    masses = defaultdict(int)
-    for low, atom, weight in zip(keys[len(levels)::2], keys[len(levels) + 1::2], trial.weights):
-        masses[low, atom] += weight
-    m = lcm(*(atom // gcd(q * w, atom) for (_, atom), w in masses.items() if w and atom > 0))
+    q, d, masses = lcm(rpf.denominator, *{eps.denominator for eps in levels}), trial.denominator, defaultdict(int)
+    marks, scale = [eps.numerator * (q // eps.denominator) for eps in levels], q // rpf.denominator
+    for pair, weight in zip(rpf._on(trial.labels), trial.weights):
+        masses[pair] += weight
+    masses = {(low * scale, atom * scale): w for (low, atom), w in masses.items() if w}
+    m = lcm(*(atom // gcd(q * w, atom) for (_, atom), w in masses.items() if atom > 0))
     jumps, slopes = defaultdict(int), defaultdict(int)
     for (low, atom), w in masses.items():
-        if w and atom > 0:
+        if atom > 0:
             slopes[low] += m * q * w // atom
             slopes[low + atom] -= m * q * w // atom
-        elif w:
+        else:
             jumps[low] += m * q * w
     at, first, cdf, rate = {}, None, 0, 0
     points = sorted({0, q, *marks, *slopes, *jumps})
@@ -191,9 +200,8 @@ def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> b
 
 def mid_pfunction(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunction:
     """The mid-p-value low(x) + atom(x)/2 of every outcome, outcomes with one value sharing one Fraction."""
-    g, keys = on_grid([part for label in trial.labels for part in rpf._pair(label)])
-    mids = [2 * low + atom for low, atom in zip(keys[::2], keys[1::2])]
-    values = {mid: Fraction(mid, 2 * g) for mid in set(mids)}
+    mids = [2 * low + atom for low, atom in rpf._on(trial.labels)]
+    values = {mid: Fraction(mid, 2 * rpf.denominator) for mid in set(mids)}
     return PFunction({label: values[mid] for label, mid in zip(trial.labels, mids)})
 
 

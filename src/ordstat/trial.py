@@ -16,7 +16,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .order import (
     LexTuple,
@@ -24,9 +24,10 @@ from .order import (
     Rational,
     Score,
     exact_fraction,
+    grid_keys,
     on_grid,
+    plain,
     shape,
-    sort_keys,
 )
 
 
@@ -58,8 +59,25 @@ class TheoremCheckError(TrialError):
     """An identity that must hold by theorem failed: implementation bug."""
 
 
+class _Held:
+    """``_made`` makes an instance of attributes already checked, whose ``values`` ``build()`` makes on first read."""
+
+    @classmethod
+    def _made(cls, build=None, **held):
+        made = object.__new__(cls)
+        vars(made).update(held, _build=build)
+        return made
+
+    def __getattr__(self, name):
+        build = vars(self).get("_build")
+        if name != "values" or build is None:
+            raise AttributeError(name)
+        values = vars(self)["values"] = build()
+        return values
+
+
 @dataclass(frozen=True)
-class FiniteTrial:
+class FiniteTrial(_Held):
     """Finite probability space with exact rational outcome probabilities.
 
     Outcomes are (label, probability) pairs; labels are distinct, every
@@ -76,9 +94,12 @@ class FiniteTrial:
         outcomes = tuple(self.outcomes)
         if not outcomes:
             raise InvalidTrialError("a trial needs at least one outcome")
-        labels = tuple(label for label, _ in outcomes)
         probs = [exact_fraction(prob) for _, prob in outcomes]
-        denominator, weights = on_grid(probs)
+        vars(self).update(self._checked(tuple(label for label, _ in outcomes), probs, *on_grid(probs)))
+
+    @staticmethod
+    def _checked(labels: tuple, probs: list, denominator: int, weights: list) -> dict:
+        """The checked attributes of a trial whose Fraction ``probs`` are ``weights`` over their lcm ``denominator``."""
         seen = set()
         for label, prob, weight in zip(labels, probs, weights):
             if not isinstance(label, str) or not label:
@@ -91,8 +112,7 @@ class FiniteTrial:
         if sum(weights) != denominator:
             raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
         pairs = tuple(zip(labels, probs))
-        vars(self).update(outcomes=pairs, labels=labels, weights=tuple(weights),
-                          denominator=denominator, _prob=dict(pairs))
+        return dict(outcomes=pairs, labels=labels, weights=tuple(weights), denominator=denominator, _prob=dict(pairs))
 
     @classmethod
     def uniform(cls, labels) -> "FiniteTrial":
@@ -117,8 +137,11 @@ class FiniteTrial:
 
 
 @dataclass(frozen=True)
-class Statistic:
-    """Total map from outcome labels to ordered values of one shared shape."""
+class Statistic(_Held):
+    """Total map from outcome labels to ordered values of one shared shape.
+
+    ``kind`` is the shape and ``keys`` each label's ``order.grid_keys`` over all its values.
+    """
 
     values: dict
 
@@ -126,16 +149,23 @@ class Statistic:
         vals = dict(self.values)
         if not vals:
             raise InvalidStatisticError("a statistic needs at least one value")
-        shapes = {shape(v) for v in vals.values()}
+        vars(self).update(self._keyed({label: (shape(v), plain(v)) for label, v in vals.items()}), values=vals)
+
+    @staticmethod
+    def _keyed(literals: dict, at: dict | None = None) -> dict:
+        """``kind`` and ``keys`` where label x has the (shape, plain data) ``literals[at[x]]``, or ``literals[x]``."""
+        shapes = {kind for kind, _ in literals.values()}
         if len(shapes) > 1:
             raise InvalidStatisticError(f"statistic values must share one shape, found {len(shapes)}")
-        object.__setattr__(self, "values", vals)
+        (kind,) = shapes
+        keys = dict(zip(literals, grid_keys(kind, [data for _, data in literals.values()])))
+        return {"kind": kind, "keys": keys if at is None else {label: keys[key] for label, key in at.items()}}
 
     def __getitem__(self, label) -> OrdValue:
         return self.values[label]
 
     def __contains__(self, label) -> bool:
-        return label in self.values
+        return label in self.keys
 
 
 @dataclass(frozen=True)
@@ -158,7 +188,9 @@ class PFunction:
 
     def as_statistic(self) -> Statistic:
         """View the p-function as a rational-valued statistic (for re-inducing)."""
-        return Statistic({label: Rational(v) for label, v in self.values.items()})
+        values = self.values
+        literals = {label: ("rational", (v.numerator, v.denominator)) for label, v in values.items()}
+        return Statistic._made(lambda: {label: Rational(v) for label, v in values.items()}, **Statistic._keyed(literals))
 
 
 class Validity(enum.Enum):
@@ -198,28 +230,31 @@ def _canonical(value: OrdValue):
     return ()
 
 
+def _groups(trial: FiniteTrial, stat: Statistic) -> list:
+    """Ascending (labels, weight) groups of the outcomes with equal ``stat.keys``, labels in the trial's order."""
+    groups = {}
+    for label, key, weight in zip(trial.labels, _on_outcomes(trial, stat.keys, "statistic"), trial.weights):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [[label], weight]
+        else:
+            group[0].append(label)
+            group[1] += weight
+    return [groups[key] for key in sorted(groups)]
+
+
 def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     """Ascending groups of (value, labels, weight) with equal statistic values merged; weight/D is the group's mass.
 
-    Values sort on ``order.sort_keys`` and equal keys share a group, so the
-    result does not depend on the order the outcomes are listed in, and
-    labels inside a group keep the trial's outcome order. Equal Scores may
-    differ in precision or exponent; such a group's value is the one with
-    the lowest precisions, then the lowest ``Decimal.as_tuple()``.
+    Equal ``stat.keys`` are equal values and share a group, so the result
+    does not depend on the order the outcomes are listed in, and labels
+    inside a group keep the trial's outcome order. Equal Scores may differ
+    in precision or exponent; such a group's value is the one with the
+    lowest precisions, then the lowest ``Decimal.as_tuple()``.
     """
-    values = _on_outcomes(trial, stat.values, "statistic")
-    labels, weights = trial.labels, trial.weights
-    keys = sort_keys(values)
-    groups = [list(g) for _, g in groupby(sorted(range(len(values)), key=keys.__getitem__), key=keys.__getitem__)]
-    scored = _has_score(shape(values[0]))
-    return [
-        (
-            min((values[i] for i in g), key=_canonical) if scored else values[g[0]],
-            [labels[i] for i in g],
-            sum(weights[i] for i in g),
-        )
-        for g in groups
-    ]
+    values, scored = stat.values, _has_score(stat.kind)
+    return [(min((values[x] for x in members), key=_canonical) if scored else values[members[0]], members, weight)
+            for members, weight in _groups(trial, stat)]
 
 
 def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
@@ -229,7 +264,7 @@ def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
     """
     out = {}
     cum = 0
-    for _, members, weight in value_groups(trial, stat):
+    for members, weight in _groups(trial, stat):
         cum += weight
         out.update(dict.fromkeys(members, Fraction(cum, trial.denominator)))
     return PFunction(out)

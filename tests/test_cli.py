@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,19 +101,51 @@ class TestInduce:
 def test_statistic_grouped_once_per_answer(capsys, monkeypatch, command, groupings):
     """induce groups the statistic and then re-induces its p-function; midp and randomize group once."""
     calls = []
-    original = trial.value_groups
+    original = trial._groups
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(trial, "value_groups", spy)
-    monkeypatch.setattr(randomized, "value_groups", spy)
+    monkeypatch.setattr(trial, "_groups", spy)
+    monkeypatch.setattr(randomized, "_groups", spy)
     argv = [command, "--trial", str(DATA / "three.json")]
     if command == "randomize":
         argv += ["--outcome", "a", "--r", "1/2"]
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == groupings
+
+
+def odd_primes(count: int) -> list:
+    sieve = bytearray([1]) * 20_000
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, len(sieve), i)))
+    primes = [i for i in range(3, len(sieve)) if sieve[i]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+@pytest.mark.parametrize("command, key", [
+    (["induce"], "phat.c"),
+    (["midp"], "midp.b"),
+    (["randomize", "--outcome", "c", "--r", "1/2"], "value"),
+])
+def test_answer_too_long_to_print_names_its_key(capsys, tmp_path, command, key):
+    """Every literal fits the int-to-str digit limit, but an answer over 2AB does not."""
+    primes = odd_primes(1400)
+    a, b = math.prod(primes[:700]), math.prod(primes[700:])
+    limit = sys.get_int_max_str_digits()
+    assert math.log10(2 * a) < limit and math.log10(2 * b) < limit < math.log10(2 * a * b)
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({
+        "outcomes": [{"label": "a", "prob": f"{a - 1}/{2 * a}"}, {"label": "b", "prob": f"1/{2 * a}"},
+                     {"label": "c", "prob": f"{b - 1}/{2 * b}"}, {"label": "d", "prob": f"1/{2 * b}"}],
+        "statistic": {"a": 0, "c": 1, "b": 2, "d": 3},
+    }))
+    code, out, err = run(capsys, *command, "--trial", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: report key {key} holds an integer with too many digits to print (limit {limit})\n"
 
 
 class TestRandomize:

@@ -12,17 +12,23 @@ from ordstat import (
     InvalidStatisticError,
     InvalidTrialError,
     LexTuple,
+    RandomizedPFunction,
     Rank,
     Rational,
     Statistic,
     TrialParseError,
+    build_randomized,
+    exactness_sweep,
     format_rational,
+    induce_phat,
     load_trial,
+    mid_pfunction,
     parse_rational,
     parse_trial_document,
     parse_two_sample,
 )
 from ordstat.files import _LABEL_RE, _check_digits
+from ordstat.trial import value_groups
 
 DATA = Path(__file__).parent / "data"
 
@@ -194,6 +200,44 @@ def trial_documents(draw):
     return json.dumps(doc).replace(json.dumps(LONG_INT), LONG_DIGITS)
 
 
+@st.composite
+def tuple_documents(draw):
+    """Valid documents of up to 40 outcomes whose tuple statistic takes many distinct values.
+
+    One shape per document: [rank, [rational, rank]], [rational, rank] or
+    [[[rational], rank], [rational]]. Rationals are p/q for q up to 12, some
+    spelled unreduced, so equal values spelled apart and many distinct
+    values occur in one document.
+    """
+    n = draw(st.integers(1, 40))
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    weights[0] += not sum(weights)
+    rank = st.integers(-3, 3)
+    rational = st.builds(lambda p, q, k: f"{p * k}/{q * k}", st.integers(-6, 6), st.integers(1, 12),
+                         st.sampled_from((1, 1, 2, 5)))
+    value = draw(st.sampled_from((
+        st.tuples(rank, rational, rank).map(lambda t: [t[0], [t[1], t[2]]]),
+        st.tuples(rational, rank).map(list),
+        st.tuples(rational, rank, rational).map(lambda t: [[[t[0]], t[1]], [t[2]]]),
+    )))
+    pool = draw(st.lists(value, min_size=1, max_size=n))
+    labels = [f"o{i}" for i in range(n)]
+    return json.dumps({
+        "outcomes": [{"label": label, "prob": f"{w}/{sum(weights)}"} for label, w in zip(labels, weights)],
+        "statistic": {label: draw(st.sampled_from(pool)) for label in draw(st.permutations(labels))},
+    })
+
+
+LEVELS = [F(k, 12) for k in range(13)]
+
+
+def answers(trial, stat):
+    """What the trial kernel makes of a parsed document."""
+    rpf = build_randomized(trial, stat)
+    return (value_groups(trial, stat), induce_phat(trial, stat).values, exactness_sweep(rpf, trial, LEVELS),
+            mid_pfunction(trial, rpf).values, rpf.values)
+
+
 class TestTrialDocument:
     def test_three_outcome_roundtrip(self):
         trial, stat = load_trial(DATA / "three.json")
@@ -293,6 +337,30 @@ class TestTrialDocument:
     @example(TWO_OUTCOMES % ("[1, [0]]", "[1.0, [false]]"))
     def test_parser_equals_reference(self, text):
         assert parse_result(parse_trial_document, text) == parse_result(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(trial_documents(), tuple_documents()))
+    def test_answers_equal_reference(self, text):
+        """The parser's keys and weights give what the public constructors' give, on every document both accept."""
+        try:
+            got, want = parse_trial_document(text), reference_parse(text)
+        except TrialParseError:
+            return
+        assert answers(*got) == answers(*want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(trial_documents(), tuple_documents()))
+    def test_split_on_the_grid_equals_split_given_as_fractions(self, text):
+        try:
+            trial, stat = parse_trial_document(text)
+        except TrialParseError:
+            return
+        held = build_randomized(trial, stat)
+        given = RandomizedPFunction(dict(build_randomized(trial, stat).values))
+        assert exactness_sweep(held, trial, LEVELS) == exactness_sweep(given, trial, LEVELS)
+        assert mid_pfunction(trial, held).values == mid_pfunction(trial, given).values
+        assert [(held.low(x), held.atom(x)) for x in trial.labels] == [(given.low(x), given.atom(x)) for x in trial.labels]
+        assert held.values == given.values
 
     def test_repeated_literals_share_one_object(self):
         trial, stat = load_trial(DATA / "ties200.json")
