@@ -28,7 +28,6 @@ from .trial import (
     check_idempotence,
     classify_pfunction,
     induce_phat,
-    pvalue_kinds,
 )
 from .randomized import (
     build_randomized,
@@ -136,14 +135,13 @@ def cmd_induce(args, report: RunReport) -> None:
     phat = induce_phat(trial, stat)
     classification = classify_pfunction(trial, phat)
     idempotent = check_idempotence(trial, phat)
-    kinds = pvalue_kinds(trial, phat)
     report.headline = (f"induced p-values for {len(trial)} outcomes"
                        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
     for label in trial.labels:
         report.add(f"phat.{label}", phat[label])
     for label in trial.labels:
-        report.add(f"pvalue-kind.{label}", kinds[label])
+        report.add(f"pvalue-kind.{label}", classification.kinds[label])
     report.add("classification", classification.kind.value)
     report.add("idempotent", str(idempotent).lower())
     if classification.kind is not Validity.RANGE_EXACT:

@@ -199,10 +199,9 @@ def lex_equivalence_check(trial: FiniteTrial, stat: Statistic, grid_n: int) -> b
 
 
 def mid_pfunction(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunction:
-    """The mid-p-value low(x) + atom(x)/2 of every outcome, outcomes with one value sharing one Fraction."""
-    mids = [2 * low + atom for low, atom in rpf._on(trial.labels)]
-    values = {mid: Fraction(mid, 2 * rpf.denominator) for mid in set(mids)}
-    return PFunction({label: values[mid] for label, mid in zip(trial.labels, mids)})
+    """The mid-p-value low(x) + atom(x)/2 of every outcome, as ints over twice the split's denominator."""
+    mids = (2 * low + atom for low, atom in rpf._on(trial.labels))
+    return PFunction._over(dict(zip(trial.labels, mids)), 2 * rpf.denominator)
 
 
 def midp_validity_check(trial: FiniteTrial, rpf: RandomizedPFunction) -> PFunctionClass:

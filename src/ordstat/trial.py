@@ -1,9 +1,10 @@
 """Finite probability trials, statistics over them, and induced p-functions.
 
 Probabilities are exact rationals, held as int weights over D, the lcm of
-a trial's denominators: masses, induced p-values (k/D) and the validity
-and exactness classifications are int arithmetic on that grid, and a
-candidate p-function is keyed over the lcm of its own denominators.
+a trial's denominators, and a p-function as int keys over a denominator
+(D for an induced one, 2D for mid-p-values, else the lcm of its own
+denominators): masses, induced p-values and the validity and exactness
+classifications are int arithmetic, and Fractions are built when read.
 The central operation is ``induce_phat``, which maps a statistic f to the
 p-function x -> P[f <= f(x)]; the classification machinery then checks the
 properties this induced function provably has (self-inducing, range-exact)
@@ -13,10 +14,8 @@ and the properties arbitrary candidate p-functions may lack.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 from .order import (
     LexTuple,
@@ -169,28 +168,51 @@ class Statistic(_Held):
 
 
 @dataclass(frozen=True)
-class PFunction:
-    """Map from outcome labels to exact rationals in [0, 1]."""
+class PFunction(_Held):
+    """Map from outcome labels to exact rationals in [0, 1], held as int ``keys`` over ``denominator``.
+
+    The denominator is the trial's D for ``induce_phat``, 2D for ``mid_pfunction`` and the lcm of
+    the given values' denominators otherwise; ``values``, a dict of Fractions, is built when first
+    read. Equal p-functions have the same labels and values, whatever their denominators.
+    """
 
     values: dict
 
     def __post_init__(self):
         vals = {label: exact_fraction(v) for label, v in dict(self.values).items()}
-        if not vals:
+        d, keys = on_grid(list(vals.values()))
+        vars(self).update(self._checked(dict(zip(vals, keys)), d), values=vals)
+
+    @classmethod
+    def _over(cls, keys: dict, d: int) -> "PFunction":
+        """The p-function x -> keys[x]/d, whose ``values`` share one Fraction per distinct key."""
+        def build():
+            shared = {k: Fraction(k, d) for k in set(keys.values())}
+            return {label: shared[k] for label, k in keys.items()}
+        return cls._made(build, **cls._checked(keys, d))
+
+    @staticmethod
+    def _checked(keys: dict, d: int) -> dict:
+        if not keys:
             raise InvalidPFunctionError("a p-function needs at least one value")
-        for label, v in vals.items():
-            if not 0 <= v.numerator <= v.denominator:
-                raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {v}")
-        object.__setattr__(self, "values", vals)
+        for label, k in keys.items():
+            if not 0 <= k <= d:
+                raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {Fraction(k, d)}")
+        return {"keys": keys, "denominator": d}
+
+    def __eq__(self, other):
+        if not isinstance(other, PFunction):
+            return NotImplemented
+        d, e = self.denominator, other.denominator
+        return {x: k * e for x, k in self.keys.items()} == {x: k * d for x, k in other.keys.items()}
 
     def __getitem__(self, label) -> Fraction:
         return self.values[label]
 
     def as_statistic(self) -> Statistic:
-        """View the p-function as a rational-valued statistic (for re-inducing)."""
-        values = self.values
-        literals = {label: ("rational", (v.numerator, v.denominator)) for label, v in values.items()}
-        return Statistic._made(lambda: {label: Rational(v) for label, v in values.items()}, **Statistic._keyed(literals))
+        """View the p-function as a rational-valued statistic (for re-inducing), keyed by ``keys``."""
+        return Statistic._made(lambda: {label: Rational(v) for label, v in self.values.items()},
+                               kind="rational", keys=self.keys)
 
 
 class Validity(enum.Enum):
@@ -201,11 +223,12 @@ class Validity(enum.Enum):
 
 @dataclass(frozen=True)
 class PFunctionClass:
-    """Classification verdict; NOT_PFUNCTION carries the violating witness."""
+    """Classification verdict; NOT_PFUNCTION carries the violating witness, ``kinds`` each label's ``pvalue_kinds``."""
 
     kind: Validity
     witness: Fraction | None = None
     witness_mass: Fraction | None = None
+    kinds: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _on_outcomes(trial: FiniteTrial, values: dict, what: str) -> list:
@@ -262,12 +285,11 @@ def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
 
     All values are exact rationals k/D, and f(y) <= f(x) is decided exactly.
     """
-    out = {}
-    cum = 0
+    keys, cum = {}, 0
     for members, weight in _groups(trial, stat):
         cum += weight
-        out.update(dict.fromkeys(members, Fraction(cum, trial.denominator)))
-    return PFunction(out)
+        keys.update(dict.fromkeys(members, cum))
+    return PFunction._over(keys, trial.denominator)
 
 
 def induced_measure(trial: FiniteTrial, stat: Statistic) -> list:
@@ -284,56 +306,34 @@ def check_idempotence(trial: FiniteTrial, pfunc: PFunction) -> bool:
     return induce_phat(trial, pfunc.as_statistic()) == pfunc
 
 
-def _grid_cdf(trial: FiniteTrial, pfunc: PFunction) -> tuple:
-    """(g, keys, cdf): pfunc on the outcomes as ints over the lcm g of its denominators, and per
-    attained key ascending (key, c, c*g - key*D), where P[pfunc <= key/g] = c/D.
-    """
-    g, keys = on_grid(_on_outcomes(trial, pfunc.values, "p-function"))
-    mass = {}
-    for key, weight in zip(keys, trial.weights):
-        mass[key] = mass.get(key, 0) + weight
-    attained = sorted(mass)
-    cdf = zip(attained, accumulate(mass[key] for key in attained))
-    return g, keys, [(key, cum, cum * g - key * trial.denominator) for key, cum in cdf]
-
-
-def attained_cdf(trial: FiniteTrial, pfunc: PFunction) -> list:
-    """Ascending (value, P[pfunc <= value]) pairs over the attained values."""
-    g, _, cdf = _grid_cdf(trial, pfunc)
-    return [(Fraction(key, g), Fraction(cum, trial.denominator)) for key, cum, _ in cdf]
-
-
-def cdf_at(cdf: list, eps: Fraction) -> Fraction:
-    """P[pfunc <= eps] from an attained CDF (step function, right-continuous)."""
-    values = [value for value, _ in cdf]
-    i = bisect_right(values, eps)
-    return cdf[i - 1][1] if i else Fraction(0)
-
-
 def classify_pfunction(trial: FiniteTrial, pfunc: PFunction) -> PFunctionClass:
-    """Classify a candidate p-function by its exact attained-value CDF.
+    """Classify a candidate p-function by its exact attained-value CDF, in one pass.
 
     Validity P[pfunc <= eps] <= eps for all eps in [0,1] holds iff it holds
     at every attained value (the CDF is constant between them); range-exact
     iff equality holds at every attained value; conservative iff valid but
     not range-exact. The first violating value (ascending) is the witness.
+    ``kinds`` holds each outcome's ``pvalue_kinds`` verdict.
     """
-    g, _, cdf = _grid_cdf(trial, pfunc)
-    for key, cum, excess in cdf:
-        if excess > 0:
-            return PFunctionClass(Validity.NOT_PFUNCTION, witness=Fraction(key, g),
-                                  witness_mass=Fraction(cum, trial.denominator))
-    return PFunctionClass(Validity.CONSERVATIVE if any(excess for *_, excess in cdf) else Validity.RANGE_EXACT)
+    keys, g, d = _on_outcomes(trial, pfunc.keys, "p-function"), pfunc.denominator, trial.denominator
+    mass = {}
+    for key, weight in zip(keys, trial.weights):
+        mass[key] = mass.get(key, 0) + weight
+    kind, cum, witness = {}, 0, ()
+    for key in sorted(mass):
+        cum += mass[key]
+        excess = cum * g - key * d  # P[pfunc <= key/g] - key/g, times g*D
+        kind[key] = "exact" if not excess else "invalid" if excess > 0 else "conservative"
+        if excess > 0 and not witness:
+            witness = Fraction(key, g), Fraction(cum, d)
+    verdict = (Validity.NOT_PFUNCTION if witness else
+               Validity.CONSERVATIVE if "conservative" in kind.values() else Validity.RANGE_EXACT)
+    return PFunctionClass(verdict, *witness, kinds={label: kind[key] for label, key in zip(trial.labels, keys)})
 
 
 def pvalue_kinds(trial: FiniteTrial, pfunc: PFunction) -> dict:
-    """Per-outcome verdict: 'exact' where P[pfunc <= value] equals the value.
-
-    'conservative' where it is below the value, 'invalid' where it exceeds it.
-    """
-    _, keys, cdf = _grid_cdf(trial, pfunc)
-    kind = {key: "exact" if not excess else "invalid" if excess > 0 else "conservative" for key, _, excess in cdf}
-    return {label: kind[key] for label, key in zip(trial.labels, keys)}
+    """Per-outcome verdict: 'exact' where P[pfunc <= value] is the value, 'conservative' below it, 'invalid' above."""
+    return classify_pfunction(trial, pfunc).kinds
 
 
 def scale_pfunction(pfunc: PFunction, c) -> PFunction:

@@ -31,7 +31,6 @@ from ordstat import (
 )
 from ordstat.cli import main
 from ordstat.ranktests import compare_with_reference, describe_mismatch, reference_for
-from ordstat.trial import attained_cdf, cdf_at
 
 DATA = Path(__file__).parent / "data"
 F = Fraction
@@ -214,16 +213,24 @@ def test_criterion_5_lex_equivalence(trial_corpus):
                 assert lex_equivalence_check(trial, stat, n)
 
 
+def fraction_cdf(trial, pfunc, levels) -> list:
+    """P[pfunc <= eps] at each eps of ascending ``levels``, summed in Fractions over the outcomes sorted by value."""
+    ranked, cdf, cum, i = sorted((pfunc[label], prob) for label, prob in trial.outcomes), [], F(0), 0
+    for eps in levels:
+        while i < len(ranked) and ranked[i][0] <= eps:
+            cum, i = cum + ranked[i][1], i + 1
+        cdf.append(cum)
+    return cdf
+
+
 def test_criterion_6_idempotence_and_range_exactness(trial_corpus):
     with criterion(6, "idempotence, range-exactness, and validity on the k/1000 grid"):
+        levels = [F(k, 1000) for k in range(1001)]
         for trial, stat in trial_corpus:
             assert check_idempotence(trial, induce_phat(trial, stat))
             phat = induce_phat(trial, stat)
             assert classify_pfunction(trial, phat).kind is Validity.RANGE_EXACT
-            cdf = attained_cdf(trial, phat)
-            for k in range(1001):
-                eps = F(k, 1000)
-                assert cdf_at(cdf, eps) <= eps
+            assert all(mass <= eps for mass, eps in zip(fraction_cdf(trial, phat, levels), levels))
 
 
 def test_criterion_7_midp_invalidity_witness(capsys):

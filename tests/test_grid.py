@@ -32,10 +32,10 @@ from ordstat import (
     induce_phat,
     induced_measure,
     lex_tuple,
+    mid_pfunction,
     midp_validity_check,
     pvalue_kinds,
 )
-from ordstat.trial import attained_cdf
 
 F = Fraction
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 13, 97, 2**31 - 1)
@@ -176,16 +176,22 @@ class TestGridAgainstFractions:
         phat = {x: low + atom for x, (low, atom) in split.items()}
         assert sum(trial.weights) == trial.denominator
         assert [F(w, trial.denominator) for w in trial.weights] == [p for _, p in trial.outcomes]
-        assert induce_phat(trial, stat).values == phat
-        assert build_randomized(trial, stat).values == split
+        induced = induce_phat(trial, stat)
+        assert induced.values == phat
+        rpf = build_randomized(trial, stat)
+        assert rpf.values == split
         measure = sorted({ref_key(stat[x]): atom for x, (_, atom) in split.items()}.items())
         assert [(ref_key(v), m) for v, m in induced_measure(trial, stat)] == measure
-        assert check_idempotence(trial, induce_phat(trial, stat))
-        assert classified(classify_pfunction(trial, PFunction(phat))) == ref_classify(trial, phat)
-        assert pvalue_kinds(trial, PFunction(phat)) == ref_kinds(trial, phat)
-        assert attained_cdf(trial, PFunction(phat)) == ref_cdf(trial, phat)
+        assert induced == PFunction(phat) and induced.denominator == trial.denominator
+        assert induced != PFunction({**phat, "extra": 1}) and PFunction({**phat, "extra": 1}) != induced
+        for pfunc in (induced, PFunction(phat)):  # on the trial's D, and on the lcm of the values' own denominators
+            assert check_idempotence(trial, pfunc)
+            assert classified(classify_pfunction(trial, pfunc)) == ref_classify(trial, phat)
+            assert pvalue_kinds(trial, pfunc) == ref_kinds(trial, phat)
         mids = {x: low + atom / 2 for x, (low, atom) in split.items()}
-        assert classified(midp_validity_check(trial, build_randomized(trial, stat))) == ref_classify(trial, mids)
+        midp = mid_pfunction(trial, rpf)
+        assert midp == PFunction(mids) and midp.denominator == 2 * trial.denominator
+        assert classified(midp_validity_check(trial, rpf)) == ref_classify(trial, mids)
 
     @settings(max_examples=200, deadline=None)
     @given(trials(), st.data())
@@ -194,7 +200,6 @@ class TestGridAgainstFractions:
         pfunc = PFunction(values)
         assert classified(classify_pfunction(trial, pfunc)) == ref_classify(trial, values)
         assert pvalue_kinds(trial, pfunc) == ref_kinds(trial, values)
-        assert attained_cdf(trial, pfunc) == ref_cdf(trial, values)
         reinduced = {x: low + atom for x, (low, atom) in ref_split(trial, pfunc.as_statistic()).items()}
         assert check_idempotence(trial, pfunc) == (reinduced == values)
 

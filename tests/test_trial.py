@@ -35,7 +35,7 @@ from ordstat import (
     scale_pfunction,
 )
 from ordstat.order import exact_fraction
-from ordstat.trial import attained_cdf, cdf_at, value_groups
+from ordstat.trial import value_groups
 
 F = Fraction
 
@@ -46,6 +46,16 @@ def trial(*pairs) -> FiniteTrial:
 
 def rank_stat(**values) -> Statistic:
     return Statistic({label: Rank(v) for label, v in values.items()})
+
+
+def fraction_cdf(t: FiniteTrial, pfunc, levels) -> list:
+    """P[pfunc <= eps] at each eps of ascending ``levels``, summed in Fractions over the outcomes sorted by value."""
+    ranked, cdf, cum, i = sorted((pfunc[label], prob) for label, prob in t.outcomes), [], F(0), 0
+    for eps in levels:
+        while i < len(ranked) and ranked[i][0] <= eps:
+            cum, i = cum + ranked[i][1], i + 1
+        cdf.append(cum)
+    return cdf
 
 
 THREE = trial(("a", F(1, 2)), ("b", F(1, 4)), ("c", F(1, 4)))
@@ -340,11 +350,9 @@ class TestClassify:
         assert pvalue_kinds(t, conservative) == {"a": "conservative", "b": "exact"}
 
     def test_validity_on_dense_grid(self, trial_corpus):
+        levels = [F(k, 1000) for k in range(0, 1001, 7)]
         for t, stat in trial_corpus[:20]:
-            cdf = attained_cdf(t, induce_phat(t, stat))
-            for k in range(0, 1001, 7):
-                eps = F(k, 1000)
-                assert cdf_at(cdf, eps) <= eps
+            assert all(mass <= eps for mass, eps in zip(fraction_cdf(t, induce_phat(t, stat), levels), levels))
 
 
 class TestScale:
