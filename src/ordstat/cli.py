@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parse or validation error, 3 enumeration size cap,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -85,7 +86,7 @@ class RunReport:
 
     def add(self, key: str, value) -> None:
         try:
-            self.fields.append((key, str(value)))
+            self.fields.append(f"{key}: {str(value)}")
         except ValueError:  # str() refuses only an int past Python's int-to-str digit limit
             raise ValueError(f"report key {key} holds an integer with too many digits to print"
                              f" (limit {sys.get_int_max_str_digits()})") from None
@@ -103,7 +104,7 @@ class RunReport:
             lines.append(f"inputs-digest: {self.inputs_digest}")
             if self.precision is not None:
                 lines.append(f"precision: {self.precision}")
-        lines.extend(f"{key}: {value}" for key, value in self.fields)
+        lines.extend(self.fields)
         lines.append(f"warnings.count: {len(self.warnings)}")
         lines.extend(f"warning.{i}: {text}" for i, text in enumerate(self.warnings, start=1))
         return "\n".join(lines) + "\n"
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--precision", type=int, default=_default_precision(),
+        p.add_argument("--precision", type=int, default=None,
                        help=f"significant decimal digits for scores, {MIN_PRECISION} to {MAX_PRECISION}"
                        " (default: ORDSTAT_PRECISION or 50)")
         p.add_argument("--plain", action="store_true", help="human summary instead of the key-value report")
@@ -293,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="induced p-values, classification, idempotence check")
     p.add_argument("--trial", required=True, help="trial document (JSON)")
     common(p)
-    p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("randomize", help="randomized p-value for one outcome")
     p.add_argument("--trial", required=True)
@@ -304,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-exact", action="store_true",
                    help=f"check P[value<=eps]=eps on all of [0,1]; failures name the levels k/{EXACTNESS_GRID}")
     common(p)
-    p.set_defaults(func=cmd_randomize)
 
     p = sub.add_parser("midp", help="mid-p-values and their validity classification")
     p.add_argument("--trial", required=True)
     common(p)
-    p.set_defaults(func=cmd_midp)
 
     p = sub.add_parser("twosample", help="two-sample cascade p-value (exact or Monte Carlo)")
     p.add_argument("--data", required=True, help="two-column file: value, group label")
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
                    help="exact mode: cap on C(m+n, m) (default 10^7); a larger count exits 3")
     common(p)
-    p.set_defaults(func=cmd_twosample)
 
     p = sub.add_parser("table", help="attainable p-value set of a rank-based cascade")
     p.add_argument("m", type=int)
@@ -330,25 +327,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUM,
                    help="cap on C(m+n, m) (default 10^7); a larger count exits 3")
     common(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("demo", help="historical p-value computations")
     p.add_argument("name", choices=("bernoulli1735", "arbuthnott1710"))
     p.add_argument("--theta", default="15/2", help="bernoulli1735 maximum inclination in degrees (rational)")
     p.add_argument("--plain", action="store_true")
-    p.set_defaults(func=cmd_demo, precision=None)
+    p.set_defaults(precision=None)
 
     return parser
+
+
+_parser = functools.cache(build_parser)  # one parser per process, built at the first main call
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
+        precision = _default_precision()  # read on every call; the cached parser's --precision default is None
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.subcommand != "demo" and args.precision is None:
+        args.precision = precision
     if args.precision is not None and not MIN_PRECISION <= args.precision <= MAX_PRECISION:
         print(f"error: --precision must be between {MIN_PRECISION} and {MAX_PRECISION}", file=sys.stderr)
         return 2
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
         return 2
     report = RunReport(" ".join(argv), args.precision)
     try:
-        args.func(args, report)
+        globals()[f"cmd_{args.subcommand}"](args, report)  # looked up per call, so a patched command runs
     except SizeLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

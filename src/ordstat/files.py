@@ -30,15 +30,12 @@ class TrialParseError(Exception):
     """Malformed trial or data file; carries the offending field or line."""
 
     def __init__(self, message: str, field: str | None = None, line: int | None = None):
-        self.field = field
-        self.line = line
-        where = []
-        if field is not None:
-            where.append(f"field {field}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(message)
+        self.field, self.line = field, line
+
+    def __str__(self) -> str:  # built when read: a statistic value's field is completed as the error unwinds
+        where = ", ".join(f"{name} {at}" for name, at in (("field", self.field), ("line", self.line)) if at is not None)
+        return f"{self.args[0]} ({where})" if where else self.args[0]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -81,20 +78,29 @@ def _parse_label(raw, field: str) -> str:
     return raw
 
 
-def _parse_statistic(raw, field: str) -> tuple:
-    """A statistic literal's ``order.shape`` and ``order.plain`` data."""
+def _parse_statistic(raw) -> tuple:
+    """A statistic literal's ``order.shape`` and ``order.plain`` data; an error's field is its path, like "[1][0]"."""
     if type(raw) is int:  # not a bool
         return "rank", raw
     if isinstance(raw, str):
-        return "rational", _parse_literal(raw, _RATIONAL_RE, field, 'statistic value must be a rational string like "1/3"')
+        return "rational", _parse_literal(raw, _RATIONAL_RE, "", 'statistic value must be a rational string like "1/3"')
     if isinstance(raw, list) and raw:
-        kinds, data = zip(*(_parse_statistic(v, f"{field}[{i}]") for i, v in enumerate(raw)))
+        kinds, data = zip(*_parse_elements(raw))
         return ("tuple", *kinds), data
     if isinstance(raw, bool):
-        raise TrialParseError("statistic value must not be a boolean", field=field)
+        raise TrialParseError("statistic value must not be a boolean", field="")
     if isinstance(raw, list):
-        raise TrialParseError("tuple statistic value may not be empty", field=field)
-    raise TrialParseError(f"unsupported statistic value: {raw!r}", field=field)
+        raise TrialParseError("tuple statistic value may not be empty", field="")
+    raise TrialParseError(f"unsupported statistic value: {raw!r}", field="")
+
+
+def _parse_elements(raw: list):  # an element's error gets its index only as it unwinds
+    for i, v in enumerate(raw):
+        try:
+            yield _parse_statistic(v)
+        except TrialParseError as e:
+            e.field = f"[{i}]{e.field}"
+            raise
 
 
 def _value(kind, data) -> OrdValue:
@@ -156,7 +162,10 @@ def parse_trial_document(text: str):
             # Equal literals of other types, such as 1 and true or [1] and [1.0], get different keys.
             key = raw if type(raw) in (str, int) else (type(raw), repr(raw))
             if key not in literals:
-                literals[key] = _parse_statistic(raw, f"statistic.{label}")
+                literals[key] = _parse_statistic(raw)
+        except TrialParseError as e:
+            e.field = f"statistic.{label}{e.field}"
+            raise
         except RecursionError:
             raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
         at[label] = key

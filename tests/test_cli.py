@@ -16,10 +16,12 @@ from ordstat import (
     RandomizedPFunction,
     RankTestError,
     TrialParseError,
+    files,
     load_trial,
     load_two_sample,
     parse_rational,
     randomized,
+    ranktests,
     trial,
 )
 from ordstat.cli import main
@@ -584,6 +586,56 @@ class TestReportHygiene:
         code, out, _ = run(capsys, "induce", "--trial", str(DATA / "three.json"))
         assert code == 0
         assert parse_report(out)["precision"] == "40"
+
+
+class TestParserOncePerProcess:
+    """main parses with one parser per process, yet reads ORDSTAT_PRECISION and the commands on every call."""
+
+    def test_precision_env_read_on_every_call(self, capsys, monkeypatch):
+        for precision in ("40", "30"):
+            monkeypatch.setenv("ORDSTAT_PRECISION", precision)
+            code, out, _ = run(capsys, "induce", "--trial", str(DATA / "three.json"))
+            assert code == 0
+            assert parse_report(out)["precision"] == precision
+
+    def test_bad_precision_env_after_a_warm_parser(self, capsys, monkeypatch):
+        assert run(capsys, "induce", "--trial", str(DATA / "three.json"))[0] == 0
+        monkeypatch.setenv("ORDSTAT_PRECISION", "abc")
+        assert run(capsys, "induce", "--trial", str(DATA / "three.json")) == (
+            2, "", "error: ORDSTAT_PRECISION must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("name", ["bernoulli1735", "arbuthnott1710"])
+    def test_demo_reports_carry_no_precision(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("ORDSTAT_PRECISION", "40")
+        assert run(capsys, "induce", "--trial", str(DATA / "three.json"))[0] == 0
+        code, out, _ = run(capsys, "demo", name)
+        assert code == 0
+        assert "precision" not in parse_report(out)
+
+    def test_patched_command_runs_and_stops_after_undo(self, capsys, monkeypatch):
+        argv = ("induce", "--trial", str(DATA / "three.json"))
+        want = run(capsys, *argv)
+        calls = []
+        original = ordstat.cli.cmd_induce
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ordstat.cli, "cmd_induce", counting)
+        assert run(capsys, *argv) == want
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert run(capsys, *argv) == want
+        assert len(calls) == 1
+
+
+def test_only_scheme_scores_is_cached():
+    """perfbench/tracing.py names the span of any public layer function with cache_info as a scheme_scores build."""
+    cached = [f"{mod.__name__}.{name}" for mod in (ordstat.cli, files, trial, randomized, ranktests)
+              for name, value in vars(mod).items()
+              if not name.startswith("_") and not isinstance(value, type) and hasattr(value, "cache_info")]
+    assert cached == ["ordstat.ranktests.scheme_scores"]
 
 
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())

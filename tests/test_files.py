@@ -287,6 +287,27 @@ class TestTrialDocument:
             parse_trial_document(doc.replace("{big}", big))
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "statistic, field, message",
+        [
+            # a bad element three levels down
+            ('{"a": ["1", [["1", "2", true]]], "b": ["1", [["1", "2", "3"]]]}', "statistic.a[1][0][2]",
+             "must not be a boolean"),
+            # one bad literal under two labels: the first in the document is named
+            ('{"b": ["1", "x/2"], "a": ["1", "x/2"]}', "statistic.b[1]", "rational string"),
+            # a digit run past Python's int conversion limit two levels down
+            ('{"a": ["1", ["1{zeros}"]], "b": ["1", ["2"]]}', "statistic.a[1][0]",
+             "integer literal has too many digits"),
+        ],
+    )
+    def test_nested_error_names_its_element(self, statistic, field, message):
+        doc = ('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}], "statistic": %s}'
+               % statistic.replace("{zeros}", "0" * sys.get_int_max_str_digits()))
+        got = parse_result(parse_trial_document, doc)
+        assert got == parse_result(reference_parse, doc)
+        assert got[2] == field
+        assert message in got[1] and got[1].endswith(f" (field {field})")
+
     def test_probabilities_must_sum_to_one(self):
         doc = '{"outcomes": [{"label": "a", "prob": "1/3"}], "statistic": {"a": 1}}'
         with pytest.raises(TrialParseError) as err:
