@@ -19,6 +19,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv
 from pathlib import Path
 
 from .order import MIN_PRECISION, format_ord
@@ -91,6 +93,10 @@ class RunReport:
             raise ValueError(f"report key {key} holds an integer with too many digits to print"
                              f" (limit {sys.get_int_max_str_digits()})") from None
 
+    def add_per_label(self, prefix: str, labels, texts) -> None:
+        """Add a ``prefix.label: text`` line for each label and its already formatted text."""
+        self.fields.extend(map(f"{prefix}.{{}}: {{}}".format, labels, texts))
+
     def warn(self, text: str) -> None:
         self.warnings.append(text)
 
@@ -131,6 +137,21 @@ def _load_trial(args, report: RunReport) -> tuple:
     return trial, stat
 
 
+def _add_pvalues(report: RunReport, prefix: str, labels, pfunc) -> None:
+    """Add each label's p-value as ``str(Fraction)`` does, formatting each distinct key over the denominator once."""
+    d, keys = pfunc.denominator, list(set(pfunc.keys.values()))
+    gs = list(map(math.gcd, keys, repeat(d)))
+    try:
+        text = dict(zip(keys, map("{}/{}".format, map(floordiv, keys, gs), map(floordiv, repeat(d), gs))))
+    except ValueError:  # an answer too long to print: the per-label lines name the first label that holds one
+        for label in labels:
+            report.add(f"{prefix}.{label}", pfunc[label])
+        return
+    for k in text.keys() & {0, d}:  # p-values lie in [0, 1], so only 0 and 1 are whole
+        text[k] = str(k // d)
+    report.add_per_label(prefix, labels, map(text.__getitem__, map(pfunc.keys.__getitem__, labels)))
+
+
 def cmd_induce(args, report: RunReport) -> None:
     trial, stat = _load_trial(args, report)
     phat = induce_phat(trial, stat)
@@ -139,10 +160,8 @@ def cmd_induce(args, report: RunReport) -> None:
     report.headline = (f"induced p-values for {len(trial)} outcomes"
                        f" ({classification.kind.value}, idempotent={str(idempotent).lower()})")
     report.add("outcome-count", len(trial))
-    for label in trial.labels:
-        report.add(f"phat.{label}", phat[label])
-    for label in trial.labels:
-        report.add(f"pvalue-kind.{label}", classification.kinds[label])
+    _add_pvalues(report, "phat", trial.labels, phat)
+    report.add_per_label("pvalue-kind", trial.labels, map(classification.kinds.__getitem__, trial.labels))
     report.add("classification", classification.kind.value)
     report.add("idempotent", str(idempotent).lower())
     if classification.kind is not Validity.RANGE_EXACT:
@@ -183,8 +202,7 @@ def cmd_midp(args, report: RunReport) -> None:
     classification = classify_pfunction(trial, mids)
     report.headline = f"mid-p-values for {len(trial)} outcomes ({classification.kind.value})"
     report.add("outcome-count", len(trial))
-    for label in trial.labels:
-        report.add(f"midp.{label}", mids[label])
+    _add_pvalues(report, "midp", trial.labels, mids)
     report.add("classification", classification.kind.value)
     if classification.witness is not None:
         report.add("witness", classification.witness)

@@ -13,6 +13,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from .order import LexTuple, OrdValue, Rank, Rational, on_grid
@@ -20,9 +22,11 @@ from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statis
 from .ranktests import TwoSample
 
 _PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
+_PROB_MESSAGE = 'probability must be a nonnegative rational string like "1/2"'
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
-# A label holds no ':', '\n' or '\r' and no outer whitespace: \s is str.isspace(), which str.strip() strips.
-_LABEL_RE = re.compile(r"[^\s:](?:[^:\n\r]*[^\s:])?")
+# A label is one line of a report: no ':', no line boundary that str.splitlines() splits on, and no
+# outer whitespace (\s is str.isspace(), which str.strip() strips; every line boundary is whitespace).
+_LABEL_RE = re.compile(r"[^\s:](?:[^:\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*[^\s:])?")
 _EXPONENT_RE = re.compile(r"[eE][-+]?(\d[\d_]*)$")  # Fraction builds the int 10**exponent
 
 
@@ -58,35 +62,47 @@ def _check_digits(text: str, field: str | None = None, line: int | None = None) 
     return text
 
 
-def _parse_literal(raw, pattern, field: str, expected: str) -> tuple:
-    """The numerator and denominator of a rational literal."""
-    match = isinstance(raw, str) and pattern.match(raw.strip())
-    if not match:
-        raise TrialParseError(f"{expected}, got {raw!r}", field=field)
+def _rationals(column, pattern, field: str, expected: str) -> list:
+    """The (numerator, denominator) ints of a column of rational literals; the first bad one raises, naming field."""
     try:
-        return int(match[1]), int(match[2] or 1)
-    except ValueError:  # the pattern matched, so only Python's int digit limit can refuse it
-        _check_digits(raw, field)
+        ps, qs = zip(*map(re.Match.groups, map(pattern.match, map(str.strip, column)), repeat("1")))
+        return list(zip(map(int, ps), map(int, qs)))
+    except (TypeError, ValueError):  # not a string, not matched, or past Python's int digit limit
+        for raw in column:
+            if not (isinstance(raw, str) and pattern.match(raw.strip())):
+                raise TrialParseError(f"{expected}, got {raw!r}", field=field) from None
+            _check_digits(raw, field)
         raise
 
 
-def _parse_label(raw, field: str) -> str:
+def _check_label(raw, field: str) -> None:
     if not isinstance(raw, str) or not raw:
         raise TrialParseError(f"label must be a non-empty string, got {raw!r}", field=field)
     if not _LABEL_RE.fullmatch(raw):
         raise TrialParseError(f"label may not contain ':' or newlines or outer whitespace: {raw!r}", field=field)
-    return raw
 
 
-def _parse_statistic(raw) -> tuple:
-    """A statistic literal's ``order.shape`` and ``order.plain`` data; an error's field is its path, like "[1][0]"."""
-    if type(raw) is int:  # not a bool
-        return "rank", raw
-    if isinstance(raw, str):
-        return "rational", _parse_literal(raw, _RATIONAL_RE, "", 'statistic value must be a rational string like "1/3"')
-    if isinstance(raw, list) and raw:
-        kinds, data = zip(*_parse_elements(raw))
-        return ("tuple", *kinds), data
+def _parse_column(column) -> tuple:
+    """The ``order.shape`` of a column of statistic literals and each one's ``order.plain`` data.
+
+    Types and lengths are checked once per tuple position. A bad literal, or literals of
+    different shapes, raise TrialParseError; only for a column of one does the error name
+    the literal's fault, and its field the path inside it, like "[1][0]".
+    """
+    try:
+        (kind,) = set(map(type, column))  # unpacked, not compared: a comparison counts against the recursion limit
+    except ValueError:  # literals of more than one type
+        kind = None
+    if kind is int:  # JSON true and false are bools, not ints
+        return "rank", column
+    if kind is str:
+        return "rational", _rationals(column, _RATIONAL_RE, "", 'statistic value must be a rational string like "1/3"')
+    if kind is list and all(column):  # lists of different lengths stop _positions
+        kinds, data = zip(*_positions(column))
+        return ("tuple", *kinds), list(zip(*data))
+    if column[1:]:  # parsed one at a time, the first bad literal names itself
+        raise TrialParseError("statistic literals are bad or differ in shape")
+    (raw,) = column
     if isinstance(raw, bool):
         raise TrialParseError("statistic value must not be a boolean", field="")
     if isinstance(raw, list):
@@ -94,10 +110,10 @@ def _parse_statistic(raw) -> tuple:
     raise TrialParseError(f"unsupported statistic value: {raw!r}", field="")
 
 
-def _parse_elements(raw: list):  # an element's error gets its index only as it unwinds
-    for i, v in enumerate(raw):
+def _positions(column):  # a position's error gets its index only as it unwinds
+    for i, part in enumerate(zip(*column, strict=True)):
         try:
-            yield _parse_statistic(v)
+            yield _parse_column(part)
         except TrialParseError as e:
             e.field = f"[{i}]{e.field}"
             raise
@@ -112,8 +128,33 @@ def _value(kind, data) -> OrdValue:
     return LexTuple(tuple(_value(k, d) for k, d in zip(kind[1:], data)))
 
 
+def _outcome_columns(outcomes: list) -> tuple:
+    """The outcomes' labels and probability literals, and each distinct literal's Fraction, checked by column.
+
+    Only when a bulk check fails does the per-outcome loop run, to name the first bad outcome.
+    """
+    try:
+        if set(map(type, outcomes)) == {dict} and set(map(len, outcomes)) == {2}:
+            labels, raws = tuple(map(itemgetter("label"), outcomes)), list(map(itemgetter("prob"), outcomes))
+            if set(map(type, labels)) == {str} and all(map(_LABEL_RE.fullmatch, labels)):
+                probs = dict.fromkeys(raws)
+                fractions = starmap(Fraction, _rationals(probs, _PROB_RE, "outcomes", _PROB_MESSAGE))
+                return labels, raws, dict(zip(probs, fractions))
+    except (KeyError, TypeError, ValueError, TrialParseError):  # a missing key, an unhashable or a bad probability
+        pass
+    for i, entry in enumerate(outcomes):
+        if not isinstance(entry, dict) or len(entry) != 2 or "label" not in entry or "prob" not in entry:
+            raise TrialParseError("each outcome needs exactly the keys label and prob", field=f"outcomes[{i}]")
+        _check_label(entry["label"], f"outcomes[{i}].label")
+        _rationals([entry["prob"]], _PROB_RE, f"outcomes[{i}].prob", _PROB_MESSAGE)
+    raise AssertionError("a bulk check failed on outcomes that pass one by one")
+
+
 def parse_trial_document(text: str):
-    """Parse a trial document into (FiniteTrial, Statistic), each distinct literal once and into ints."""
+    """Parse a trial document into (FiniteTrial, Statistic), each distinct literal once and into ints.
+
+    Columns are checked in bulk; an error names the first bad entry in document order.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -131,57 +172,61 @@ def parse_trial_document(text: str):
     outcomes = doc.get("outcomes")
     if not isinstance(outcomes, list) or not outcomes:
         raise TrialParseError("a non-empty list is required", field="outcomes")
-    labels, raws, probs = [], [], {}
-    for i, entry in enumerate(outcomes):
-        if not isinstance(entry, dict) or len(entry) != 2 or "label" not in entry or "prob" not in entry:
-            raise TrialParseError("each outcome needs exactly the keys label and prob", field=f"outcomes[{i}]")
-        label, raw = entry["label"], entry["prob"]
-        if not (isinstance(label, str) and _LABEL_RE.fullmatch(label)):
-            _parse_label(label, f"outcomes[{i}].label")
-        if not (isinstance(raw, str) and raw in probs):
-            probs[raw] = Fraction(*_parse_literal(raw, _PROB_RE, f"outcomes[{i}].prob",
-                                                  'probability must be a nonnegative rational string like "1/2"'))
-        labels.append(label)
-        raws.append(raw)
+    labels, raws, probs = _outcome_columns(outcomes)
     d, weights = on_grid(list(probs.values()))
     weight = dict(zip(probs, weights))
     try:
         trial = FiniteTrial._made(**FiniteTrial._checked(
-            tuple(labels), [probs[raw] for raw in raws], d, [weight[raw] for raw in raws]))
+            labels, list(map(probs.__getitem__, raws)), d, list(map(weight.__getitem__, raws))))
     except InvalidTrialError as e:
         raise TrialParseError(str(e), field="outcomes") from None
     statistic = doc.get("statistic")
     if not isinstance(statistic, dict) or not statistic:
         raise TrialParseError("a non-empty object is required", field="statistic")
-    at, literals = {}, {}
-    for label, raw in statistic.items():
-        if label not in trial:
-            _parse_label(label, "statistic")
-            raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
+    raw_values, column = list(statistic.values()), None
+    types = set(map(type, raw_values))
+    if types in ({int}, {str}, {list}) and trial._prob.keys() >= statistic.keys():
+        # Both passes parse literals from this frame, so a deep value gives up at the same depth in either.
         try:
-            # Equal literals of other types, such as 1 and true or [1] and [1.0], get different keys.
-            key = raw if type(raw) in (str, int) else (type(raw), repr(raw))
-            if key not in literals:
-                literals[key] = _parse_statistic(raw)
-        except TrialParseError as e:
-            e.field = f"statistic.{label}{e.field}"
-            raise
-        except RecursionError:
-            raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
-        at[label] = key
-    missing = [label for label in trial.labels if label not in at]
-    if missing:
+            keys = list(map(repr, raw_values)) if types == {list} else raw_values
+            literals = dict(zip(keys, raw_values))
+            kind, column = _parse_column(list(literals.values()))
+        except (TrialParseError, RecursionError, ValueError):
+            pass
+    if column is None:  # a bulk check failed: the per-label loop names the first bad label or literal
+        at, literals, shapes = {}, {}, set()
+        for label, raw in statistic.items():
+            if label not in trial:
+                _check_label(label, "statistic")
+                raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
+            try:
+                # Equal literals of other types, such as 1 and true or [1] and [1.0], get different keys.
+                key = raw if type(raw) in (str, int) else (type(raw), repr(raw))
+                if key not in literals:
+                    kind, (literals[key],) = _parse_column([raw])
+                    shapes.add(kind)
+            except TrialParseError as e:
+                e.field = f"statistic.{label}{e.field}"
+                raise
+            except RecursionError:
+                raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
+            at[label] = key
+    else:
+        shapes, literals, at = {kind}, dict(zip(literals, column)), dict(zip(statistic, keys))
+    if len(at) < len(trial):
+        missing = [label for label in trial.labels if label not in at]
         raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")
-
-    def values():  # one value object per distinct literal
-        made = {key: _value(*literal) for key, literal in literals.items()}
-        return {label: made[key] for label, key in at.items()}
-
     try:
-        stat = Statistic._made(values, **Statistic._keyed(literals, at))
+        held = Statistic._keyed(shapes, literals, at)
     except InvalidStatisticError as e:
         raise TrialParseError(str(e), field="statistic") from None
-    return trial, stat
+    kind = held["kind"]
+
+    def values():  # one value object per distinct literal
+        made = {key: _value(kind, data) for key, data in literals.items()}
+        return {label: made[key] for label, key in at.items()}
+
+    return trial, Statistic._made(values, **held)
 
 
 def load_trial(path) -> tuple:

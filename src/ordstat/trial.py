@@ -14,8 +14,10 @@ and the properties arbitrary candidate p-functions may lack.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .order import (
     LexTuple,
@@ -99,19 +101,22 @@ class FiniteTrial(_Held):
     @staticmethod
     def _checked(labels: tuple, probs: list, denominator: int, weights: list) -> dict:
         """The checked attributes of a trial whose Fraction ``probs`` are ``weights`` over their lcm ``denominator``."""
-        seen = set()
-        for label, prob, weight in zip(labels, probs, weights):
-            if not isinstance(label, str) or not label:
-                raise InvalidTrialError(f"outcome labels must be non-empty strings, got {label!r}")
-            if label in seen:
-                raise InvalidTrialError(f"duplicate outcome label: {label!r}")
-            seen.add(label)
-            if weight < 0:
-                raise InvalidTrialError(f"negative probability for {label!r}: {prob}")
+        prob = dict(zip(labels, probs)) if set(map(type, labels)) == {str} and all(labels) else {}
+        if len(prob) < len(labels) or min(weights) < 0:  # name the first bad label or probability
+            seen = set()
+            for label, p, weight in zip(labels, probs, weights):
+                if not isinstance(label, str) or not label:
+                    raise InvalidTrialError(f"outcome labels must be non-empty strings, got {label!r}")
+                if label in seen:
+                    raise InvalidTrialError(f"duplicate outcome label: {label!r}")
+                seen.add(label)
+                if weight < 0:
+                    raise InvalidTrialError(f"negative probability for {label!r}: {p}")
+            prob = dict(zip(labels, probs))
         if sum(weights) != denominator:
             raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
-        pairs = tuple(zip(labels, probs))
-        return dict(outcomes=pairs, labels=labels, weights=tuple(weights), denominator=denominator, _prob=dict(pairs))
+        return dict(outcomes=tuple(zip(labels, probs)), labels=labels, weights=tuple(weights), denominator=denominator,
+                    _prob=prob)
 
     @classmethod
     def uniform(cls, labels) -> "FiniteTrial":
@@ -126,7 +131,7 @@ class FiniteTrial(_Held):
             raise MissingOutcomeError(f"unknown outcome label: {label!r}") from None
 
     def zero_probability_labels(self) -> tuple:
-        return tuple(label for label, weight in zip(self.labels, self.weights) if not weight)
+        return tuple(compress(self.labels, map(operator.not_, self.weights)))
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -148,17 +153,18 @@ class Statistic(_Held):
         vals = dict(self.values)
         if not vals:
             raise InvalidStatisticError("a statistic needs at least one value")
-        vars(self).update(self._keyed({label: (shape(v), plain(v)) for label, v in vals.items()}), values=vals)
+        shapes = {shape(v) for v in vals.values()}
+        vars(self).update(self._keyed(shapes, {label: plain(v) for label, v in vals.items()}), values=vals)
 
     @staticmethod
-    def _keyed(literals: dict, at: dict | None = None) -> dict:
-        """``kind`` and ``keys`` where label x has the (shape, plain data) ``literals[at[x]]``, or ``literals[x]``."""
-        shapes = {kind for kind, _ in literals.values()}
+    def _keyed(shapes: set, literals: dict, at: dict | None = None) -> dict:
+        """``kind``, the one shape in ``shapes``, and ``keys`` of each label x, whose ``plain`` data is
+        ``literals[at[x]]``, or ``literals[x]`` without ``at``."""
         if len(shapes) > 1:
             raise InvalidStatisticError(f"statistic values must share one shape, found {len(shapes)}")
         (kind,) = shapes
-        keys = dict(zip(literals, grid_keys(kind, [data for _, data in literals.values()])))
-        return {"kind": kind, "keys": keys if at is None else {label: keys[key] for label, key in at.items()}}
+        keys = dict(zip(literals, grid_keys(kind, list(literals.values()))))
+        return {"kind": kind, "keys": keys if at is None else dict(zip(at, map(keys.__getitem__, at.values())))}
 
     def __getitem__(self, label) -> OrdValue:
         return self.values[label]
@@ -195,9 +201,10 @@ class PFunction(_Held):
     def _checked(keys: dict, d: int) -> dict:
         if not keys:
             raise InvalidPFunctionError("a p-function needs at least one value")
-        for label, k in keys.items():
-            if not 0 <= k <= d:
-                raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {Fraction(k, d)}")
+        if not 0 <= min(keys.values()) <= max(keys.values()) <= d:  # name the first value outside [0, 1]
+            for label, k in keys.items():
+                if not 0 <= k <= d:
+                    raise InvalidPFunctionError(f"value for {label!r} outside [0, 1]: {Fraction(k, d)}")
         return {"keys": keys, "denominator": d}
 
     def __eq__(self, other):
@@ -232,10 +239,11 @@ class PFunctionClass:
 
 
 def _on_outcomes(trial: FiniteTrial, values: dict, what: str) -> list:
-    missing = [label for label in trial.labels if label not in values]
-    if missing:
-        raise MissingOutcomeError(f"{what} undefined on outcomes: {missing}")
-    return [values[label] for label in trial.labels]
+    try:
+        return list(map(values.__getitem__, trial.labels))
+    except KeyError:
+        missing = [label for label in trial.labels if label not in values]
+        raise MissingOutcomeError(f"{what} undefined on outcomes: {missing}") from None
 
 
 def _has_score(s) -> bool:
@@ -328,7 +336,7 @@ def classify_pfunction(trial: FiniteTrial, pfunc: PFunction) -> PFunctionClass:
             witness = Fraction(key, g), Fraction(cum, d)
     verdict = (Validity.NOT_PFUNCTION if witness else
                Validity.CONSERVATIVE if "conservative" in kind.values() else Validity.RANGE_EXACT)
-    return PFunctionClass(verdict, *witness, kinds={label: kind[key] for label, key in zip(trial.labels, keys)})
+    return PFunctionClass(verdict, *witness, kinds=dict(zip(trial.labels, map(kind.__getitem__, keys))))
 
 
 def pvalue_kinds(trial: FiniteTrial, pfunc: PFunction) -> dict:

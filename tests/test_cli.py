@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath.calculus.quadrature import TanhSinh
 
 import ordstat.cli
@@ -16,10 +19,13 @@ from ordstat import (
     RandomizedPFunction,
     RankTestError,
     TrialParseError,
+    classify_pfunction,
     files,
+    induce_phat,
     load_trial,
     load_two_sample,
     parse_rational,
+    parse_trial_document,
     randomized,
     ranktests,
     trial,
@@ -586,6 +592,76 @@ class TestReportHygiene:
         code, out, _ = run(capsys, "induce", "--trial", str(DATA / "three.json"))
         assert code == 0
         assert parse_report(out)["precision"] == "40"
+
+
+def _main(argv) -> tuple:
+    """main's exit code and stdout, for tests whose hypothesis examples cannot share capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _one_line(label: str) -> bool:
+    return ":" not in label and label.splitlines() == [label] and label == label.strip()
+
+
+LINE_CHARS = "ab :\n\r\t\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000\xe9"
+
+
+@st.composite
+def labelled_documents(draw):
+    """Valid trial documents but for their labels, which may hold ':', outer whitespace or any line boundary."""
+    inner = st.tuples(st.sampled_from("ab\xe9"), st.sampled_from(LINE_CHARS), st.sampled_from("ab\xe9")).map("".join)
+    label = st.text(st.sampled_from(LINE_CHARS), min_size=1, max_size=4) | st.text(min_size=1, max_size=3) | inner
+    labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
+    weights[0] += not sum(weights)
+    value = draw(st.sampled_from((st.integers(-2, 2), st.sampled_from(("1/2", "-1/3", "2/4", "0")))))
+    return labels, json.dumps({
+        "outcomes": [{"label": x, "prob": f"{w}/{sum(weights)}"} for x, w in zip(labels, weights)],
+        "statistic": {x: draw(value) for x in labels},
+    })
+
+
+class TestPerLabelLines:
+    """phat.*, midp.* and pvalue-kind.* lines are formatted once per distinct key, yet read as per-label str() would."""
+
+    @staticmethod
+    def per_label(t, stat) -> list:
+        phat = induce_phat(t, stat)
+        kinds = classify_pfunction(t, phat).kinds
+        mids = randomized.mid_pfunction(t, randomized.build_randomized(t, stat))
+        return ([f"phat.{x}: {phat[x]}" for x in t.labels], [f"pvalue-kind.{x}: {kinds[x]}" for x in t.labels],
+                [f"midp.{x}: {mids[x]}" for x in t.labels])
+
+    def test_corpus(self, trial_corpus):
+        for t, stat in trial_corpus:
+            phat = induce_phat(t, stat)
+            report = ordstat.cli.RunReport("induce", None)
+            ordstat.cli._add_pvalues(report, "phat", t.labels, phat)
+            report.add_per_label("pvalue-kind", t.labels, map(classify_pfunction(t, phat).kinds.get, t.labels))
+            ordstat.cli._add_pvalues(report, "midp", t.labels,
+                                     randomized.mid_pfunction(t, randomized.build_randomized(t, stat)))
+            assert report.fields == sum(self.per_label(t, stat), [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_documents())
+    @example((["x\u2028value", "y"], json.dumps({  # would forge a "value" key for a splitlines() reader
+        "outcomes": [{"label": "x\u2028value", "prob": "1/2"}, {"label": "y", "prob": "1/2"}],
+        "statistic": {"x\u2028value": 0, "y": 1}})))
+    def test_documents(self, tmp_path_factory, document):
+        labels, text = document
+        path = tmp_path_factory.mktemp("doc") / "t.json"
+        path.write_text(text, encoding="utf-8")
+        (code, induced), (mid_code, mids) = (_main([command, "--trial", str(path)]) for command in ("induce", "midp"))
+        assert code == mid_code == (0 if all(map(_one_line, labels)) else 2)
+        if code:
+            return
+        phat, kinds, midp = self.per_label(*parse_trial_document(text))
+        for out, want in ((induced, phat + kinds), (mids, midp)):
+            assert out.splitlines() == out.split("\n")[:-1]  # every label stays one line
+            assert [line for line in out.splitlines() if line.startswith(("phat.", "pvalue-kind.", "midp."))] == want
 
 
 class TestParserOncePerProcess:

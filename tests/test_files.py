@@ -56,7 +56,7 @@ def _ref_literal(raw, pattern, field, expected):
 def _ref_label(raw, field):
     if not isinstance(raw, str) or not raw:
         raise TrialParseError(f"label must be a non-empty string, got {raw!r}", field=field)
-    if any(ch in raw for ch in (":", "\n", "\r")) or raw != raw.strip():
+    if ":" in raw or raw.splitlines() != [raw] or raw != raw.strip():  # one report line, whatever reads it
         raise TrialParseError(
             f"label may not contain ':' or newlines or outer whitespace: {raw!r}", field=field
         )
@@ -356,6 +356,15 @@ class TestTrialDocument:
     @example(TWO_OUTCOMES % ("1", "true"))  # equal in Python (True == 1), told apart by the cache keys
     @example(TWO_OUTCOMES % ("[0, 1]", "[0, true]"))
     @example(TWO_OUTCOMES % ("[1, [0]]", "[1.0, [false]]"))
+    # The first bad literal in document order is named, not the first bad tuple position.
+    @example(TWO_OUTCOMES % ('[1, "x"]', '["y", 2]'))  # statistic.a[1]
+    @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}],'
+             ' "statistic": {"b": "zz", "a": [1]}}')  # statistic.b
+    @example(TWO_OUTCOMES % ("[1]", '["1/2"]'))  # the shape error, raised only once every literal parses
+    @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "a", "prob": "1/4"},'
+             ' {"label": "c", "prob": "0.25"}], "statistic": {"a": 1, "c": 2}}')  # outcomes[2].prob, not the duplicate
+    @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": ["1/2"]}],'
+             ' "statistic": {"a": 1, "b": 2}}')  # an unhashable probability: outcomes[1].prob
     def test_parser_equals_reference(self, text):
         assert parse_result(parse_trial_document, text) == parse_result(reference_parse, text)
 
