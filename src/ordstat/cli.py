@@ -361,21 +361,15 @@ _parser = functools.cache(build_parser)  # one parser per process, built at the 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        precision = _default_precision()  # read on every call; the cached parser's --precision default is None
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    args = _parser().parse_args(argv)
-    if args.subcommand != "demo" and args.precision is None:
-        args.precision = precision
-    if args.precision is not None and not MIN_PRECISION <= args.precision <= MAX_PRECISION:
-        print(f"error: --precision must be between {MIN_PRECISION} and {MAX_PRECISION}", file=sys.stderr)
-        return 2
-    if getattr(args, "max_enum", 1) < 1:
-        print("error: --max-enum must be at least 1", file=sys.stderr)
-        return 2
-    report = RunReport(" ".join(argv), args.precision)
-    try:
+        precision = _default_precision()  # read on every call, before parsing; the cached parser's default is None
+        args = _parser().parse_args(argv)
+        if args.subcommand != "demo" and args.precision is None:
+            args.precision = precision
+        if args.precision is not None and not MIN_PRECISION <= args.precision <= MAX_PRECISION:
+            raise ValueError(f"--precision must be between {MIN_PRECISION} and {MAX_PRECISION}")
+        if getattr(args, "max_enum", 1) < 1:
+            raise ValueError("--max-enum must be at least 1")
+        report = RunReport(" ".join(argv), args.precision)
         globals()[f"cmd_{args.subcommand}"](args, report)  # looked up per call, so a patched command runs
     except SizeLimitError as e:
         print(f"error: {e}", file=sys.stderr)

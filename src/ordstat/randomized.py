@@ -32,8 +32,9 @@ from .trial import (
     PFunctionClass,
     Statistic,
     TrialError,
-    _groups,
+    _cumulative,
     _Held,
+    _on_outcomes,
     classify_pfunction,
     induce_phat,
     product_trial,
@@ -80,10 +81,12 @@ class RandomizedPFunction(_Held):
 
 def build_randomized(trial: FiniteTrial, stat: Statistic) -> RandomizedPFunction:
     """Split each outcome's induced p-value into strict mass and tie mass, as ints over the trial's D."""
-    split, below, d = {}, 0, trial.denominator
-    for members, weight in _groups(trial, stat):
-        split.update(dict.fromkeys(members, (below, weight)))
-        below += weight
+    keys, d = _on_outcomes(trial, stat.keys, "statistic"), trial.denominator
+    pairs, below = {}, 0
+    for key, at in _cumulative(keys, trial.weights).items():
+        pairs[key] = below, at - below
+        below = at
+    split = dict(zip(trial.labels, map(pairs.__getitem__, keys)))
     return RandomizedPFunction._made(
         lambda: {label: (Fraction(low, d), Fraction(atom, d)) for label, (low, atom) in split.items()},
         denominator=d, split=split)

@@ -8,7 +8,11 @@ classifications are int arithmetic, and Fractions are built when read.
 The central operation is ``induce_phat``, which maps a statistic f to the
 p-function x -> P[f <= f(x)]; the classification machinery then checks the
 properties this induced function provably has (self-inducing, range-exact)
-and the properties arbitrary candidate p-functions may lack.
+and the properties arbitrary candidate p-functions may lack. Every answer
+sums masses through one kernel, ``_cumulative``: each distinct key in
+ascending order with the weight of the outcomes at or below it. Induced
+p-values, randomized splits (in ``randomized``), a p-function's CDF and
+``value_groups``' masses are all read from that one table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 
 from .order import (
     LexTuple,
@@ -83,10 +87,12 @@ class FiniteTrial(_Held):
 
     Outcomes are (label, probability) pairs; labels are distinct, every
     probability is >= 0 and the probabilities sum to exactly 1. Outcomes of
-    probability zero are permitted (they never affect classifications) but
-    are worth flagging in reports. The trial also holds ``labels``, the
-    lcm D of the probabilities' denominators as ``denominator``, and each
-    probability times D in ``weights``, in the order of ``labels``.
+    probability zero are permitted but are worth flagging in reports: they
+    never change an induced p-function's verdict, but a candidate's value
+    attained only on them is checked like any other. The trial also holds
+    ``labels``, the lcm D of the probabilities' denominators as
+    ``denominator``, and each probability times D in ``weights``, in the
+    order of ``labels``.
     """
 
     outcomes: tuple
@@ -246,12 +252,6 @@ def _on_outcomes(trial: FiniteTrial, values: dict, what: str) -> list:
         raise MissingOutcomeError(f"{what} undefined on outcomes: {missing}") from None
 
 
-def _has_score(s) -> bool:
-    if isinstance(s, tuple):
-        return any(_has_score(part) for part in s)
-    return s == "score"
-
-
 def _canonical(value: OrdValue):
     # Picks one of several equal values: the lowest precisions, then the lowest Decimal as_tuple().
     if isinstance(value, LexTuple):
@@ -261,17 +261,12 @@ def _canonical(value: OrdValue):
     return ()
 
 
-def _groups(trial: FiniteTrial, stat: Statistic) -> list:
-    """Ascending (labels, weight) groups of the outcomes with equal ``stat.keys``, labels in the trial's order."""
-    groups = {}
-    for label, key, weight in zip(trial.labels, _on_outcomes(trial, stat.keys, "statistic"), trial.weights):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [[label], weight]
-        else:
-            group[0].append(label)
-            group[1] += weight
-    return [groups[key] for key in sorted(groups)]
+def _cumulative(keys: list, weights) -> dict:
+    """Each distinct key, ascending, with the total weight of the outcomes whose key is at or below it."""
+    mass = dict.fromkeys(sorted(set(keys)), 0)
+    for key, weight in zip(keys, weights):
+        mass[key] += weight
+    return dict(zip(mass, accumulate(mass.values())))
 
 
 def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
@@ -283,9 +278,13 @@ def value_groups(trial: FiniteTrial, stat: Statistic) -> list:
     in precision or exponent; such a group's value is the one with the
     lowest precisions, then the lowest ``Decimal.as_tuple()``.
     """
-    values, scored = stat.values, _has_score(stat.kind)
-    return [(min((values[x] for x in members), key=_canonical) if scored else values[members[0]], members, weight)
-            for members, weight in _groups(trial, stat)]
+    keys = _on_outcomes(trial, stat.keys, "statistic")
+    cum = _cumulative(keys, trial.weights)
+    members = {key: [] for key in cum}
+    for label, key in zip(trial.labels, keys):
+        members[key].append(label)
+    return [(min(map(stat.values.__getitem__, labels), key=_canonical), labels, at - below)
+            for labels, at, below in zip(members.values(), cum.values(), [0, *cum.values()])]
 
 
 def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
@@ -293,11 +292,9 @@ def induce_phat(trial: FiniteTrial, stat: Statistic) -> PFunction:
 
     All values are exact rationals k/D, and f(y) <= f(x) is decided exactly.
     """
-    keys, cum = {}, 0
-    for members, weight in _groups(trial, stat):
-        cum += weight
-        keys.update(dict.fromkeys(members, cum))
-    return PFunction._over(keys, trial.denominator)
+    keys = _on_outcomes(trial, stat.keys, "statistic")
+    cum = _cumulative(keys, trial.weights)
+    return PFunction._over(dict(zip(trial.labels, map(cum.__getitem__, keys))), trial.denominator)
 
 
 def induced_measure(trial: FiniteTrial, stat: Statistic) -> list:
@@ -324,12 +321,8 @@ def classify_pfunction(trial: FiniteTrial, pfunc: PFunction) -> PFunctionClass:
     ``kinds`` holds each outcome's ``pvalue_kinds`` verdict.
     """
     keys, g, d = _on_outcomes(trial, pfunc.keys, "p-function"), pfunc.denominator, trial.denominator
-    mass = {}
-    for key, weight in zip(keys, trial.weights):
-        mass[key] = mass.get(key, 0) + weight
-    kind, cum, witness = {}, 0, ()
-    for key in sorted(mass):
-        cum += mass[key]
+    kind, witness = {}, ()
+    for key, cum in _cumulative(keys, trial.weights).items():
         excess = cum * g - key * d  # P[pfunc <= key/g] - key/g, times g*D
         kind[key] = "exact" if not excess else "invalid" if excess > 0 else "conservative"
         if excess > 0 and not witness:

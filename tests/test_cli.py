@@ -105,23 +105,28 @@ class TestInduce:
         assert "theorem check failed: induced p-function not self-induced" in err
 
 
-@pytest.mark.parametrize("command, groupings", [("induce", 2), ("midp", 1), ("randomize", 1)])
-def test_statistic_grouped_once_per_answer(capsys, monkeypatch, command, groupings):
-    """induce groups the statistic and then re-induces its p-function; midp and randomize group once."""
+@pytest.mark.parametrize("command, sums", [("induce", 3), ("midp", 2), ("randomize", 1)])
+def test_statistic_grouped_once_per_answer(capsys, monkeypatch, command, sums):
+    """Every answer sums masses through ``trial._cumulative``, and the statistic's keys once.
+
+    induce also re-induces and classifies its p-function, midp classifies its mid-p-values.
+    """
     calls = []
-    original = trial._groups
+    original = trial._cumulative
 
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def spy(keys, weights):
+        calls.append(list(keys))
+        return original(keys, weights)
 
-    monkeypatch.setattr(trial, "_groups", spy)
-    monkeypatch.setattr(randomized, "_groups", spy)
+    monkeypatch.setattr(trial, "_cumulative", spy)
+    monkeypatch.setattr(randomized, "_cumulative", spy)
     argv = [command, "--trial", str(DATA / "three.json")]
     if command == "randomize":
         argv += ["--outcome", "a", "--r", "1/2"]
     assert run(capsys, *argv)[0] == 0
-    assert len(calls) == groupings
+    ft, stat = load_trial(DATA / "three.json")
+    assert len(calls) == sums
+    assert calls.count([stat.keys[label] for label in ft.labels]) == 1
 
 
 def odd_primes(count: int) -> list:

@@ -9,6 +9,7 @@ outcomes; candidate p-functions and splits are drawn off the trial's grid.
 """
 
 from collections import defaultdict
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ordstat import (
     RandomizedPFunction,
     Rank,
     Rational,
+    Score,
     Statistic,
     Validity,
     build_randomized,
@@ -61,11 +63,23 @@ def rationals(lo=-6, hi=6):
     return st.builds(lambda k, d: Rational(F(k, d)), st.integers(lo, hi), st.sampled_from((1, 2, 3, 7)))
 
 
+def scores():
+    """Scores k/4 for k in [-4, 4], each written with 0-2 trailing zeros at precisions 4-6, so equal values differ."""
+    return st.builds(lambda k, zeros, precision: Score(Decimal(25 * k * 10**zeros).scaleb(-2 - zeros), precision),
+                     st.integers(-4, 4), st.integers(0, 2), st.integers(4, 6))
+
+
+def nested(first, last):
+    """Tuples (first, (rank 0 or 1, last))."""
+    return st.builds(lambda a, r, b: lex_tuple([a, lex_tuple([r, b])]), first, st.builds(Rank, st.integers(0, 1)), last)
+
+
 SHAPES = {
     "rank": st.builds(Rank, st.integers(-3, 3)),
     "rational": rationals(),
-    "tuple": st.builds(lambda a, r, b: lex_tuple([a, lex_tuple([r, b])]),
-                       rationals(-2, 2), st.builds(Rank, st.integers(0, 1)), rationals(-3, 0)),
+    "tuple": nested(rationals(-2, 2), rationals(-3, 0)),
+    "score": scores(),
+    "score-tuple": nested(scores(), scores()),
 }
 
 

@@ -349,6 +349,19 @@ class TestClassify:
         conservative = PFunction({"a": F(3, 4), "b": F(1)})
         assert pvalue_kinds(t, conservative) == {"a": "conservative", "b": "exact"}
 
+    def test_zero_probability_outcomes(self):
+        """They never change an induced p-function's verdict; a candidate's value attained only on them counts."""
+        with_zero, without = trial(("a", F(1)), ("b", F(0))), trial(("a", F(1)))
+        candidate = classify_pfunction(with_zero, PFunction({"a": F(1), "b": F(1, 2)}))
+        assert candidate.kind is Validity.CONSERVATIVE
+        assert candidate.kinds == {"a": "exact", "b": "conservative"}
+        assert classify_pfunction(without, PFunction({"a": F(1)})).kind is Validity.RANGE_EXACT
+        full, kept = trial(("a", F(1, 2)), ("z", F(0)), ("b", F(1, 2))), trial(("a", F(1, 2)), ("b", F(1, 2)))
+        for a, z, b in itertools.product(range(3), repeat=3):
+            got = classify_pfunction(full, induce_phat(full, rank_stat(a=a, z=z, b=b)))
+            assert got == classify_pfunction(kept, induce_phat(kept, rank_stat(a=a, b=b)))
+            assert got.kind is Validity.RANGE_EXACT
+
     def test_validity_on_dense_grid(self, trial_corpus):
         levels = [F(k, 1000) for k in range(0, 1001, 7)]
         for t, stat in trial_corpus[:20]:
