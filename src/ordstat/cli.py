@@ -7,6 +7,10 @@ first ": "); ``--plain`` swaps the machine header for a one-line summary.
 headline and adds fields, warnings and theorem failures.
 Exit codes: 0 success, 2 parse or validation error, 3 enumeration size cap,
 4 failed theorem check (the latter always indicates an implementation bug).
+A command imports the layers it runs when it runs: ``table`` and
+``twosample`` the rank tests, ``induce`` the trial layer, ``midp`` and
+``randomize`` the trial and randomized layers. At import this module loads
+only ``files`` and ``order``, whose error roots ``main`` maps to exit codes.
 """
 
 from __future__ import annotations
@@ -23,38 +27,9 @@ from itertools import repeat
 from operator import floordiv
 from pathlib import Path
 
-from .order import MIN_PRECISION, format_ord
-from .trial import (
-    TheoremCheckError,
-    TrialError,
-    Validity,
-    check_idempotence,
-    classify_pfunction,
-    induce_phat,
-)
-from .randomized import (
-    build_randomized,
-    draw_uniform_r,
-    exactness_sweep,
-    mid_pfunction,
-    randomized_pvalue,
-)
-from .ranktests import (
-    CascadeStatistic,
-    CompareContext,
-    RankTestError,
-    SizeLimitError,
-    DEFAULT_MAX_ENUM,
-    attainable_set,
-    compare_with_reference,
-    describe_mismatch,
-    exact_perm_pvalue,
-    format_tie_group,
-    mc_gaussian_pvalue,
-    observed_cascade_value,
-    reference_for,
-)
 from .files import TrialParseError, _check_digits, format_rational, parse_rational, parse_trial_document, parse_two_sample
+from .order import (DEFAULT_MAX_ENUM, MIN_PRECISION, RankTestError, SizeLimitError, TheoremCheckError, TrialError,
+                    format_ord)
 
 EXACTNESS_GRID = 97
 MAX_PRECISION = 100
@@ -153,6 +128,8 @@ def _add_pvalues(report: RunReport, prefix: str, labels, pfunc) -> None:
 
 
 def cmd_induce(args, report: RunReport) -> None:
+    from .trial import Validity, check_idempotence, classify_pfunction, induce_phat
+
     trial, stat = _load_trial(args, report)
     phat = induce_phat(trial, stat)
     classification = classify_pfunction(trial, phat)
@@ -171,6 +148,8 @@ def cmd_induce(args, report: RunReport) -> None:
 
 
 def cmd_randomize(args, report: RunReport) -> None:
+    from .randomized import build_randomized, draw_uniform_r, exactness_sweep, randomized_pvalue
+
     trial, stat = _load_trial(args, report)
     trial.prob(args.outcome)  # raises MissingOutcomeError for unknown labels
     rpf = build_randomized(trial, stat)
@@ -197,6 +176,9 @@ def cmd_randomize(args, report: RunReport) -> None:
 
 
 def cmd_midp(args, report: RunReport) -> None:
+    from .randomized import build_randomized, mid_pfunction
+    from .trial import classify_pfunction
+
     trial, stat = _load_trial(args, report)
     mids = mid_pfunction(trial, build_randomized(trial, stat))
     classification = classify_pfunction(trial, mids)
@@ -210,6 +192,9 @@ def cmd_midp(args, report: RunReport) -> None:
 
 
 def cmd_twosample(args, report: RunReport) -> None:
+    from .ranktests import (CascadeStatistic, CompareContext, exact_perm_pvalue, mc_gaussian_pvalue,
+                            observed_cascade_value)
+
     sample = parse_two_sample(_read_input(args.data, report))
     cascade = CascadeStatistic.parse(args.cascade)
     report.add("m", sample.m)
@@ -240,6 +225,9 @@ def cmd_twosample(args, report: RunReport) -> None:
 
 
 def cmd_table(args, report: RunReport) -> None:
+    from .ranktests import (CascadeStatistic, attainable_set, compare_with_reference, describe_mismatch,
+                            format_tie_group, reference_for)
+
     cascade = CascadeStatistic.parse(args.cascade)
     att = attainable_set(args.m, args.n, cascade, args.precision, args.max_enum)
     report.inputs_digest = _digest_params("table", args.m, args.n, cascade.label(), args.precision)

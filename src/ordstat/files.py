@@ -5,6 +5,9 @@ and ``statistic`` (label to value). Probabilities must be written as "p" or
 "p/q" with decimal integers; anything else ("0.33", floats) is rejected so
 no inexact number can slip in. Statistic values are rational strings,
 integer ranks, or (nested) arrays of these; all must share one shape.
+Each parser imports the layer whose objects it builds when it runs, so
+reading a data file never loads the trial layer, nor a trial document the
+rank layer.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from .order import LexTuple, OrdValue, Rank, Rational, on_grid
-from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statistic
-from .ranktests import TwoSample
 
 _PROB_RE = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")
 _PROB_MESSAGE = 'probability must be a nonnegative rational string like "1/2"'
@@ -155,6 +156,8 @@ def parse_trial_document(text: str):
 
     Columns are checked in bulk; an error names the first bad entry in document order.
     """
+    from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statistic
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -240,6 +243,8 @@ def parse_two_sample(text: str) -> TwoSample:
     comment. Exactly two group labels must occur; the first label seen is
     the x group. Values accept decimal or rational literals.
     """
+    from .ranktests import TwoSample
+
     groups: dict = {}
     order = []
     limit = sys.get_int_max_str_digits()

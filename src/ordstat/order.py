@@ -14,6 +14,10 @@ tuples of ordered values are themselves ordered values, so cascades of
 statistics nest freely. Infinite codomains and order-theoretic conditions on
 them (which orders admit valid p-values at all) have no finite computational
 content and live in documentation only.
+
+Every other module imports this one, so it also holds what the layers
+share: the precision bounds, the rank tests' enumeration cap, and the
+roots of the trial and rank-test errors.
 """
 
 from __future__ import annotations
@@ -29,6 +33,26 @@ DEFAULT_PRECISION = 50
 # Rank cascades tie score sums within a relative 10**(2 - precision) (ranktests' windows);
 # the floor keeps that below 1%: at precision 2 it would tie 0 with every value, at 1 opposite signs.
 MIN_PRECISION = 4
+DEFAULT_MAX_ENUM = 10_000_000  # rank tests' cap on C(m+n, m); here so the command line can print it
+
+
+# The roots of the trial and rank-test errors live below both layers: the rank side raises
+# TheoremCheckError without loading the trial layer, and the command line maps each root to
+# its exit code without loading either.
+class TrialError(Exception):
+    """Base class for trial-level contract violations."""
+
+
+class TheoremCheckError(TrialError):
+    """An identity that must hold by theorem failed: implementation bug."""
+
+
+class RankTestError(Exception):
+    """Base class for two-sample rank-test errors."""
+
+
+class SizeLimitError(RankTestError):
+    """The enumeration C(m+n, m) exceeds the configured cap."""
 
 
 class OrderError(Exception):

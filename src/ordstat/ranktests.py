@@ -47,17 +47,18 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .order import (
+    DEFAULT_MAX_ENUM,
     DEFAULT_PRECISION,
     MIN_PRECISION,
     LexTuple,
     Rank,
+    RankTestError,
     Score,
+    SizeLimitError,
+    TheoremCheckError,
     exact_fraction,
     format_ord,
 )
-from .trial import TheoremCheckError
-
-DEFAULT_MAX_ENUM = 10_000_000
 
 
 @dataclass
@@ -74,10 +75,6 @@ class CompareContext:
         return self.imprecise_ties > 0
 
 
-class RankTestError(Exception):
-    """Base class for two-sample rank-test errors."""
-
-
 class DuplicateObservationsError(RankTestError):
     """Pooled observations must be pairwise distinct."""
 
@@ -92,10 +89,6 @@ class InvalidCascadeError(RankTestError):
 
 class TCascadeNotExactError(RankTestError):
     """Cascades containing the t component have no exact permutation p-value."""
-
-
-class SizeLimitError(RankTestError):
-    """The enumeration C(m+n, m) exceeds the configured cap."""
 
 
 class Component(enum.Enum):

@@ -28,6 +28,8 @@ from .order import (
     OrdValue,
     Rational,
     Score,
+    TheoremCheckError,
+    TrialError,
     exact_fraction,
     grid_keys,
     on_grid,
@@ -36,10 +38,7 @@ from .order import (
 )
 
 
-class TrialError(Exception):
-    """Base class for trial-level contract violations."""
-
-
+# TrialError and TheoremCheckError, this layer's roots, are defined in order and named from here too.
 class InvalidTrialError(TrialError):
     """The outcome list violates the finite-trial invariants."""
 
@@ -58,10 +57,6 @@ class MissingOutcomeError(TrialError):
 
 class ScaleBelowOneError(TrialError):
     """Scaling a p-function by c < 1 does not preserve validity."""
-
-
-class TheoremCheckError(TrialError):
-    """An identity that must hold by theorem failed: implementation bug."""
 
 
 class _Held:

@@ -97,7 +97,10 @@ class TestInduce:
     def test_theorem_failures_exit_4(self, capsys, monkeypatch):
         # A conservative p-function in place of the induced one fails both checks.
         wrong = PFunction({"a": F(2, 3), "b": F(3, 4), "c": F(1)})
-        monkeypatch.setattr(ordstat.cli, "induce_phat", lambda *args: wrong)
+        # cmd_induce resolves induce_phat in the trial layer, where check_idempotence re-induces through
+        # it too: only the command's own call, on the document's rank statistic, gets the wrong answer.
+        induce = trial.induce_phat
+        monkeypatch.setattr(trial, "induce_phat", lambda t, stat: wrong if stat.kind == "rank" else induce(t, stat))
         code, out, err = run(capsys, "induce", "--trial", str(DATA / "three.json"))
         assert code == 4
         assert parse_report(out)["idempotent"] == "false"
@@ -200,7 +203,7 @@ class TestRandomize:
     def test_verify_exact_failure_exits_4(self, capsys, monkeypatch):
         # Every outcome's share drawn from [0, 1/2]: P[value <= eps] = 2 eps, not eps.
         wrong = RandomizedPFunction(dict.fromkeys("abc", (F(0), F(1, 2))))
-        monkeypatch.setattr(ordstat.cli, "build_randomized", lambda *args: wrong)
+        monkeypatch.setattr(randomized, "build_randomized", lambda *args: wrong)  # the name cmd_randomize resolves
         code, out, err = run(
             capsys, "randomize", "--trial", str(DATA / "three.json"),
             "--outcome", "a", "--r", "1/2", "--verify-exact",
@@ -217,7 +220,7 @@ class TestRandomize:
             "statistic": {"x": 0, "y": 1},
         }))
         wrong = RandomizedPFunction({"x": (F(0), F(1, 194)), "y": (F(1, 97), F(96, 97))})
-        monkeypatch.setattr(ordstat.cli, "build_randomized", lambda *args: wrong)
+        monkeypatch.setattr(randomized, "build_randomized", lambda *args: wrong)  # the name cmd_randomize resolves
         code, out, err = run(
             capsys, "randomize", "--trial", str(doc), "--outcome", "x", "--r", "1/2", "--verify-exact",
         )
@@ -789,13 +792,58 @@ import contextlib, io, json, sys
 import ordstat.cli
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
-    code = ordstat.cli.main(argv) if argv else 0
+    try:
+        code = ordstat.cli.main(argv) if argv else 0
+    except SystemExit as e:  # --help
+        code = e.code
 print(json.dumps([code, "mpmath" in sys.modules]))
 """
+
+# Runs the command line in a fresh interpreter as ``python -m ordstat.cli ARGV`` does, or only ``import ordstat``
+# for no ARGV: prints the exit code and the ordstat modules loaded (the command line itself runs as __main__).
+LAYERS_PROBE = """
+import contextlib, io, json, runpy, sys
+argv = json.loads(sys.argv[1])
+code = 0
+with contextlib.redirect_stdout(io.StringIO()):
+    if argv:
+        sys.argv[1:] = argv
+        try:
+            runpy.run_module("ordstat.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as e:
+            code = e.code
+    else:
+        import ordstat
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("ordstat."))]))
+"""
+
+
+def probe(script: str, argv: list) -> tuple:
+    """Run a probe script on ``argv`` in a fresh interpreter: the JSON of its last line and its stderr."""
+    src = str(Path(ordstat.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=DATA, check=True)
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+# The ordstat modules each command loads: the rank commands never the trial layer, the trial commands never the
+# rank tests, --help and demo neither; ``import ordstat`` (no command) loads none.
+LAYERS = {
+    None: [],
+    "--help": ["files", "order"],
+    "demo": ["files", "order"],
+    "induce": ["files", "order", "trial"],
+    "midp": ["files", "order", "randomized", "trial"],
+    "randomize": ["files", "order", "randomized", "trial"],
+    "table": ["files", "order", "ranktests"],
+    "twosample": ["files", "order", "ranktests"],
+}
 
 
 @pytest.mark.parametrize("argv, loads", [
     ([], False),
+    (["--help"], False),
     (["induce", "--trial", "three.json"], False),
     (["midp", "--trial", "three.json"], False),
     (["randomize", "--trial", "three.json", "--outcome", "a", "--r", "1/2", "--verify-exact"], False),
@@ -804,13 +852,23 @@ print(json.dumps([code, "mpmath" in sys.modules]))
     (["table", "4", "4", "wilcoxon"], False),
     (["twosample", "--data", "six.csv", "--mode", "exact", "--cascade", "wilcoxon"], False),
     (["table", "3", "3", "wilcoxon,fyt"], True),
+    (["twosample", "--data", "six.csv", "--mode", "exact", "--cascade", "fyt,vdw"], True),
     (["twosample", "--data", "six.csv", "--mode", "mc", "--cascade", "wilcoxon,t",
       "--seed", "1", "--draws", "100"], True),
 ], ids=lambda v: " ".join(v) or "import" if isinstance(v, list) else None)
 def test_mpmath_loaded_only_by_score_or_t_builds(argv, loads):
-    """Import and the trial, demo and wilcoxon-only commands never load mpmath; a score vector or a t statistic does."""
-    src = str(Path(ordstat.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", MPMATH_PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, cwd=DATA, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, loads]
+    """Import and the trial, demo and wilcoxon-only commands never load mpmath; a score vector or a t statistic does.
+
+    A second probe runs the command as ``python -m ordstat.cli`` does and checks that it loads only the
+    ordstat modules ``LAYERS`` names for it.
+    """
+    assert probe(MPMATH_PROBE, argv)[0] == [0, loads]
+    layers = LAYERS[argv[0] if argv else None]
+    assert probe(LAYERS_PROBE, argv)[0] == [0, [f"ordstat.{layer}" for layer in layers]]
+
+
+def test_rank_theorem_failure_exits_4_without_the_trial_layer():
+    """The rank side's TheoremCheckError is the trial layer's class, so main maps it to 4 with only the rank layer loaded."""
+    argv = ["table", "6", "6", "laplace,fyt", "--precision", "6"]  # see test_non_transitive_ties_fail_loudly
+    assert probe(LAYERS_PROBE, argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]]],
+                                         "theorem check failed: attainable groups are not strictly ascending\n")

@@ -35,7 +35,7 @@ from ordstat import (
     scale_pfunction,
 )
 from ordstat.order import exact_fraction
-from ordstat.trial import value_groups
+from ordstat.trial import _canonical, value_groups
 
 F = Fraction
 
@@ -290,6 +290,53 @@ class TestInducedMeasure:
             assert all(type(weight) is int for *_, weight in groups)
             assert sum(weight for *_, weight in groups) == t.denominator
             assert [mass for _, mass in induced_measure(t, stat)] == [F(w, t.denominator) for *_, w in groups]
+
+
+@st.composite
+def tied_statistics(draw):
+    """A shape, and a trial and a tie-rich statistic of it: rank, rational, tuple, Score, or a tuple holding a Score.
+
+    Tied rationals may be written over different denominators; tied Scores in different precisions
+    and exponents. Every outcome gets its own value object.
+    """
+    kind = draw(st.sampled_from(["rank", "rational", "tuple", "score", "score-tuple"]))
+
+    def value():
+        k = draw(st.integers(0, 2))
+        if kind == "rank":
+            return Rank(k)
+        if kind == "rational":
+            q = draw(st.integers(1, 3))
+            return Rational(F(k * q, 2 * q))
+        if kind == "tuple":
+            return lex_tuple([Rank(k), Rational(F(draw(st.integers(0, 1)), 2))])
+        e = draw(st.integers(0, 3))
+        score = Score(Decimal(k * 10**e).scaleb(-e), draw(st.sampled_from([4, 10])))
+        return score if kind == "score" else lex_tuple([Rank(draw(st.integers(0, 1))), score])
+
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    labels = [f"o{i}" for i in range(n)]
+    t = FiniteTrial(tuple((label, F(w, sum(weights))) for label, w in zip(labels, weights)))
+    return kind, t, Statistic({label: value() for label in labels})
+
+
+class TestGroupValue:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_statistics())
+    def test_group_value_is_the_canonical_member(self, case):
+        # Every group takes its members' _canonical minimum, the very object. Members of a group
+        # without a Score are all equal, so only a Score-holding shape can pick among differing values.
+        kind, t, stat = case
+        for value, labels, _ in value_groups(t, stat):
+            assert value is min(map(stat.__getitem__, labels), key=_canonical)
+            assert kind.startswith("score") or len({stat[x] for x in labels}) == 1
+
+    def test_equal_scores_take_the_lowest_precision(self):
+        stat = Statistic({"a": Score("1.00", 10), "b": Score("1.0", 10), "c": Score("1.000", 4)})
+        ((value, labels, weight),) = value_groups(THREE, stat)
+        assert value.value.as_tuple() == Decimal("1.000").as_tuple() and value.precision == 4
+        assert (labels, weight) == (["a", "b", "c"], THREE.denominator)
 
 
 class TestIdempotence:
