@@ -29,7 +29,9 @@ p-value counts the smaller rank sums from their Gaussian binomial and visits
 only the observed rank sum's slice. An attainable set builds a tie group's
 value when it is read, and is verified range-exact at every size by an
 independent recount that bisects the key columns on the same windows.
-mpmath is loaded at the first score-vector or t build, never at import.
+Score vectors and t values are computed with the decimal module alone, whose
+exp, ln and sqrt are correctly rounded; each printed digit is decided by an
+error interval or an exact bracket.
 """
 
 from __future__ import annotations
@@ -207,26 +209,21 @@ def rank_sum(sample: TwoSample) -> int:
 # Per-rank score vectors
 
 
-def _mpf_fraction(f: Fraction):
-    import mpmath
-    return mpmath.mpf(f.numerator) / f.denominator
-
-
 # Guard digits tried in turn for a vector's lower half, until every value's
 # rounding to `precision` digits is decided. The first FYT rung decided every
 # vector checked (pools 2-200 at precisions 4-100); the later ones serve a
-# rank whose error interval straddles a rounding boundary.
+# rank whose error interval straddles a rounding boundary. Each rung works in
+# a decimal context of precision + guard digits.
 _FYT_GUARD_DIGITS = (15, 30, 60, 120)
 _QUANTILE_GUARD_DIGITS = (15, 25)
 
 
 def _lower_half(scheme: Component, pool: int, precision: int) -> list:
     # Scores of ranks 1..pool // 2 as Decimals correctly rounded to `precision` digits.
-    import mpmath
     fyt = scheme is Component.FYT
     rungs = _FYT_GUARD_DIGITS if fyt else _QUANTILE_GUARD_DIGITS
     for guard in rungs:
-        with mpmath.workdps(precision + guard):
+        with decimal.localcontext(decimal.Context(prec=precision + guard)):
             decimals = _folded_order_stats(pool, precision) if fyt else _quantiles(scheme, pool, precision)
         if decimals is not None:
             return decimals
@@ -236,79 +233,213 @@ def _lower_half(scheme: Component, pool: int, precision: int) -> list:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pi(digits: int) -> Decimal:
+    # pi to `digits` digits, by the recipe of the decimal module's documentation.
+    with decimal.localcontext(decimal.Context(prec=digits + 2)):
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return decimal.Context(prec=digits).plus(s)
+
+
+_HALF = Decimal("0.5")
+
+
+def _upper_tail(z: Decimal) -> tuple:
+    # (q, phi, error) at z >= 0 in the current context: phi the standard normal
+    # density and q = 1 - Phi(z) = 1/2 - phi(z) sum z^(2k+1)/(2k+1)!!, a series of
+    # positive terms (Marsaglia 2004), with |q - (1 - Phi(z))| <= error. With u
+    # = 10^(1-prec), twice the relative rounding, a sum of K terms is off by at
+    # most 2Ku relative and phi(z) by (z^2/4 + 2)u, where z^2 <= 2K + 3 as the
+    # terms grow while 2k + 1 < z^2; so phi * sum (at most 1/2) is off by less
+    # than (2K + 4)u, plus phi times the terms left out, which decrease
+    # geometrically from the first of them. The subtraction from 1/2 cancels
+    # digits at large z; that loss is in the error, not hidden.
+    z2 = z * z
+    s = term = z
+    odd = 1
+    while True:
+        odd += 2
+        term = term * z2 / odd
+        total = s + term
+        if total == s:
+            break
+        s = total
+    phi = (-z2 / 2).exp() / (2 * _pi(decimal.getcontext().prec)).sqrt()
+    ratio = z2 / (odd + 2)
+    rest = term / (1 - ratio) if ratio < 1 else Decimal(1)
+    u = Decimal(1).scaleb(1 - decimal.getcontext().prec)
+    return _HALF - phi * s, phi, (odd + 3) * u + phi * rest
+
+
+def _max_degree(bits: int) -> int:
+    # The last tanh-sinh level tried at `bits` binary digits: a slight overestimate of
+    # the levels a smooth integrand needs, 6 up to 60 bits and one more per doubling.
+    return int(4 + max(0, math.log2(bits / 30))) + 2
+
+
+def _log10(x: Decimal) -> float:
+    # log10 of a Decimal x >= 0, to float accuracy whatever its exponent; -inf at 0.
+    if not x:
+        return -math.inf
+    e = x.adjusted()
+    return e + math.log10(float(x.scaleb(-e)))
+
+
+def _estimated_error(level: list, bits: int) -> Decimal:
+    # Error estimate of the last of a rank's level sums, by the extrapolation
+    # of Borwein, Bailey & Girgensohn: |I_2 - I_1| after two levels, then
+    # 10^int(max(D1^2/D2, 2 D1, -bits)), at most 1, with D1, D2 the log10
+    # differences of the last level to the one and two before it.
+    if len(level) == 2:
+        return abs(level[0] - level[1])
+    if level[-1] == level[-2] == level[-3]:
+        return Decimal(0)
+    d1, d2 = (_log10(abs(level[-1] - level[k])) for k in (-2, -3))
+    if d2 >= 0:  # levels a unit or more apart
+        return Decimal(1)
+    return Decimal(1).scaleb(int(min(0, max(d1 * d1 / d2, 2 * d1, -bits))))
+
+
 def _quantiles(scheme: Component, pool: int, precision: int):
-    # vdw: the Gaussian quantile sqrt(2) erfinv(2p - 1); laplace: the unit
-    # Laplace quantile ln(2p). Both at p = i / (pool + 1) < 1/2, each taken to
-    # be within a relative 10^-(precision+10); None when a rounding is undecided.
-    import mpmath
+    # vdw: the Gaussian quantile -y, 1 - Phi(y) = p; laplace: the unit Laplace
+    # quantile ln(2p). Both at p = i / (pool + 1) < 1/2, in the current
+    # context; None when a rounding is undecided. ln is correctly rounded, so
+    # ln(2i) - ln(pool + 1) is within an ulp of ln(pool + 1) plus half an ulp
+    # of its own. y is solved by Newton's method from the float quantile, and
+    # its rounding d is accepted only when the monotone 1 - Phi brackets p on
+    # the cell of values that round to d: 1 - Phi(|d| - h) > p > 1 - Phi(|d| + h).
+    half, digits = pool // 2, decimal.getcontext().prec
     decimals = []
-    for i in range(1, pool // 2 + 1):
-        p = mpmath.mpf(i) / (pool + 1)
-        x = mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1) if scheme is Component.VDW else mpmath.log(2 * p)
-        decimals.append(_rounded(x, abs(x) * mpmath.mpf(10) ** -(precision + 10), precision))
+    if scheme is Component.LAPLACE:
+        top = Decimal(pool + 1).ln()
+        error = 3 * Decimal(1).scaleb(top.adjusted() + 1 - digits) / 2
+        for i in range(1, half + 1):
+            decimals.append(_rounded(Decimal(2 * i).ln() - top, error, precision))
+        return None if None in decimals else decimals
+    from statistics import NormalDist
+
+    inv_cdf, ulp = NormalDist().inv_cdf, Decimal(1).scaleb(-digits)
+    for i in range(1, half + 1):
+        p = Decimal(i) / (pool + 1)
+        y = Decimal(inv_cdf(1 - i / (pool + 1)))
+        for _ in range(8):
+            q, phi, _ = _upper_tail(y)
+            step = (q - p) / phi
+            y += step
+            if abs(step) <= y * ulp * 100:
+                break
+        d = _round(y, precision)
+        low, high = _cell(d, precision)
+        (q_low, _, e_low), (q_high, _, e_high) = _upper_tail(low), _upper_tail(high)
+        # p and the two differences each carry at most half an ulp of rounding.
+        decided = q_low - e_low - p > 2 * ulp and p - q_high - e_high > 2 * ulp
+        decimals.append(d.copy_negate() if decided else None)
     return None if None in decimals else decimals
 
 
 def _folded_order_stats(pool: int, precision: int):
     # E of the i-th order statistic of `pool` iid standard normals for every
     # i <= pool // 2, by one tanh-sinh level loop over [0, inf) (Takahasi &
-    # Mori 1974; Bailey, Jeyabalan & Li 2005). The half z < 0 is folded onto
-    # z > 0 by z -> -z, which swaps Phi and 1 - Phi and negates z, so
+    # Mori 1974; Bailey, Jeyabalan & Li 2005), in the current context. The
+    # half z < 0 is folded onto z > 0 by z -> -z, which swaps Phi and 1 - Phi
+    # and negates z, so
     # E X_(i) = c_i int_0^inf f_i, f_i = z phi(z) (Phi^(i-1) (1-Phi)^(pool-i) - (1-Phi)^(i-1) Phi^(pool-i)),
-    # c_i = pool C(pool-1, i-1). The level sums carry c_i, so quad's error
+    # c_i = pool C(pool-1, i-1). The level sums carry c_i, so the error
     # extrapolation, applied to each rank's levels, is relative to its value.
-    # A node costs one erfc and one exp, and its rank terms follow by running
-    # products. A node z > cut is skipped: its weight is at most (z+1)^2 and,
-    # by the Mills ratio 1 - Phi(z) < phi(z)/z, |c_i f_i(z)| <= c_i z phi(z)
-    # (phi(z)/z)^(i-1), both decreasing in z, so each skipped node adds its
-    # bound at cut to every level's error. The loop stops at the first level
-    # where every error is at most 10^-(precision+3) of its value. None unless
-    # both ends of every value's error interval then round alike.
-    import mpmath
-    ctx = mpmath.mp
-    rule, prec, half = mpmath.calculus.quadrature.TanhSinh(ctx), ctx.prec, pool // 2
+    # The nodes are the tanh-sinh abscissas x = tanh(pi/2 sinh t), t = h, 3h,
+    # ... at level h = 2^-degree (and t = 0, 2h, ... at the first), mapped by
+    # z = 2/(x+1) - 1, in closed form: z = exp(+-pi sinh t) with weight
+    # pi cosh(t) z. A node costs one 1 - Phi (_upper_tail), and its rank
+    # terms follow by running products. A node z > cut is skipped: its weight
+    # is at most (z+1)^2 and, by the Mills ratio 1 - Phi(z) < phi(z)/z,
+    # |c_i f_i(z)| <= c_i z phi(z) (phi(z)/z)^(i-1), both decreasing in z, so
+    # each skipped node adds its bound at cut to every level's error. An
+    # error e in 1 - Phi moves c_i f_i by at most 2 pool (pool-1) z phi(z) e,
+    # as c_i times each derivative of the two products in 1 - Phi is pool
+    # (pool-1) times a sum of two binomial probabilities; that too is added.
+    # The loop stops at the first level where every error is at most
+    # 10^-(precision+3) of its value. None unless both ends of every value's
+    # error interval then round alike.
+    digits = decimal.getcontext().prec
+    bits = round((digits + 1) * math.log2(10))  # binary digits of `digits` decimal ones, plus one
+    half, pi = pool // 2, _pi(digits)
     coeffs = [pool * math.comb(pool - 1, i) for i in range(half)]
-    cut = mpmath.sqrt(2 * ctx.dps * mpmath.ln10) + 2
-    phi_cut = mpmath.npdf(cut)
+    cut = (2 * digits * Decimal(10).ln()).sqrt() + 2
+    phi_cut = _upper_tail(cut)[1]
     bounds = [(cut + 1) ** 2 * cut * phi_cut * c * (phi_cut / cut) ** i for i, c in enumerate(coeffs)]
-    tolerance = mpmath.mpf(10) ** -(precision + 3)
-    c1, c2 = 1 / mpmath.sqrt(2), 1 / mpmath.sqrt(2 * mpmath.pi)
+    tolerance = Decimal(1).scaleb(-(precision + 3))
+    last = 2 ** (bits + 11)  # a level's nodes end where 1 - x = 2/(z+1) <= 2^(-bits-10)
     levels = [[] for _ in range(half)]
-    skipped = 0
-    for degree in range(1, rule.guess_degree(prec) + 1):
-        sums = [0] * half
-        for z, w in rule.get_nodes(0, mpmath.inf, degree, prec):
+    skipped, tail = 0, Decimal(0)
+    for degree in range(1, _max_degree(bits) + 1):
+        h = Decimal(1) / 2**degree
+        sums = [Decimal(0)] * half
+        nodes = [(Decimal(1), pi)] if degree == 1 else []
+        # ea - eb = pi/2 sinh t and ea + eb = pi/2 cosh t at t = h, then every 2h (every h at degree 1).
+        grow = h.exp()
+        ea, eb = pi / 4 * grow, pi / 4 / grow
+        if degree > 1:
+            grow *= grow
+        for _ in range(20 * 2**degree + 1):
+            z = (2 * (ea - eb)).exp()
+            if z >= last:
+                break
+            weight = 2 * (ea + eb)
+            nodes.append((1 / z, weight / z))
+            nodes.append((z, weight * z))
+            ea *= grow
+            eb /= grow
+        for z, w in nodes:
             if z > cut:
                 skipped += 1
                 continue
-            lo = mpmath.erfc(z * c1) / 2
+            lo, phi, error = _upper_tail(z)
+            if lo < error:
+                lo = error  # then 1 - Phi(z) lies in [0, 2 error]
             hi = 1 - lo
-            g = w * z * mpmath.exp(-z * z / 2) * c2
+            g = w * z * phi
+            tail += g * error
             a, b, up, down = g * lo ** (pool - 1), g * hi ** (pool - 1), hi / lo, lo / hi
             for i in range(half):
                 sums[i] += a - b
                 a *= up
                 b *= down
-        h = mpmath.ldexp(1, -degree)
         for c, s, level in zip(coeffs, sums, levels):
             level.append((level[-1] / 2 if level else 0) + h * c * s)
         if degree == 1:
             continue
-        errors = [rule.estimate_error(level, prec, ctx.eps) + h * skipped * bound for level, bound in zip(levels, bounds)]
+        fixed = h * (2 * pool * (pool - 1) * tail)
+        errors = [_estimated_error(level, bits) + h * skipped * bound + fixed for level, bound in zip(levels, bounds)]
         if all(e <= tolerance * abs(level[-1]) for e, level in zip(errors, levels)):
             decimals = [_rounded(level[-1], e, precision) for e, level in zip(errors, levels)]
             return None if None in decimals else decimals
     return None
 
 
-def _decimal_from_mpf(x, precision: int) -> Decimal:
-    import mpmath
-    return Decimal(mpmath.nstr(x, precision, strip_zeros=False))
+def _round(x: Decimal, precision: int) -> Decimal:
+    # x to `precision` significant digits, half away from zero, trailing zeros kept.
+    ctx = decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_UP)
+    d = ctx.plus(x)
+    if len(d.as_tuple().digits) < precision:  # an exact x of fewer digits
+        d = d.quantize(Decimal(1).scaleb(d.adjusted() + 1 - precision), context=ctx)
+    return d
 
 
-def _rounded(x, error, precision: int):
+def _cell(d: Decimal, precision: int) -> tuple:
+    # (low, high): the magnitudes that _round takes to |d| are exactly [low, high).
+    ctx, m = decimal.Context(prec=precision), d.copy_abs()
+    return tuple(_EXACT.multiply(_EXACT.add(m, next_m), _HALF) for next_m in (ctx.next_minus(m), ctx.next_plus(m)))
+
+
+def _rounded(x: Decimal, error: Decimal, precision: int):
     # x rounded to `precision` digits, or None when x - error and x + error round apart.
-    low, high = _decimal_from_mpf(x - error, precision), _decimal_from_mpf(x + error, precision)
+    low, high = _round(x - error, precision), _round(x + error, precision)
     return low if low == high else None
 
 
@@ -320,16 +451,20 @@ def scheme_scores(scheme: Component, pool: int, precision: int = DEFAULT_PRECISI
     around the mid-rank by construction: only the lower half is computed
     and the upper half is its mirrored negation, so exact tie structure
     between mirror-image rank configurations survives any precision.
-    Every lower-half score is certified: both ends of the interval of its
-    error estimate round alike at `precision` digits. An FYT vector comes
-    from one tanh-sinh level loop over [0, inf) for all lower-half ranks,
-    the negative half folded onto it, stopped at the first level where
-    every rank's error estimate is at most 10^-(precision+3) of its value.
-    It is recomputed with 30, 60, then 120 guard digits instead of 15 while
-    a rank misses that or its rounding is undecided. vdw and laplace
-    quantiles are taken to be within 10^-(precision+10) of their values,
-    and are evaluated once more with 10 more digits when a rounding is
-    undecided. TheoremCheckError is raised when the last rung does not decide.
+    Every lower-half score is rounded half away from zero and certified.
+    An FYT vector comes from one tanh-sinh level loop over [0, inf) for
+    all lower-half ranks, the negative half folded onto it, stopped at the
+    first level where every rank's error estimate (with proven bounds on
+    the skipped tail and on 1 - Phi's rounding) is at most
+    10^-(precision+3) of its value; both ends of each error interval must
+    round alike. It is recomputed with 30, 60, then 120 guard digits
+    instead of 15 while a rank misses that or its rounding is undecided.
+    vdw digits are proven by a bracket: 1 - Phi, decreasing, straddles p on
+    the cell of values that round to the score. laplace digits are proven
+    by the correct rounding of Decimal.ln: both ends of the value's
+    one-and-a-half-ulp interval round alike. Both are evaluated once more
+    with 10 more digits when a rounding is undecided. TheoremCheckError is
+    raised when the last rung does not decide.
     Every scheme but wilcoxon needs precision >= MIN_PRECISION (RankTestError).
     """
     if not scheme.rank_based:
@@ -359,24 +494,31 @@ def score_sum(sample: TwoSample, scheme: Component, precision: int = DEFAULT_PRE
 
 
 def student_t(sample: TwoSample, precision: int = DEFAULT_PRECISION) -> Score:
-    """t = (mean(xs) - mean(ys)) / S with S the root pooled sum of squares.
+    """t = (mean(xs) - mean(ys)) / S with S the root pooled sum of squares, correctly rounded.
 
     The conventional constant factor is irrelevant for ordering and is
-    omitted. Distinct observations make S > 0 whenever m + n >= 3.
+    omitted. Distinct observations make S > 0 whenever m + n >= 3. t^2 and
+    the sign of t are exact Fractions; |t| is Decimal.sqrt of t^2, rounded
+    to ``precision`` digits (half away from zero), and that rounding d is
+    taken only when the exact t^2 lies in the squared cell of magnitudes
+    that round to |d|, else the root is taken again with twice the guard
+    digits. A zero t is Decimal("0.0").
     """
-    import mpmath
-    with mpmath.workdps(precision + 10):
-        xs = [_mpf_fraction(v) for v in sample.xs]
-        ys = [_mpf_fraction(v) for v in sample.ys]
-        xbar = mpmath.fsum(xs) / len(xs)
-        ybar = mpmath.fsum(ys) / len(ys)
-        spread = mpmath.sqrt(
-            mpmath.fsum((v - xbar) ** 2 for v in xs) + mpmath.fsum((v - ybar) ** 2 for v in ys)
-        )
-        if spread == 0:
-            raise DegenerateSpreadError("pooled spread S is zero; t is undefined")
-        t = (xbar - ybar) / spread
-        return Score(_decimal_from_mpf(t, precision), precision)
+    xbar, ybar = sum(sample.xs) / sample.m, sum(sample.ys) / sample.n
+    spread2 = sum((v - xbar) ** 2 for v in sample.xs) + sum((v - ybar) ** 2 for v in sample.ys)
+    if spread2 == 0:
+        raise DegenerateSpreadError("pooled spread S is zero; t is undefined")
+    t2 = (xbar - ybar) ** 2 / spread2
+    if not t2:
+        return Score(Decimal("0.0"), precision)
+    guard = 10
+    while True:
+        ctx = decimal.Context(prec=precision + guard)
+        d = _round(ctx.divide(t2.numerator, t2.denominator).sqrt(ctx), precision)
+        low, high = _cell(d, precision)
+        if Fraction(low) ** 2 <= t2 < Fraction(high) ** 2:
+            return Score(d if xbar > ybar else d.copy_negate(), precision)
+        guard *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import itertools
 import json
 import math
@@ -10,8 +11,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.calculus.quadrature import TanhSinh
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ordstat import (
     CascadeStatistic,
@@ -48,7 +48,6 @@ from ordstat.ranktests import (
     RANK_SCHEMES,
     TieGroup,
     _count_not_above,
-    _decimal_from_mpf,
     _grouped,
     _key_parts,
     _normals,
@@ -65,6 +64,12 @@ from ordstat.ranktests import (
 )
 
 F = Fraction
+
+
+def mp_decimal(x, precision: int) -> Decimal:
+    """An mpmath value as a Decimal of ``precision`` significant digits, the independent oracles' rounding."""
+    return Decimal(mpmath.nstr(x, precision, strip_zeros=False))
+
 
 W = CascadeStatistic((Component.WILCOXON,))
 WF = CascadeStatistic((Component.WILCOXON, Component.FYT))
@@ -152,21 +157,16 @@ class TestSchemeScores:
     @pytest.mark.parametrize("scheme", [Component.VDW, Component.LAPLACE])
     def test_undecided_quantile_is_evaluated_again(self, monkeypatch, scheme):
         want = scheme_scores.__wrapped__(scheme, 9, 12)
-        rounded, digits = ranktests._rounded, []
-
-        def first_rung_undecided(x, error, precision):
-            digits.append(mpmath.mp.dps)
-            return None if mpmath.mp.dps == precision + 15 else rounded(x, error, precision)
-
-        monkeypatch.setattr(ranktests, "_rounded", first_rung_undecided)
+        digits = undecided_at(monkeypatch, {27})
         assert scheme_scores.__wrapped__(scheme, 9, 12) == want
         assert digits == [27] * 4 + [37] * 4
 
     @pytest.mark.parametrize("scheme", [Component.VDW, Component.LAPLACE])
     def test_undecided_quantile_fails(self, monkeypatch, scheme):
-        monkeypatch.setattr(ranktests, "_rounded", lambda x, error, precision: None)
+        digits = undecided_at(monkeypatch, {27, 37})
         with pytest.raises(TheoremCheckError, match=f"{scheme.value} quantile at pool=9 did not reach 12 digits"):
             scheme_scores.__wrapped__(scheme, 9, 12)
+        assert digits == [27] * 4 + [37] * 4
 
 
 class TestScoreSum:
@@ -208,6 +208,7 @@ class TestStudentT:
     def test_symmetric_groups_give_zero(self):
         got = student_t(sample([-1, 1], [-2, 2]))
         assert got.value == 0
+        assert format_ord(got) == "0E-1~p50"  # Decimal("0.0"), as the zero t has always printed
 
     def test_single_pair_degenerate(self):
         with pytest.raises(DegenerateSpreadError):
@@ -972,7 +973,7 @@ class TestFytFixture:
                 4: [mu44, 6 / root_pi - 3 * mu44],
                 5: [mu55, 5 * mu44 - 4 * mu55],
             }[pool]
-            lower = [_decimal_from_mpf(-mu, precision) for mu in upper]
+            lower = [mp_decimal(-mu, precision) for mu in upper]
         want = lower + [Decimal(0)] * (pool % 2) + [d.copy_negate() for d in reversed(lower)]
         assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)] == [str(d) for d in want]
 
@@ -1025,14 +1026,14 @@ class TestFytFixture:
 
     def test_straddled_rounding_moves_to_the_next_rung(self, monkeypatch):
         rungs = spy_rungs(monkeypatch)
-        monkeypatch.setattr(TanhSinh, "estimate_error", straddling_rank_5_of_14({22}))
+        monkeypatch.setattr(ranktests, "_estimated_error", straddling_rank_5_of_14({22}))
         got = scheme_scores.__wrapped__(Component.FYT, 14, 7)
         assert rungs == [(22, False), (37, True)]
         assert str(got[4]) == "-0.4555660"
 
     def test_straddled_rounding_fails_after_the_last_rung(self, monkeypatch):
         rungs = spy_rungs(monkeypatch)
-        monkeypatch.setattr(TanhSinh, "estimate_error", straddling_rank_5_of_14({22, 37, 67, 127}))
+        monkeypatch.setattr(ranktests, "_estimated_error", straddling_rank_5_of_14({22, 37, 67, 127}))
         with pytest.raises(TheoremCheckError, match="fyt quadrature at pool=14 did not reach 7 digits"):
             scheme_scores.__wrapped__(Component.FYT, 14, 7)
         assert rungs == [(22, False), (37, False), (67, False), (127, False)]
@@ -1054,8 +1055,115 @@ class TestFytFixture:
                     return c * w * below ** (i - 1) * above ** (pool - i)
 
                 value = mpmath.quad(integrand, [-mpmath.inf, 0, mpmath.inf])
-                want.append(str(_decimal_from_mpf(value, precision)))
+                want.append(str(mp_decimal(value, precision)))
         assert [str(d) for d in scheme_scores(Component.FYT, pool, precision)[: pool // 2]] == want
+
+
+QUANTILE_FIXTURE = {}
+for e in json.loads((Path(__file__).parent / "data" / "quantile_scores.json").read_text()):
+    QUANTILE_FIXTURE.setdefault((e["scheme"], e["precision"]), []).append((e["pool"], e["lower"]))
+
+
+class TestQuantileFixture:
+    """vdw and laplace vectors equal, digit for digit, those of the mpmath quantiles (tests/data/make_quantile_scores.py)."""
+
+    @pytest.mark.parametrize("scheme,precision", sorted(QUANTILE_FIXTURE))
+    def test_bit_identical(self, scheme, precision):
+        for pool, lower in QUANTILE_FIXTURE[scheme, precision]:
+            want = lower + ["0"] * (pool % 2) + [d[1:] for d in reversed(lower)]
+            assert [str(d) for d in scheme_scores.__wrapped__(Component(scheme), pool, precision)] == want, pool
+
+
+def mp_quantiles(scheme: Component, pool: int, precision: int) -> list:
+    # The lower half by mpmath at precision + 40 digits: sqrt(2) erfinv(2p - 1) or ln(2p), p = i/(pool + 1).
+    with mpmath.workdps(precision + 40):
+        ps = [mpmath.mpf(i) / (pool + 1) for i in range(1, pool // 2 + 1)]
+        xs = [mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1) if scheme is Component.VDW else mpmath.log(2 * p) for p in ps]
+        return [str(mp_decimal(x, precision)) for x in xs]
+
+
+def mp_student_t(s: TwoSample, precision: int) -> Decimal:
+    # t from its exact square and sign, its root taken by mpmath at precision + 40 digits.
+    xbar, ybar = sum(s.xs) / s.m, sum(s.ys) / s.n
+    t2 = (xbar - ybar) ** 2 / (sum((v - xbar) ** 2 for v in s.xs) + sum((v - ybar) ** 2 for v in s.ys))
+    with mpmath.workdps(precision + 40):
+        root = mpmath.sqrt(mpmath.mpf(t2.numerator) / t2.denominator)
+        return mp_decimal(root if xbar > ybar else -root, precision)
+
+
+class TestAgainstMpmath:
+    """The decimal score and t code against mpmath at 40 more digits than the precision."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([Component.VDW, Component.LAPLACE]), st.integers(2, 200), st.integers(4, 100))
+    @example(Component.VDW, 200, 100)
+    @example(Component.LAPLACE, 200, 100)
+    def test_quantile_vectors(self, scheme, pool, precision):
+        got = [str(d) for d in scheme_scores.__wrapped__(scheme, pool, precision)[: pool // 2]]
+        assert got == mp_quantiles(scheme, pool, precision)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(max(1, 3 - m), 9))).flatmap(
+            lambda mn: st.tuples(
+                st.just(mn[0]),
+                st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+                         min_size=sum(mn), max_size=sum(mn), unique=True),
+            )
+        ),
+        st.integers(4, 100),
+    )
+    # t = -1234.5 exactly: half way between -1234 and -1235 at 4 digits, and a float, so mpmath holds it exactly.
+    @example((2, [F(0), F(1), F(2469, 2), F(2471, 2)]), 4)
+    def test_student_t(self, sample_data, precision):
+        m, values = sample_data
+        s = TwoSample(tuple(values[:m]), tuple(values[m:]))
+        assume(sum(s.xs) / s.m != sum(s.ys) / s.n)
+        got = student_t(s, precision).value
+        assert str(got) == str(mp_student_t(s, precision))
+
+    def test_student_t_half_way_rounds_away_from_zero(self):
+        # t = -0.12345 and -1234.5 exactly; at 4 digits each rounds half away from zero.
+        assert str(student_t(sample([0, 1], [F("0.12345"), F("1.12345")]), 4).value) == "-0.1235"
+        assert str(student_t(sample([0, 1], [F("1234.5"), F("1235.5")]), 4).value) == "-1235"
+        assert str(student_t(sample([F("0.12345"), F("1.12345")], [0, 1]), 4).value) == "0.1235"
+
+
+def order_statistic_residuals(big: tuple, small: tuple, precision: int) -> list:
+    # (residual, bound) of (n-i) E X(i:n) + i E X(i+1:n) = n E X(i:n-1), i = 1..n-1, on the rounded vectors of
+    # pools n and n - 1; the bound is their half ulps times the coefficients.
+    n = len(big)
+
+    def half_ulp(d):
+        return F(1, 2) * F(10) ** (d.adjusted() + 1 - precision)
+
+    return [
+        ((n - i) * F(big[i - 1]) + i * F(big[i]) - n * F(small[i - 1]),
+         (n - i) * half_ulp(big[i - 1]) + i * half_ulp(big[i]) + n * half_ulp(small[i - 1]))
+        for i in range(1, n)
+    ]
+
+
+class TestOrderStatisticIdentity:
+    """(n-i) E X(i:n) + i E X(i+1:n) = n E X(i:n-1) for every distribution (David & Nagaraja 2003, 3.4)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 60), st.integers(4, 50))
+    @example(60, 50)
+    @example(3, 4)
+    def test_fyt_vectors_within_their_rounding(self, pool, precision):
+        big, small = (scheme_scores(Component.FYT, n, precision) for n in (pool, pool - 1))
+        for residual, bound in order_statistic_residuals(big, small, precision):
+            assert abs(residual) <= bound
+
+    def test_catches_a_score_moved_by_a_few_ulps(self):
+        # Rank 3 of pool 12 moved by 5 ulps at precision 8, with its mirror (rank 10), breaks the identity where a
+        # moved rank carries the coefficient 9: rank 3 as n - i at i = 3, rank 10 as i at i = 9.
+        big = list(scheme_scores(Component.FYT, 12, 8))
+        big[2] += 5 * Decimal(1).scaleb(big[2].adjusted() - 7)
+        big[9] = big[2].copy_negate()
+        residuals = order_statistic_residuals(big, scheme_scores(Component.FYT, 11, 8), 8)
+        assert [i for i, (residual, bound) in enumerate(residuals, 1) if abs(residual) > bound] == [3, 9]
 
 
 def spy_rungs(monkeypatch) -> list:
@@ -1065,7 +1173,7 @@ def spy_rungs(monkeypatch) -> list:
 
     def spy(pool, precision):
         values = build(pool, precision)
-        rungs.append((mpmath.mp.dps, values is not None))
+        rungs.append((decimal.getcontext().prec, values is not None))
         return values
 
     monkeypatch.setattr(ranktests, "_folded_order_stats", spy)
@@ -1077,12 +1185,30 @@ def straddling_rank_5_of_14(working_digits):
     # boundary -0.45556605 at 7 digits. At the given working digits, the
     # error estimate is raised to 0.9 * 10^-10 of the value: that passes the
     # relative stop at precision 7, 10^-(7+3), but straddles the boundary.
-    estimate = TanhSinh.estimate_error
+    estimate = ranktests._estimated_error
 
-    def estimate_error(self, results, prec, epsilon):
-        error = estimate(self, results, prec, epsilon)
-        if mpmath.mp.dps in working_digits:
-            error = max(error, abs(results[-1]) * mpmath.mpf("0.9e-10"))
+    def estimated_error(level, bits):
+        error = estimate(level, bits)
+        if decimal.getcontext().prec in working_digits:
+            error = max(error, abs(level[-1]) * Decimal("0.9e-10"))
         return error
 
-    return estimate_error
+    return estimated_error
+
+
+def undecided_at(monkeypatch, working_digits) -> list:
+    # Makes every quantile rounding at the given working digits undecided; returns the working digits of each rounding.
+    digits, rounded, cell = [], ranktests._rounded, ranktests._cell
+
+    def laplace_rounded(x, error, precision):
+        digits.append(decimal.getcontext().prec)
+        return None if digits[-1] in working_digits else rounded(x, error, precision)
+
+    def vdw_cell(d, precision):
+        # A cell shrunk to the point |d| brackets nothing.
+        digits.append(decimal.getcontext().prec)
+        return (d.copy_abs(),) * 2 if digits[-1] in working_digits else cell(d, precision)
+
+    monkeypatch.setattr(ranktests, "_rounded", laplace_rounded)
+    monkeypatch.setattr(ranktests, "_cell", vdw_cell)
+    return digits
