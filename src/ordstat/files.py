@@ -5,6 +5,8 @@ and ``statistic`` (label to value). Probabilities must be written as "p" or
 "p/q" with decimal integers; anything else ("0.33", floats) is rejected so
 no inexact number can slip in. Statistic values are rational strings,
 integer ranks, or (nested) arrays of these; all must share one shape.
+A document that passes the checks by column is parsed by them alone; only
+when one fails does a per-entry pass run, and it only names the fault.
 Each parser imports the layer whose objects it builds when it runs, so
 reading a data file never loads the trial layer, nor a trial document the
 rank layer.
@@ -188,7 +190,7 @@ def parse_trial_document(text: str):
         raise TrialParseError("a non-empty object is required", field="statistic")
     raw_values, column = list(statistic.values()), None
     types = set(map(type, raw_values))
-    if types in ({int}, {str}, {list}) and trial._prob.keys() >= statistic.keys():
+    if types in ({int}, {str}, {list}) and trial._prob.keys() == statistic.keys():
         # Both passes parse literals from this frame, so a deep value gives up at the same depth in either.
         try:
             keys = list(map(repr, raw_values)) if types == {list} else raw_values
@@ -196,34 +198,29 @@ def parse_trial_document(text: str):
             kind, column = _parse_column(list(literals.values()))
         except (TrialParseError, RecursionError, ValueError):
             pass
-    if column is None:  # a bulk check failed: the per-label loop names the first bad label or literal
-        at, literals, shapes = {}, {}, set()
+    if column is None:  # a bulk check failed: this pass only names the fault, as a parse of each entry would
+        shapes = set()
         for label, raw in statistic.items():
             if label not in trial:
                 _check_label(label, "statistic")
                 raise TrialParseError(f"statistic names an unknown outcome: {label!r}", field="statistic")
             try:
-                # Equal literals of other types, such as 1 and true or [1] and [1.0], get different keys.
-                key = raw if type(raw) in (str, int) else (type(raw), repr(raw))
-                if key not in literals:
-                    kind, (literals[key],) = _parse_column([raw])
-                    shapes.add(kind)
+                shapes.add(_parse_column([raw])[0])
             except TrialParseError as e:
                 e.field = f"statistic.{label}{e.field}"
                 raise
             except RecursionError:
                 raise TrialParseError("statistic value nested too deeply", field=f"statistic.{label}") from None
-            at[label] = key
-    else:
-        shapes, literals, at = {kind}, dict(zip(literals, column)), dict(zip(statistic, keys))
-    if len(at) < len(trial):
-        missing = [label for label in trial.labels if label not in at]
-        raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")
-    try:
-        held = Statistic._keyed(shapes, literals, at)
-    except InvalidStatisticError as e:
-        raise TrialParseError(str(e), field="statistic") from None
-    kind = held["kind"]
+        if len(statistic) < len(trial):
+            missing = [label for label in trial.labels if label not in statistic]
+            raise TrialParseError(f"statistic undefined on outcomes: {missing}", field="statistic")
+        try:  # every label is known and every literal parses alone, so the shapes differ
+            Statistic._keyed(shapes, {})
+        except InvalidStatisticError as e:
+            raise TrialParseError(str(e), field="statistic") from None
+        raise AssertionError("a bulk check failed on a statistic that passes one by one")
+    literals, at = dict(zip(literals, column)), dict(zip(statistic, keys))
+    held = Statistic._keyed({kind}, literals, at)
 
     def values():  # one value object per distinct literal
         made = {key: _value(kind, data) for key, data in literals.items()}

@@ -21,7 +21,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 
 from .order import (
     LexTuple,
@@ -102,8 +102,8 @@ class FiniteTrial(_Held):
     @staticmethod
     def _checked(labels: tuple, probs: list, denominator: int, weights: list) -> dict:
         """The checked attributes of a trial whose Fraction ``probs`` are ``weights`` over their lcm ``denominator``."""
-        prob = dict(zip(labels, probs)) if set(map(type, labels)) == {str} and all(labels) else {}
-        if len(prob) < len(labels) or min(weights) < 0:  # name the first bad label or probability
+        prob = dict(zip(labels, probs)) if all(map(isinstance, labels, repeat(str))) and all(labels) else {}
+        if len(prob) < len(labels) or min(weights) < 0:  # valid outcomes pass in bulk; the loop only names the fault
             seen = set()
             for label, p, weight in zip(labels, probs, weights):
                 if not isinstance(label, str) or not label:
@@ -113,7 +113,7 @@ class FiniteTrial(_Held):
                 seen.add(label)
                 if weight < 0:
                     raise InvalidTrialError(f"negative probability for {label!r}: {p}")
-            prob = dict(zip(labels, probs))
+            raise AssertionError("a bulk check failed on outcomes that pass one by one")
         if sum(weights) != denominator:
             raise InvalidTrialError(f"probabilities sum to {Fraction(sum(weights), denominator)}, expected exactly 1")
         return dict(outcomes=tuple(zip(labels, probs)), labels=labels, weights=tuple(weights), denominator=denominator,

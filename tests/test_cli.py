@@ -30,6 +30,7 @@ from ordstat import (
     trial,
 )
 from ordstat.cli import main
+from test_files import trial_documents
 
 DATA = Path(__file__).parent / "data"
 
@@ -602,11 +603,11 @@ class TestReportHygiene:
 
 
 def _main(argv) -> tuple:
-    """main's exit code and stdout, for tests whose hypothesis examples cannot share capsys."""
+    """main's exit code, stdout and stderr, for tests whose hypothesis examples cannot share capsys."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _one_line(label: str) -> bool:
@@ -661,7 +662,7 @@ class TestPerLabelLines:
         labels, text = document
         path = tmp_path_factory.mktemp("doc") / "t.json"
         path.write_text(text, encoding="utf-8")
-        (code, induced), (mid_code, mids) = (_main([command, "--trial", str(path)]) for command in ("induce", "midp"))
+        (code, induced, _), (mid_code, mids, _) = (_main([command, "--trial", str(path)]) for command in ("induce", "midp"))
         assert code == mid_code == (0 if all(map(_one_line, labels)) else 2)
         if code:
             return
@@ -669,6 +670,19 @@ class TestPerLabelLines:
         for out, want in ((induced, phat + kinds), (mids, midp)):
             assert out.splitlines() == out.split("\n")[:-1]  # every label stays one line
             assert [line for line in out.splitlines() if line.startswith(("phat.", "pvalue-kind.", "midp."))] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(trial_documents())
+def test_trial_commands_on_any_document_exit_0_or_2(tmp_path_factory, text):
+    """induce and midp never raise: a document they refuse exits 2 with one error line and nothing on stdout."""
+    path = tmp_path_factory.mktemp("doc") / "t.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("induce", "midp"):
+        code, out, err = _main([command, "--trial", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.splitlines() == [err[:-1]]
 
 
 class TestParserOncePerProcess:

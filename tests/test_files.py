@@ -3,6 +3,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,7 @@ from ordstat import (
     parse_trial_document,
     parse_two_sample,
 )
-from ordstat.files import _LABEL_RE, _check_digits
+from ordstat.files import _LABEL_RE, _check_digits, _parse_column as parse_column
 from ordstat.trial import value_groups
 
 DATA = Path(__file__).parent / "data"
@@ -353,7 +354,7 @@ class TestTrialDocument:
 
     @settings(max_examples=400, deadline=None)
     @given(trial_documents())
-    @example(TWO_OUTCOMES % ("1", "true"))  # equal in Python (True == 1), told apart by the cache keys
+    @example(TWO_OUTCOMES % ("1", "true"))  # equal in Python (True == 1), yet true is named as a boolean
     @example(TWO_OUTCOMES % ("[0, 1]", "[0, true]"))
     @example(TWO_OUTCOMES % ("[1, [0]]", "[1.0, [false]]"))
     # The first bad literal in document order is named, not the first bad tuple position.
@@ -365,8 +366,42 @@ class TestTrialDocument:
              ' {"label": "c", "prob": "0.25"}], "statistic": {"a": 1, "c": 2}}')  # outcomes[2].prob, not the duplicate
     @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": ["1/2"]}],'
              ' "statistic": {"a": 1, "b": 2}}')  # an unhashable probability: outcomes[1].prob
+    # The statistic's faults in the reference's order: an unknown label or bad literal, whichever comes
+    # first; then a missing label; then differing shapes.
+    @example('{"outcomes": [{"label": "a", "prob": "1/3"}, {"label": "b", "prob": "1/3"}, {"label": "c", "prob": "1/3"}],'
+             ' "statistic": {"a": 1, "b": "1/2"}}')  # the missing c, not the two shapes
+    @example(TWO_OUTCOMES % ("[1]", "[1, 2]"))  # lists of unequal length: found 2
+    @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}],'
+             ' "statistic": {"a": "x", "zz": 1, "b": 1}}')  # statistic.a, before the unknown zz
+    @example('{"outcomes": [{"label": "a", "prob": "1/2"}, {"label": "b", "prob": "1/2"}],'
+             ' "statistic": {"zz": 1, "a": "x", "b": 1}}')  # the unknown zz, before statistic.a
     def test_parser_equals_reference(self, text):
         assert parse_result(parse_trial_document, text) == parse_result(reference_parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(trial_documents(), tuple_documents()))
+    def test_valid_statistic_is_parsed_in_one_column_call(self, text):
+        """A document the reference accepts passes the bulk checks: one _parse_column call, on its distinct literals."""
+        try:
+            reference_parse(text)
+        except TrialParseError:
+            return
+        calls, depth = [], 0
+
+        def spy(column):  # records only calls from the parser itself, not a tuple's calls per position
+            nonlocal depth
+            if not depth:
+                calls.append(list(column))
+            depth += 1
+            try:
+                return parse_column(column)
+            finally:
+                depth -= 1
+
+        with mock.patch("ordstat.files._parse_column", spy):
+            parse_trial_document(text)
+        distinct = {repr(raw): raw for raw in json.loads(text)["statistic"].values()}
+        assert calls == [list(distinct.values())]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(trial_documents(), tuple_documents()))

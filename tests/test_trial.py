@@ -86,6 +86,21 @@ class TestFiniteTrial:
         with pytest.raises(InvalidTrialError):
             FiniteTrial(())
 
+    @pytest.mark.parametrize("kind", [str, type("Label", (str,), {})])
+    def test_labels_of_any_str_type(self, kind):
+        a, b = kind("a"), kind("b")
+        t = trial((a, F(1, 4)), (b, F(3, 4)))
+        assert (t.labels, t.prob("b"), "a" in t) == (("a", "b"), F(3, 4), True)
+        for outcomes, message in [
+            (((a, F(1, 2)), (kind("a"), F(1, 2))), "duplicate outcome label: 'a'"),
+            (((a, F(1, 2)), (kind(""), F(1, 2))), "outcome labels must be non-empty strings, got ''"),
+            (((a, F(1, 2)), (7, F(1, 2))), "outcome labels must be non-empty strings, got 7"),
+            (((a, F(3, 2)), (b, F(-1, 2))), "negative probability for 'b': -1/2"),
+        ]:
+            with pytest.raises(InvalidTrialError) as err:
+                trial(*outcomes)
+            assert str(err.value) == message
+
     def test_zero_probability_allowed_and_flagged(self):
         t = trial(("a", F(1)), ("b", F(0)))
         assert t.zero_probability_labels() == ("b",)
