@@ -4,7 +4,8 @@ Reports are line-oriented ``key: value`` documents (split each line on the
 first ": "); ``--plain`` swaps the machine header for a one-line summary.
 ``main`` builds every report and its header from the command line and
 ``--precision``; each ``cmd_*`` command only sets the inputs digest and
-headline and adds fields, warnings and theorem failures.
+headline and adds fields, warnings and theorem failures. The commands read
+data from the layers, and this module writes every report line.
 Exit codes: 0 success, 2 parse or validation error, 3 enumeration size cap,
 4 failed theorem check (the latter always indicates an implementation bug).
 A command imports the layers it runs when it runs: ``table`` and
@@ -224,9 +225,15 @@ def cmd_twosample(args, report: RunReport) -> None:
         report.warn(f"imprecise score ties: {ctx.imprecise_ties}")
 
 
+def _tie_group(group, total: int) -> str:
+    """A tie group's report text: p-value, cumulative count, size, cascade value and member rank sets."""
+    members = "|".join(",".join(map(str, ranks)) for ranks in group.members)
+    return (f"p={Fraction(group.cum_count, total)} cum-count={group.cum_count} size={group.size}"
+            f" value={format_ord(group.value)} members={members}")
+
+
 def cmd_table(args, report: RunReport) -> None:
-    from .ranktests import (CascadeStatistic, attainable_set, compare_with_reference, describe_mismatch,
-                            format_tie_group, reference_for)
+    from .ranktests import CascadeStatistic, attainable_set, compare_with_reference, reference_for
 
     cascade = CascadeStatistic.parse(args.cascade)
     att = attainable_set(args.m, args.n, cascade, args.precision, args.max_enum)
@@ -243,7 +250,7 @@ def cmd_table(args, report: RunReport) -> None:
     ties = att.residual_ties
     report.add("ties.residual-groups", len(ties))
     for i, g in enumerate(ties, start=1):
-        report.add(f"tie.{i}", format_tie_group(g, att.total))
+        report.add(f"tie.{i}", _tie_group(g, att.total))
     reference = reference_for(args.m, args.n, cascade)
     if reference is not None:
         mismatches = compare_with_reference(att, reference)
@@ -252,10 +259,10 @@ def cmd_table(args, report: RunReport) -> None:
         report.add("reference.matches", str(not mismatches).lower())
         report.add("reference.mismatch-count", len(mismatches))
         for i, mm in enumerate(mismatches, start=1):
-            verdict, *groups = describe_mismatch(mm, att.total)
-            report.add(f"reference.mismatch.{i}", verdict)
-            for j, group in enumerate(groups, start=1):
-                report.add(f"reference.mismatch.{i}.group.{j}", group)
+            report.add(f"reference.mismatch.{i}", f"value={mm.value} ours={'attained' if mm.in_ours else 'absent'}"
+                       f" reference={'listed' if mm.in_reference else 'absent'}")
+            for j, g in enumerate(mm.groups, start=1):
+                report.add(f"reference.mismatch.{i}.group.{j}", _tie_group(g, att.total))
         if mismatches:
             report.warn(
                 f"exact enumeration disagrees with {reference.source} at"

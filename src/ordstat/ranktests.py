@@ -59,7 +59,6 @@ from .order import (
     SizeLimitError,
     TheoremCheckError,
     exact_fraction,
-    format_ord,
 )
 
 
@@ -917,14 +916,13 @@ class ReferenceMismatch:
 
 
 def _deciding_groups(att: AttainableSet, k: int) -> tuple:
-    # Groups that decide whether k/total is attained: the group reaching or
-    # spanning cumulative count k, plus the next one at an exact boundary.
-    for i, g in enumerate(att.groups):
-        if g.cum_count >= k:
-            if g.cum_count == k and i + 1 < len(att.groups):
-                return (g, att.groups[i + 1])
-            return (g,)
-    return (att.groups[-1],)
+    # Groups that decide whether k/total is attained: the first group whose
+    # cumulative count reaches k, plus the next one at an exact boundary.
+    groups = att.groups
+    i = bisect.bisect_left(groups, k, key=lambda g: g.cum_count)
+    if i == len(groups):
+        return (groups[-1],)
+    return groups[i:i + 2] if groups[i].cum_count == k else (groups[i],)
 
 
 def compare_with_reference(att: AttainableSet, reference: ReferenceTable) -> list:
@@ -943,28 +941,6 @@ def compare_with_reference(att: AttainableSet, reference: ReferenceTable) -> lis
             )
         )
     return mismatches
-
-
-def format_ranks(ranks) -> str:
-    return ",".join(str(r) for r in ranks)
-
-
-def format_tie_group(group: TieGroup, total: int) -> str:
-    members = "|".join(format_ranks(m) for m in group.members)
-    p = Fraction(group.cum_count, total)
-    return (
-        f"p={p} cum-count={group.cum_count} size={group.size}"
-        f" value={format_ord(group.value)} members={members}"
-    )
-
-
-def describe_mismatch(mismatch: ReferenceMismatch, total: int) -> list:
-    """Deterministic report lines: the verdict, then one line per deciding tie group."""
-    verdict = (
-        f"value={mismatch.value} ours={'attained' if mismatch.in_ours else 'absent'}"
-        f" reference={'listed' if mismatch.in_reference else 'absent'}"
-    )
-    return [verdict] + [format_tie_group(g, total) for g in mismatch.groups]
 
 
 # ---------------------------------------------------------------------------

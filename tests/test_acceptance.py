@@ -29,8 +29,8 @@ from ordstat import (
     midp_validity_check,
     scale_pfunction,
 )
-from ordstat.cli import main
-from ordstat.ranktests import compare_with_reference, describe_mismatch, reference_for
+from ordstat.cli import _tie_group, main
+from ordstat.ranktests import compare_with_reference, reference_for
 
 DATA = Path(__file__).parent / "data"
 F = Fraction
@@ -160,9 +160,9 @@ def test_criterion_2_fyt_refinement(capsys):
             for line in group_lines:
                 digits = [1 + len(m) for m in digit_re.findall(line)]
                 assert digits and max(digits) >= 50
-        for m in mismatches:
-            for line in describe_mismatch(m, att_wf.total):
-                print("  " + line)
+        for key, value in report.items():
+            if key.startswith("reference.mismatch."):
+                print(f"  {key}: {value}")
 
 
 def test_criterion_3_vdw_marginal_refinement(capsys):
@@ -186,8 +186,8 @@ def test_criterion_3_vdw_marginal_refinement(capsys):
         forty_one = [m for m in wf_mismatches if m.value == F(41, 924)]
         assert forty_one and forty_one[0].in_ours and not forty_one[0].in_reference
         print("  vdw adds nothing: 41/924 already attained by wilcoxon,fyt; deciding groups:")
-        for line in describe_mismatch(forty_one[0], att_wf.total):
-            print("  " + line)
+        for g in forty_one[0].groups:
+            print("  " + _tie_group(g, att_wf.total))
         code, out = run_cli(capsys, "table", "6", "6", "wilcoxon,fyt,vdw")
         assert code == 0
         report = parse_report(out)

@@ -48,6 +48,7 @@ from ordstat.ranktests import (
     RANK_SCHEMES,
     TieGroup,
     _count_not_above,
+    _deciding_groups,
     _grouped,
     _key_parts,
     _normals,
@@ -378,6 +379,24 @@ class TestReferenceComparison:
         assert ref_only == [35, 40, 42, 48, 49]
         for m in mismatches:
             assert m.groups, "every mismatch carries its deciding tie groups"
+
+    @staticmethod
+    def linear_deciding_groups(att, k) -> tuple:
+        """The linear scan that _deciding_groups' bisection replaced, kept as its reference."""
+        for i, g in enumerate(att.groups):
+            if g.cum_count >= k:
+                if g.cum_count == k and i + 1 < len(att.groups):
+                    return (g, att.groups[i + 1])
+                return (g,)
+        return (att.groups[-1],)
+
+    @pytest.mark.parametrize("m, n, cascade", [(1, 1, "wilcoxon"), (5, 5, "wilcoxon"), (4, 4, "wilcoxon,fyt"),
+                                               (6, 6, "wilcoxon,fyt"), (3, 5, "laplace")])
+    def test_deciding_groups_bisection_matches_linear_scan(self, m, n, cascade):
+        # every k, past the last group's count included, not only the values a reference disputes
+        att = attainable_set(m, n, CascadeStatistic.parse(cascade), precision=10)
+        for k in range(att.total + 2):
+            assert _deciding_groups(att, k) == self.linear_deciding_groups(att, k)
 
     def test_no_reference_off_registry(self):
         assert reference_for(5, 5, W) is None
