@@ -260,7 +260,7 @@ def cmd_table(args, report: RunReport) -> None:
         report.add("reference.mismatch-count", len(mismatches))
         for i, mm in enumerate(mismatches, start=1):
             report.add(f"reference.mismatch.{i}", f"value={mm.value} ours={'attained' if mm.in_ours else 'absent'}"
-                       f" reference={'listed' if mm.in_reference else 'absent'}")
+                       f" reference={'absent' if mm.in_ours else 'listed'}")
             for j, g in enumerate(mm.groups, start=1):
                 report.add(f"reference.mismatch.{i}.group.{j}", _tie_group(g, att.total))
         if mismatches:

@@ -19,9 +19,11 @@ vector is also held as exact ints at a common decimal exponent, so the rank
 components of a cascade key are exact int sums (the rank sum for wilcoxon),
 for enumeration, the observed value and Monte Carlo draws alike; only the t
 component of a draw is compared in floats. Score sums u and v at precision
-p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties
-and counted on a CompareContext; this threshold is the rank cascades' own
-rule, as order.compare orders Scores exactly. Each key part gives the int
+p with |u - v| * 10**p <= 100 * max(|u|, |v|) are treated as genuine ties;
+this threshold is the rank cascades' own rule, as order.compare orders
+Scores exactly. Exact p-values and Monte Carlo draws count inexact ties on a
+CompareContext; a table's warning comes from its grouping alone, as ties are
+symmetric and the keys sorted exactly (_grouped). Each key part gives the int
 window of sums that tie with a sum, decided exactly, and one walk over those
 windows (_walk) makes every comparison: of rank sets for p-values and draws,
 of indices into the sorted key columns for a table. A wilcoxon-first exact
@@ -767,60 +769,57 @@ def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_
 
 
 def _grouped(parts: tuple, columns: tuple, combos: tuple, ctx: CompareContext) -> tuple:
-    # A run of equal sorted keys joins the group if it walks to 0 against its first key; its imprecise ties count
-    # per key when it joins, once when it opens a group (its other keys equal the first).
+    # A run of equal sorted keys joins the group if it walks to 0 against its first key. Only grouping flags a table's
+    # imprecise ties, as tie windows are intervals, ties symmetric and keys sorted exactly: if keys a < b first differ
+    # at part d and tie there (all the order check or recount can meet), the first run r after a greater at d ties a
+    # there, and r walked against a start equal to a through d, or a joined a start it differs from by d: one flagged.
     starts, start, steps = [0], 0, _steps(parts, 0, columns)
     for _, run in itertools.groupby(zip(*columns)):
-        size = len(list(run))
-        before = ctx.imprecise_ties
-        if _walk(steps, start, ctx) == 0:
-            ctx.imprecise_ties += (ctx.imprecise_ties - before) * (size - 1)
-        else:
+        if _walk(steps, start, ctx) != 0:
             starts.append(start)
             steps = _steps(parts, start, columns)
-        start += size
+        start += len(list(run))
     return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(combos)]))
 
 
-def _count_not_above(steps: tuple, columns: tuple, ctx: CompareContext, start: int, stop: int, depth: int = 0) -> int:
+def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth: int = 0) -> int:
     """#{i in start..stop-1 : _walk(steps, i) is not 1}, by bisection.
 
     The keys at start..stop-1 must be exactly equal on the components before
     ``depth``, so they ascend on component ``depth``. There the walk ties
     on the closed window [lo, hi] of the step, goes to -1 below it and to
     1 above it, so two bisections on the window's ends split the slice.
-    Each window member that is not exactly equal is one imprecise tie.
+    It flags no imprecise tie: any it meets, grouping has flagged (_grouped).
     """
-    _, lo, hi, want = steps[depth]
+    _, lo, hi, _ = steps[depth]
     column = columns[depth]
     first = bisect.bisect_left(column, lo, start, stop)
     last = bisect.bisect_right(column, hi, first, stop)
-    exact = bisect.bisect_right(column, want, first, last) - bisect.bisect_left(column, want, first, last)
-    ctx.imprecise_ties += last - first - exact
     count = first - start
     if depth + 1 == len(steps):
         return count + last - first
     while first < last:
         block = bisect.bisect_right(column, column[first], first, last)
-        count += _count_not_above(steps, columns, ctx, first, block, depth + 1)
+        count += _count_not_above(steps, columns, first, block, depth + 1)
         first = block
     return count
 
 
-def _verify_range_exact(parts: tuple, columns: tuple, groups: tuple, ctx: CompareContext) -> None:
+def _verify_range_exact(parts: tuple, columns: tuple, groups: tuple) -> None:
     total = len(columns[0])
     if sum(g.size for g in groups) != total:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
     starts = [g.cum_count - g.size for g in groups]
     group_steps = [_steps(parts, start, columns) for start in starts]
+    unread = CompareContext()  # the ties it meets are grouping's (_grouped)
     for start, steps in zip(starts, group_steps[1:]):
-        if _walk(steps, start, ctx) != -1:
+        if _walk(steps, start, unread) != -1:
             raise TheoremCheckError("attainable groups are not strictly ascending")
     # Independent recount of P[value <= group value] at every group; the
     # groups up to each one must hold exactly that many assignments.
     held = 0
     for g, steps in zip(groups, group_steps):
-        count = _count_not_above(steps, columns, ctx, 0, total)
+        count = _count_not_above(steps, columns, 0, total)
         held += g.size
         if count != g.cum_count:
             raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: recounted {count}")
@@ -839,7 +838,7 @@ def attainable_set(
     ctx = CompareContext()
     parts, columns, combos = _sorted_keys(m, n, cascade, precision, max_enum)
     groups = _grouped(parts, columns, combos, ctx)
-    _verify_range_exact(parts, columns, groups, ctx)
+    _verify_range_exact(parts, columns, groups)
     return AttainableSet(
         m=m,
         n=n,
@@ -910,8 +909,7 @@ class ReferenceMismatch:
     """One attainable value on which exact enumeration and the reference differ."""
 
     value: Fraction
-    in_ours: bool
-    in_reference: bool
+    in_ours: bool  # else listed by the reference only
     groups: tuple
 
 
@@ -936,7 +934,6 @@ def compare_with_reference(att: AttainableSet, reference: ReferenceTable) -> lis
             ReferenceMismatch(
                 value=value,
                 in_ours=value in ours,
-                in_reference=value in reference.values,
                 groups=_deciding_groups(att, k),
             )
         )

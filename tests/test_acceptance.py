@@ -184,7 +184,7 @@ def test_criterion_3_vdw_marginal_refinement(capsys):
         brute_force_range_exact(att_wfv)
         wf_mismatches = compare_with_reference(att_wf, reference_for(6, 6, WF))
         forty_one = [m for m in wf_mismatches if m.value == F(41, 924)]
-        assert forty_one and forty_one[0].in_ours and not forty_one[0].in_reference
+        assert forty_one and forty_one[0].in_ours
         print("  vdw adds nothing: 41/924 already attained by wilcoxon,fyt; deciding groups:")
         for g in forty_one[0].groups:
             print("  " + _tie_group(g, att_wf.total))
