@@ -22,7 +22,6 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv
@@ -30,7 +29,7 @@ from pathlib import Path
 
 from .files import TrialParseError, _check_digits, format_rational, parse_rational, parse_trial_document, parse_two_sample
 from .order import (DEFAULT_MAX_ENUM, MIN_PRECISION, RankTestError, SizeLimitError, TheoremCheckError, TrialError,
-                    format_ord)
+                    _Record, format_ord)
 
 EXACTNESS_GRID = 97
 MAX_PRECISION = 100
@@ -44,8 +43,7 @@ def _default_precision() -> int:
         raise ValueError(f"ORDSTAT_PRECISION must be an integer, got {text!r}") from None
 
 
-@dataclass
-class RunReport:
+class RunReport(_Record):
     """Deterministic report: byte-identical for identical inputs and seed.
 
     ``main`` builds it from the command line and ``--precision``, the parts of
@@ -54,13 +52,16 @@ class RunReport:
     render after all fields, whenever they are added.
     """
 
-    command: str
-    precision: int | None
-    inputs_digest: str = ""
-    headline: str = ""
-    fields: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    theorem_failures: list = field(default_factory=list)
+    __slots__ = _fields = ("command", "precision", "inputs_digest", "headline", "fields", "warnings",
+                           "theorem_failures")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, command: str, precision: int | None, inputs_digest: str = "", headline: str = "",
+                 fields: list | None = None, warnings: list | None = None, theorem_failures: list | None = None):
+        self.command, self.precision, self.inputs_digest, self.headline = command, precision, inputs_digest, headline
+        self.fields = [] if fields is None else fields
+        self.warnings = [] if warnings is None else warnings
+        self.theorem_failures = [] if theorem_failures is None else theorem_failures
 
     def add(self, key: str, value) -> None:
         try:

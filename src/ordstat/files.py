@@ -14,7 +14,6 @@ rank layer.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
@@ -158,6 +157,8 @@ def parse_trial_document(text: str):
 
     Columns are checked in bulk; an error names the first bad entry in document order.
     """
+    import json
+
     from .trial import FiniteTrial, InvalidStatisticError, InvalidTrialError, Statistic
 
     try:

@@ -16,14 +16,13 @@ them (which orders admit valid p-values at all) have no finite computational
 content and live in documentation only.
 
 Every other module imports this one, so it also holds what the layers
-share: the precision bounds, the rank tests' enumeration cap, and the
-roots of the trial and rank-test errors.
+share: the precision bounds, the rank tests' enumeration cap, the roots
+of the trial and rank-test errors, and ``_Record``, the value classes' base.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -86,29 +85,68 @@ def exact_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Rational:
+_set = object.__setattr__  # sets an attribute past _Record's refusal
+
+
+class _Record:
+    """Equal to an instance of its own class whose ``_fields`` are equal, hashed on them and shown with them.
+
+    Refuses assignment: ``__init__`` sets attributes by ``_set`` or ``_hold``. A mutable subclass restores
+    ``object``'s ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None.
+    """
+
+    __slots__ = _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:  # as tuples compare: identical or equal
+            a, b = getattr(self, name), getattr(other, name)
+            if a is not b and not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _hold(self, *values) -> None:  # sets the attributes __slots__ names, in order
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setstate__(self, state):  # copy and pickle: a __dict__, or slots and a __dict__ of caches, dropped
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            _set(self, name, value)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class Rational(_Record):
     """Exact rational value."""
 
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", exact_fraction(self.value))
+    def __init__(self, value: Fraction):
+        _set(self, "value", exact_fraction(value))
 
 
-@dataclass(frozen=True)
-class Rank:
+class Rank(_Record):
     """Exact integer rank."""
 
-    value: int
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise TypeError(f"rank must be an int, got {self.value!r}")
+    def __init__(self, value: int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"rank must be an int, got {value!r}")
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(_Record):
     """Fixed-precision decimal value.
 
     ``precision`` counts the significant decimal digits the value is
@@ -118,36 +156,34 @@ class Score:
     their exact Decimal values, whatever their precisions.
     """
 
-    value: Decimal
-    precision: int = DEFAULT_PRECISION
+    __slots__ = _fields = ("value", "precision")
 
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, float):
+    def __init__(self, value: Decimal, precision: int = DEFAULT_PRECISION):
+        if isinstance(value, float):
             raise TypeError("scores must come from decimal strings, not floats")
-        if not isinstance(v, Decimal):
-            v = Decimal(v)
-        if not v.is_finite():
-            raise OrderError(f"score must be finite, got {v}")
-        if not isinstance(self.precision, int) or self.precision < MIN_PRECISION:
-            raise OrderError(f"precision must be an int >= {MIN_PRECISION}, got {self.precision!r}")
-        object.__setattr__(self, "value", v)
+        if not isinstance(value, Decimal):
+            value = Decimal(value)
+        if not value.is_finite():
+            raise OrderError(f"score must be finite, got {value}")
+        if not isinstance(precision, int) or precision < MIN_PRECISION:
+            raise OrderError(f"precision must be an int >= {MIN_PRECISION}, got {precision!r}")
+        _set(self, "value", value)
+        _set(self, "precision", precision)
 
 
-@dataclass(frozen=True)
-class LexTuple:
+class LexTuple(_Record):
     """Ordered list of values compared lexicographically (first unequal wins)."""
 
-    components: tuple
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: tuple):
+        comps = tuple(components)
         if not comps:
             raise EmptyTupleError("a lexicographic tuple needs at least one component")
         for c in comps:
             if not isinstance(c, (Rational, Rank, Score, LexTuple)):
                 raise TypeError(f"tuple component is not an ordered value: {c!r}")
-        object.__setattr__(self, "components", comps)
+        _set(self, "components", comps)
 
 
 OrdValue = Union[Rational, Rank, Score, LexTuple]

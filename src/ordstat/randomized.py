@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -49,17 +48,14 @@ class EpsOutOfRangeError(TrialError):
     """The level eps must lie in [0, 1]."""
 
 
-@dataclass(frozen=True)
 class RandomizedPFunction(_Held):
     """Per-outcome (low, atom) pairs: P[f < f(x)] and P[f = f(x)], built as Fractions when read.
 
     ``split`` holds them as ints over ``denominator``: the trial's D, or the lcm of the given pairs'.
     """
 
-    values: dict
-
-    def __post_init__(self):
-        values = dict(self.values)
+    def __init__(self, values: dict):
+        values = dict(values)
         d, parts = on_grid([part for pair in values.values() for part in pair])
         vars(self).update(values=values, denominator=d, split=dict(zip(values, zip(parts[::2], parts[1::2]))))
 

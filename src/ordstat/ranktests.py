@@ -46,7 +46,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -60,15 +59,20 @@ from .order import (
     Score,
     SizeLimitError,
     TheoremCheckError,
+    _Record,
+    _set,
     exact_fraction,
 )
 
 
-@dataclass
-class CompareContext:
+class CompareContext(_Record):
     """Count of rank-cascade score-sum ties that are not exact equalities."""
 
-    imprecise_ties: int = 0
+    __slots__ = _fields = ("imprecise_ties",)
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, imprecise_ties: int = 0):
+        self.imprecise_ties = imprecise_ties
 
     def flag_imprecise(self) -> None:
         self.imprecise_ties += 1
@@ -111,8 +115,7 @@ class Component(enum.Enum):
 RANK_SCHEMES = (Component.WILCOXON, Component.FYT, Component.VDW, Component.LAPLACE)
 
 
-@dataclass(frozen=True)
-class CascadeStatistic:
+class CascadeStatistic(_Record):
     """Ordered component list evaluated lexicographically.
 
     At most one STUDENT_T component is allowed and it must come last: the
@@ -120,10 +123,10 @@ class CascadeStatistic:
     tie-break requires the Gaussian sampling null.
     """
 
-    components: tuple
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: tuple):
+        comps = tuple(components)
         if not comps:
             raise InvalidCascadeError("a cascade needs at least one component")
         for c in comps:
@@ -134,7 +137,7 @@ class CascadeStatistic:
             raise InvalidCascadeError("at most one t component is allowed")
         if t_positions and t_positions[0] != len(comps) - 1:
             raise InvalidCascadeError("the t component must be the last cascade component")
-        object.__setattr__(self, "components", comps)
+        _set(self, "components", comps)
 
     @classmethod
     def parse(cls, text: str) -> "CascadeStatistic":
@@ -158,16 +161,14 @@ class CascadeStatistic:
         return ",".join(c.value for c in self.components)
 
 
-@dataclass(frozen=True)
-class TwoSample:
+class TwoSample(_Record):
     """Two groups of pairwise distinct exact observations."""
 
-    xs: tuple
-    ys: tuple
+    __slots__ = _fields = ("xs", "ys")
 
-    def __post_init__(self):
-        xs = tuple(exact_fraction(v) for v in self.xs)
-        ys = tuple(exact_fraction(v) for v in self.ys)
+    def __init__(self, xs: tuple, ys: tuple):
+        xs = tuple(exact_fraction(v) for v in xs)
+        ys = tuple(exact_fraction(v) for v in ys)
         if not xs or not ys:
             raise RankTestError("both groups need at least one observation")
         pooled = xs + ys
@@ -179,8 +180,7 @@ class TwoSample:
                     break
                 seen.add(v)
             raise DuplicateObservationsError(f"observations must be pairwise distinct; {dup} repeats")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self._hold(xs, ys)
 
     @property
     def m(self) -> int:
@@ -307,12 +307,22 @@ def _estimated_error(level: list, bits: int) -> Decimal:
     return Decimal(1).scaleb(int(min(0, max(d1 * d1 / d2, 2 * d1, -bits))))
 
 
+def _float_quantile(p: float) -> float:
+    # y with 1 - Phi(y) = p for 0 < p < 1/2, to about float accuracy: Abramowitz & Stegun 26.2.23 (error
+    # below 4.5e-4) at t = sqrt(-2 ln p), then 4 Newton steps on 1 - Phi(y) = erfc(y / sqrt 2) / 2.
+    t = math.sqrt(-2 * math.log(p))
+    y = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (1 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3)
+    for _ in range(4):
+        y += (0.5 * math.erfc(y / math.sqrt(2)) - p) / math.exp(-y * y / 2) * math.sqrt(2 * math.pi)
+    return y
+
+
 def _quantiles(scheme: Component, pool: int, precision: int):
     # vdw: the Gaussian quantile -y, 1 - Phi(y) = p; laplace: the unit Laplace
     # quantile ln(2p). Both at p = i / (pool + 1) < 1/2, in the current
     # context; None when a rounding is undecided. ln is correctly rounded, so
     # ln(2i) - ln(pool + 1) is within an ulp of ln(pool + 1) plus half an ulp
-    # of its own. y is solved by Newton's method from the float quantile, and
+    # of its own. y is solved by Newton's method from _float_quantile, and
     # its rounding d is accepted only when the monotone 1 - Phi brackets p on
     # the cell of values that round to d: 1 - Phi(|d| - h) > p > 1 - Phi(|d| + h).
     half, digits = pool // 2, decimal.getcontext().prec
@@ -323,12 +333,10 @@ def _quantiles(scheme: Component, pool: int, precision: int):
         for i in range(1, half + 1):
             decimals.append(_rounded(Decimal(2 * i).ln() - top, error, precision))
         return None if None in decimals else decimals
-    from statistics import NormalDist
-
-    inv_cdf, ulp = NormalDist().inv_cdf, Decimal(1).scaleb(-digits)
+    ulp = Decimal(1).scaleb(-digits)
     for i in range(1, half + 1):
         p = Decimal(i) / (pool + 1)
-        y = Decimal(inv_cdf(1 - i / (pool + 1)))
+        y = Decimal(_float_quantile(i / (pool + 1)))
         for _ in range(8):
             q, phi, _ = _upper_tail(y)
             step = (q - p) / phi
@@ -706,13 +714,16 @@ def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1)
             yield prefix + (r, w - r)[:m]
 
 
-@dataclass(frozen=True)
-class TieGroup:
+class TieGroup(_Record):
     """Assignments sharing one cascade value, built from the first member when read; cum_count counts those <= it."""
 
-    parts: tuple = field(repr=False, compare=False)
-    members: tuple
-    cum_count: int
+    __slots__ = ("parts", "members", "cum_count", "__dict__")  # __dict__ holds the cached value
+    _fields = __slots__[1:3]  # parts, the cascade's key parts, is neither compared nor shown
+
+    def __init__(self, parts: tuple, members: tuple, cum_count: int):
+        _set(self, "parts", parts)
+        _set(self, "members", members)
+        _set(self, "cum_count", cum_count)
 
     @property
     def size(self) -> int:
@@ -723,8 +734,7 @@ class TieGroup:
         return _value(self.parts, self.members[0])
 
 
-@dataclass(frozen=True)
-class AttainableSet:
+class AttainableSet(_Record):
     """Grouped permutation distribution of a rank-based cascade.
 
     The induced p-function attains exactly the cumulative probabilities at
@@ -732,13 +742,11 @@ class AttainableSet:
     ties the cascade failed to break.
     """
 
-    m: int
-    n: int
-    cascade: CascadeStatistic
-    precision: int
-    total: int
-    groups: tuple
-    imprecise: bool
+    __slots__ = _fields = ("m", "n", "cascade", "precision", "total", "groups", "imprecise")
+
+    def __init__(self, m: int, n: int, cascade: CascadeStatistic, precision: int, total: int, groups: tuple,
+                 imprecise: bool):
+        self._hold(m, n, cascade, precision, total, groups, imprecise)
 
     @property
     def values(self) -> tuple:
@@ -865,17 +873,17 @@ def attainable_pvalues(
 # Published reference values for m = n = 6 (Pratt & Gibbons, 1981, Table 5.1)
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(_Record):
     """Attainable values claimed by the published table inside a window.
 
     The source table was computed at limited numeric precision; where the
     exact enumeration disagrees the discrepancy is reported, not hidden.
     """
 
-    source: str
-    window_hi: Fraction
-    values: frozenset
+    __slots__ = _fields = ("source", "window_hi", "values")
+
+    def __init__(self, source: str, window_hi: Fraction, values: frozenset):
+        self._hold(source, window_hi, values)
 
 
 def _ref(nums, window_hi) -> ReferenceTable:
@@ -904,13 +912,13 @@ def reference_for(m: int, n: int, cascade: CascadeStatistic) -> ReferenceTable |
     return REFERENCE_TABLES_66.get(tuple(c.value for c in cascade.components))
 
 
-@dataclass(frozen=True)
-class ReferenceMismatch:
+class ReferenceMismatch(_Record):
     """One attainable value on which exact enumeration and the reference differ."""
 
-    value: Fraction
-    in_ours: bool  # else listed by the reference only
-    groups: tuple
+    __slots__ = _fields = ("value", "in_ours", "groups")  # in_ours, else listed by the reference only
+
+    def __init__(self, value: Fraction, in_ours: bool, groups: tuple):
+        self._hold(value, in_ours, groups)
 
 
 def _deciding_groups(att: AttainableSet, k: int) -> tuple:
@@ -944,13 +952,11 @@ def compare_with_reference(att: AttainableSet, reference: ReferenceTable) -> lis
 # Monte Carlo calibration for t cascades
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    estimate: float
-    ci95: tuple
-    count: int
-    draws: int
-    seed: int
+class MonteCarloResult(_Record):
+    __slots__ = _fields = ("estimate", "ci95", "count", "draws", "seed")
+
+    def __init__(self, estimate: float, ci95: tuple, count: int, draws: int, seed: int):
+        self._hold(estimate, ci95, count, draws, seed)
 
     @property
     def pvalue(self) -> Fraction:

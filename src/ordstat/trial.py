@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 
@@ -30,6 +29,7 @@ from .order import (
     Score,
     TheoremCheckError,
     TrialError,
+    _Record,
     exact_fraction,
     grid_keys,
     on_grid,
@@ -59,8 +59,10 @@ class ScaleBelowOneError(TrialError):
     """Scaling a p-function by c < 1 does not preserve validity."""
 
 
-class _Held:
+class _Held(_Record):
     """``_made`` makes an instance of attributes already checked, whose ``values`` ``build()`` makes on first read."""
+
+    _fields = ("values",)
 
     @classmethod
     def _made(cls, build=None, **held):
@@ -76,7 +78,6 @@ class _Held:
         return values
 
 
-@dataclass(frozen=True)
 class FiniteTrial(_Held):
     """Finite probability space with exact rational outcome probabilities.
 
@@ -90,10 +91,10 @@ class FiniteTrial(_Held):
     order of ``labels``.
     """
 
-    outcomes: tuple
+    _fields = ("outcomes",)
 
-    def __post_init__(self):
-        outcomes = tuple(self.outcomes)
+    def __init__(self, outcomes: tuple):
+        outcomes = tuple(outcomes)
         if not outcomes:
             raise InvalidTrialError("a trial needs at least one outcome")
         probs = [exact_fraction(prob) for _, prob in outcomes]
@@ -141,17 +142,14 @@ class FiniteTrial(_Held):
         return label in self._prob
 
 
-@dataclass(frozen=True)
 class Statistic(_Held):
     """Total map from outcome labels to ordered values of one shared shape.
 
     ``kind`` is the shape and ``keys`` each label's ``order.grid_keys`` over all its values.
     """
 
-    values: dict
-
-    def __post_init__(self):
-        vals = dict(self.values)
+    def __init__(self, values: dict):
+        vals = dict(values)
         if not vals:
             raise InvalidStatisticError("a statistic needs at least one value")
         shapes = {shape(v) for v in vals.values()}
@@ -174,7 +172,6 @@ class Statistic(_Held):
         return label in self.keys
 
 
-@dataclass(frozen=True)
 class PFunction(_Held):
     """Map from outcome labels to exact rationals in [0, 1], held as int ``keys`` over ``denominator``.
 
@@ -183,10 +180,8 @@ class PFunction(_Held):
     read. Equal p-functions have the same labels and values, whatever their denominators.
     """
 
-    values: dict
-
-    def __post_init__(self):
-        vals = {label: exact_fraction(v) for label, v in dict(self.values).items()}
+    def __init__(self, values: dict):
+        vals = {label: exact_fraction(v) for label, v in dict(values).items()}
         d, keys = on_grid(list(vals.values()))
         vars(self).update(self._checked(dict(zip(vals, keys)), d), values=vals)
 
@@ -229,14 +224,15 @@ class Validity(enum.Enum):
     RANGE_EXACT = "range-exact"
 
 
-@dataclass(frozen=True)
-class PFunctionClass:
+class PFunctionClass(_Record):
     """Classification verdict; NOT_PFUNCTION carries the violating witness, ``kinds`` each label's ``pvalue_kinds``."""
 
-    kind: Validity
-    witness: Fraction | None = None
-    witness_mass: Fraction | None = None
-    kinds: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("kind", "witness", "witness_mass", "kinds")
+    _fields = __slots__[:3]  # kinds is neither compared nor shown
+
+    def __init__(self, kind: Validity, witness: Fraction | None = None, witness_mass: Fraction | None = None,
+                 kinds: dict | None = None):
+        self._hold(kind, witness, witness_mass, {} if kinds is None else kinds)
 
 
 def _on_outcomes(trial: FiniteTrial, values: dict, what: str) -> list:

@@ -879,7 +879,7 @@ class TestRobustness:
 MPMATH_PROBE = """
 import contextlib, io, json, sys
 import ordstat.cli
-argv = json.loads(sys.argv[1])
+argv = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = ordstat.cli.main(argv) if argv else 0
@@ -889,21 +889,23 @@ print(json.dumps([code, "mpmath" in sys.modules]))
 """
 
 # Runs the command line in a fresh interpreter as ``python -m ordstat.cli ARGV`` does, or only ``import ordstat``
-# for no ARGV: prints the exit code and the ordstat modules loaded (the command line itself runs as __main__).
+# for no ARGV: prints the exit code, the ordstat modules loaded (the command line itself runs as __main__) and
+# which of the STDLIB_WATCHED modules the run added. The probe imports json only after the run.
 LAYERS_PROBE = """
-import contextlib, io, json, runpy, sys
-argv = json.loads(sys.argv[1])
-code = 0
+import contextlib, io, runpy, sys
+argv, code, before = sys.argv[1:], 0, set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     if argv:
-        sys.argv[1:] = argv
         try:
             runpy.run_module("ordstat.cli", run_name="__main__", alter_sys=True)
         except SystemExit as e:
             code = e.code
     else:
         import ordstat
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("ordstat."))]))
+added = set(sys.modules) - before
+import json
+print(json.dumps([code, sorted(name for name in added if name.startswith("ordstat.")),
+                  sorted(added & {"dataclasses", "json", "statistics"})]))
 """
 
 
@@ -911,13 +913,14 @@ def probe(script: str, argv: list) -> tuple:
     """Run a probe script on ``argv`` in a fresh interpreter: the JSON of its last line and its stderr."""
     src = str(Path(ordstat.cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+    done = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, cwd=DATA, check=True)
     return json.loads(done.stdout.splitlines()[-1]), done.stderr
 
 
 # The ordstat modules each command loads: the rank commands never the trial layer, the trial commands never the
-# rank tests, --help and demo neither; ``import ordstat`` (no command) loads none.
+# rank tests, --help and demo neither; ``import ordstat`` (no command) loads none. Of the standard library modules
+# that LAYERS_PROBE watches, only json is loaded, and only by the commands that read a trial document.
 LAYERS = {
     None: [],
     "--help": ["files", "order"],
@@ -948,15 +951,16 @@ def test_no_command_loads_mpmath(argv):
     """No command loads mpmath, score vectors (fyt, vdw, laplace) and t statistics included.
 
     A second probe runs the command as ``python -m ordstat.cli`` does and checks that it loads only the
-    ordstat modules ``LAYERS`` names for it.
+    ordstat modules ``LAYERS`` names for it, never dataclasses or statistics, and json only to read a trial.
     """
     assert probe(MPMATH_PROBE, argv)[0] == [0, False]
-    layers = LAYERS[argv[0] if argv else None]
-    assert probe(LAYERS_PROBE, argv)[0] == [0, [f"ordstat.{layer}" for layer in layers]]
+    command = argv[0] if argv else None
+    json_read = ["json"] if command in ("induce", "midp", "randomize") else []
+    assert probe(LAYERS_PROBE, argv)[0] == [0, [f"ordstat.{layer}" for layer in LAYERS[command]], json_read]
 
 
 def test_rank_theorem_failure_exits_4_without_the_trial_layer():
     """The rank side's TheoremCheckError is the trial layer's class, so main maps it to 4 with only the rank layer loaded."""
     argv = ["table", "6", "6", "laplace,fyt", "--precision", "6"]  # see test_non_transitive_ties_fail_loudly
-    assert probe(LAYERS_PROBE, argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]]],
+    assert probe(LAYERS_PROBE, argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]], []],
                                          "theorem check failed: attainable groups are not strictly ascending\n")
