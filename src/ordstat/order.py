@@ -26,7 +26,6 @@ import enum
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
 DEFAULT_PRECISION = 50
 # Rank cascades tie score sums within a relative 10**(2 - precision) (ranktests' windows);
@@ -186,7 +185,7 @@ class LexTuple(_Record):
         _set(self, "components", comps)
 
 
-OrdValue = Union[Rational, Rank, Score, LexTuple]
+OrdValue = Rational | Rank | Score | LexTuple
 
 
 def lex_tuple(components) -> LexTuple:

@@ -28,9 +28,15 @@ window of sums that tie with a sum, decided exactly, and one walk over those
 windows (_walk) makes every comparison: of rank sets for p-values and draws,
 of indices into the sorted key columns for a table. A wilcoxon-first exact
 p-value counts the smaller rank sums from their Gaussian binomial and visits
-only the observed rank sum's slice. An attainable set builds a tie group's
-value when it is read, and is verified range-exact at every size by an
-independent recount that bisects the key columns on the same windows.
+only the observed rank sum's slice. A table is built, grouped and verified
+one slice at a time, so it holds one slice's keys at once: a wilcoxon-first
+cascade has one slice per rank sum, in rank-sum order, keyed by the parts
+after W alone; any other cascade has one slice of all assignments. An
+attainable set builds a tie group's value when it is read, and is verified
+range-exact at every size by an independent recount that bisects each
+slice's key columns on the same windows. The count of the slices before it
+is carried from slice to slice; each slice's size is checked against its
+Gaussian binomial coefficient, and the final carry against C(m+n, m).
 Score vectors and t values are computed with the decimal module alone, whose
 exp, ln and sqrt are correctly rounded; each printed digit is decided by an
 error interval or an exact bracket.
@@ -44,7 +50,7 @@ import enum
 import functools
 import itertools
 import math
-import random
+import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -574,10 +580,9 @@ class _ScoreSum:
 
     def window(self, v: int) -> tuple:
         """(lo, hi): the sums u that tie with v, |u - v| * 10**p <= 100 * max(|u|, |v|), decided exactly."""
-        if v < 0:
-            lo, hi = self.window(-v)
-            return -hi, -lo
-        return v - v * 100 // self.scale, v * self.scale // (self.scale - 100)
+        a = abs(v)
+        lo, hi = a - a * 100 // self.scale, a * self.scale // (self.scale - 100)
+        return (lo, hi) if v >= 0 else (-hi, -lo)
 
     def value(self, ranks) -> Score:
         """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
@@ -689,17 +694,26 @@ def exact_perm_pvalue(
     return Fraction(count, total)
 
 
-def _rank_sum_below(m: int, pool: int, w: int) -> int:
-    """The m-subsets of 1..pool with rank sum < w, read off the Gaussian binomial [pool, m]_q (Andrews 1976, ch. 3)."""
-    # W - m(m+1)/2 has generating function prod (1 - x^(pool-k+i)) / (1 - x^i), i <= k, symmetric about top/2: its
-    # d first coefficients give the tail below t or the mirror of the tail from t, in some k*d <= k*(top/2 + 1) steps.
-    k, t, top = min(m, pool - m), w - m * (m + 1) // 2, m * (pool - m)
-    d = max(0, min(t, top + 1 - t))
+def _gaussian_binomial(m: int, pool: int, d: int) -> list:
+    """The first d coefficients of the Gaussian binomial [pool, m]_q.
+
+    Coefficient t counts the m-subsets of 1..pool with rank sum m(m+1)/2 + t.
+    """
+    # W - m(m+1)/2 has generating function prod (1 - x^(pool-k+i)) / (1 - x^i), i <= k: k*d steps.
+    k = min(m, pool - m)
     c = ([1] + [0] * d)[:d]
     for i in range(1, k + 1):
         c[pool - k + i :] = [a - b for a, b in zip(c[pool - k + i :], c)]
         for r in range(i):
             c[r::i] = itertools.accumulate(c[r::i])
+    return c
+
+
+def _rank_sum_below(m: int, pool: int, w: int) -> int:
+    """The m-subsets of 1..pool with rank sum < w, read off the Gaussian binomial [pool, m]_q (Andrews 1976, ch. 3)."""
+    # The coefficients are symmetric about top/2: the d first give the tail below t or the mirror of the tail from t.
+    t, top = w - m * (m + 1) // 2, m * (pool - m)
+    c = _gaussian_binomial(m, pool, max(0, min(t, top + 1 - t)))
     return sum(c) if 2 * t <= top + 1 else math.comb(pool, m) - sum(c)
 
 
@@ -760,34 +774,78 @@ class AttainableSet(_Record):
         return len(self.groups) == self.total
 
 
-def _sorted_keys(m: int, n: int, cascade: CascadeStatistic, precision: int, max_enum: int) -> tuple:
-    """(key parts, one column per part, rank sets), all in ascending key order, over all assignments."""
-    if cascade.has_student_t:
-        raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
-    _check_enum_size(m, n, max_enum)
-    parts, ranks = _key_parts(cascade, m + n, precision), range(1, m + n + 1)
-    columns = [list(map(sum, itertools.combinations([part.total((r,)) for r in ranks], m))) for part in parts]
-    # Exact int keys, sorted stably on each column from the last one: the
-    # lexicographic order. Threshold (near-)equality is grouping's business.
-    order = range(len(columns[0]))
-    for column in reversed(columns):
-        order = sorted(order, key=column.__getitem__)
-    combos = list(itertools.combinations(ranks, m))
-    return parts, tuple(tuple(map(column.__getitem__, order)) for column in columns), tuple(map(combos.__getitem__, order))
+def _walked(parts: tuple) -> tuple:
+    """The key parts a slice's keys can differ on, and have columns for: all but a leading W."""
+    return parts[1:] if parts[0] is _RankSum else parts
 
 
-def _grouped(parts: tuple, columns: tuple, combos: tuple, ctx: CompareContext) -> tuple:
+def _sorted_keys(parts: tuple, m: int, pool: int):
+    """A table's slices in ascending key order: (the size it must have, one column per walked part, rank sets).
+
+    A wilcoxon-first cascade has one slice per rank sum W, in W order, which
+    must hold W's Gaussian binomial coefficient of assignments. W is constant
+    on a slice, so its columns, the walked parts (_walked), are the parts
+    after W. Any other cascade has one slice of all C(pool, m) assignments.
+    A slice starts in combinations order and is sorted stably on each column
+    from the last one, so the slices in turn are the lexicographic order of
+    all exact int keys, and only one slice's columns are held at a time.
+    Threshold (near-)equality is grouping's business.
+    """
+    ranks = range(1, pool + 1)
+    terms = [tuple(part.total((r,)) for r in range(pool + 1)) for part in _walked(parts)]  # by rank; rank 0 scores 0
+    if parts[0] is _RankSum:
+        sizes, least = _gaussian_binomial(m, pool, m * (pool - m) + 1), m * (m + 1) // 2
+        by_sum = [[] for _ in sizes]
+        for combo in itertools.combinations(ranks, m):
+            by_sum[sum(combo) - least].append(combo)
+        slices = map(by_sum.pop, itertools.repeat(0, len(by_sum)))  # each let go once sorted
+        unsorted = ((_columns(terms, combos, m), size, combos) for size, combos in zip(sizes, slices))
+    else:  # one slice, its columns built in C as the sums of combinations of per-rank terms
+        unsorted = [([list(map(sum, itertools.combinations(t[1:], m))) for t in terms], math.comb(pool, m),
+                     list(itertools.combinations(ranks, m)))]
+    for columns, size, combos in unsorted:
+        order = range(len(combos))
+        for column in reversed(columns):
+            order = sorted(order, key=column.__getitem__)
+        columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
+        yield size, columns, tuple(map(combos.__getitem__, order))
+
+
+def _columns(terms: list, combos: list, m: int) -> list:
+    """Per term tuple t of ``terms``, the sums of t[r] over each rank set's ranks r, added a rank position at a time.
+
+    The sums run in C and make no object per rank set, as zip(*combos) would: the cyclic collector tracks such
+    objects, and at 12x12 their churn more than tripled the full collections, each over every rank set kept.
+    """
+    if len(combos) == 1 or not terms:  # one rank set's itemgetter would return a term, not a 1-tuple
+        return [[sum(map(t.__getitem__, combos[0]))] for t in terms]
+    flat = list(itertools.chain.from_iterable(combos))
+    getters = [operator.itemgetter(*flat[j::m]) for j in range(m)]
+    columns = []
+    for t in terms:
+        column = getters[0](t)
+        for getter in getters[1:]:
+            column = map(operator.add, column, getter(t))
+        columns.append(list(column))
+    return columns
+
+
+def _grouped(parts: tuple, slice_: tuple, carry: int, ctx: CompareContext) -> tuple:
+    """The tie groups of one slice, counted on from the ``carry`` assignments of the slices before it."""
     # A run of equal sorted keys joins the group if it walks to 0 against its first key. Only grouping flags a table's
     # imprecise ties, as tie windows are intervals, ties symmetric and keys sorted exactly: if keys a < b first differ
     # at part d and tie there (all the order check or recount can meet), the first run r after a greater at d ties a
     # there, and r walked against a start equal to a through d, or a joined a start it differs from by d: one flagged.
-    starts, start, steps = [0], 0, _steps(parts, 0, columns)
-    for _, run in itertools.groupby(zip(*columns)):
+    # Keys of two slices differ on W, exactly. With no walked part (wilcoxon alone) a slice is one group.
+    _, columns, combos = slice_
+    walked, starts = _walked(parts), [0]
+    steps = _steps(walked, 0, columns)
+    differs = map(operator.ne, zip(*(column[1:] for column in columns)), zip(*columns))  # key i + 1 from key i
+    for start in itertools.compress(range(1, len(combos)), differs):  # where a run of equal keys starts
         if _walk(steps, start, ctx) != 0:
             starts.append(start)
-            steps = _steps(parts, start, columns)
-        start += len(list(run))
-    return tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(combos)]))
+            steps = _steps(walked, start, columns)
+    return tuple(TieGroup(parts, combos[a:b], carry + b) for a, b in zip(starts, starts[1:] + [len(combos)]))
 
 
 def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth: int = 0) -> int:
@@ -797,8 +855,11 @@ def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth:
     ``depth``, so they ascend on component ``depth``. There the walk ties
     on the closed window [lo, hi] of the step, goes to -1 below it and to
     1 above it, so two bisections on the window's ends split the slice.
+    With no component left, every key ties.
     It flags no imprecise tie: any it meets, grouping has flagged (_grouped).
     """
+    if depth == len(steps):
+        return stop - start
     _, lo, hi, _ = steps[depth]
     column = columns[depth]
     first = bisect.bisect_left(column, lo, start, stop)
@@ -813,26 +874,39 @@ def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth:
     return count
 
 
-def _verify_range_exact(parts: tuple, columns: tuple, groups: tuple) -> None:
-    total = len(columns[0])
-    if sum(g.size for g in groups) != total:
+def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, total: int) -> int:
+    """Check one slice's groups, after the ``carry`` assignments of the slices before it; return the carry past it.
+
+    The slice must hold its size, its Gaussian binomial coefficient (or all
+    ``total`` assignments), and its groups must hold the slice.
+    """
+    size, columns, combos = slice_
+    walked = _walked(parts)
+    if len(combos) != size:
+        raise TheoremCheckError(
+            f"a slice holds {len(combos)} assignments, not its Gaussian binomial coefficient {size}"
+        )
+    sizes = [len(g.members) for g in groups]
+    if sum(sizes) != size:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
-    starts = [g.cum_count - g.size for g in groups]
-    group_steps = [_steps(parts, start, columns) for start in starts]
+    starts = [g.cum_count - carry - k for g, k in zip(groups, sizes)]
+    group_steps = [_steps(walked, start, columns) for start in starts]
     unread = CompareContext()  # the ties it meets are grouping's (_grouped)
     for start, steps in zip(starts, group_steps[1:]):
         if _walk(steps, start, unread) != -1:
             raise TheoremCheckError("attainable groups are not strictly ascending")
-    # Independent recount of P[value <= group value] at every group; the
-    # groups up to each one must hold exactly that many assignments.
-    held = 0
-    for g, steps in zip(groups, group_steps):
-        count = _count_not_above(steps, columns, 0, total)
-        held += g.size
+    # Independent recount of P[value <= group value] at every group: the
+    # slices before it, then a bisection of this one. The groups up to each
+    # one must hold exactly that many assignments.
+    held = carry
+    for g, k, steps in zip(groups, sizes, group_steps):
+        count = carry + _count_not_above(steps, columns, 0, size)
+        held += k
         if count != g.cum_count:
             raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: recounted {count}")
         if held != g.cum_count:
             raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: groups up to it hold {held}")
+    return held
 
 
 def attainable_set(
@@ -842,18 +916,25 @@ def attainable_set(
     precision: int = DEFAULT_PRECISION,
     max_enum: int = DEFAULT_MAX_ENUM,
 ) -> AttainableSet:
-    """Grouped attainable p-values of a rank-based cascade, verified range-exact."""
-    ctx = CompareContext()
-    parts, columns, combos = _sorted_keys(m, n, cascade, precision, max_enum)
-    groups = _grouped(parts, columns, combos, ctx)
-    _verify_range_exact(parts, columns, groups)
+    """Grouped attainable p-values of a rank-based cascade, verified range-exact one slice at a time."""
+    if cascade.has_student_t:
+        raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
+    total = _check_enum_size(m, n, max_enum)
+    parts = _key_parts(cascade, m + n, precision)
+    ctx, groups, carry = CompareContext(), [], 0
+    for slice_ in _sorted_keys(parts, m, m + n):
+        found = _grouped(parts, slice_, carry, ctx)
+        carry = _verify_range_exact(parts, slice_, found, carry, total)
+        groups += found
+    if carry != total:
+        raise TheoremCheckError(f"the slices hold {carry} assignments, not C({m + n},{m}) = {total}")
     return AttainableSet(
         m=m,
         n=n,
         cascade=cascade,
         precision=precision,
-        total=len(combos),
-        groups=groups,
+        total=total,
+        groups=tuple(groups),
         imprecise=ctx.imprecise,
     )
 
@@ -993,8 +1074,11 @@ def _normals(seed: int):
     Each pair of uniforms gives the cos value, then the sin value, which
     gauss holds over to its next call; a draw of odd size splits a pair
     across two draws just as that carry does. gauss adds 0.0 to each value,
-    which only turns a -0.0 into 0.0: the two rank and sum alike.
+    which only turns a -0.0 into 0.0: the two rank and sum alike. random
+    is imported here, so that tables and exact p-values never load it.
     """
+    import random
+
     uniform = random.Random(seed).random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
     while True:

@@ -888,10 +888,21 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, "mpmath" in sys.modules]))
 """
 
+# The standard library modules LAYERS_PROBE watches, each with the commands that load it: json to read a trial
+# document, random for a seeded draw (``twosample --mode mc``) or a randomized p-value. No command loads the others.
+STDLIB_WATCHED = {
+    "dataclasses": (),
+    "json": ("induce", "midp", "randomize"),
+    "random": ("midp", "randomize", "twosample mc"),
+    "statistics": (),
+    "typing": (),
+}
+
 # Runs the command line in a fresh interpreter as ``python -m ordstat.cli ARGV`` does, or only ``import ordstat``
 # for no ARGV: prints the exit code, the ordstat modules loaded (the command line itself runs as __main__) and
-# which of the STDLIB_WATCHED modules the run added. The probe imports json only after the run.
-LAYERS_PROBE = """
+# which of the STDLIB_WATCHED modules the run added. The probe imports json only after the run. It runs under -S,
+# since site can load watched modules itself (a certifi .pth loads typing and random), which would hide a command's.
+LAYERS_PROBE = f"""
 import contextlib, io, runpy, sys
 argv, code, before = sys.argv[1:], 0, set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -905,22 +916,25 @@ with contextlib.redirect_stdout(io.StringIO()):
 added = set(sys.modules) - before
 import json
 print(json.dumps([code, sorted(name for name in added if name.startswith("ordstat.")),
-                  sorted(added & {"dataclasses", "json", "statistics"})]))
+                  sorted(added & {set(STDLIB_WATCHED)!r})]))
 """
 
 
-def probe(script: str, argv: list) -> tuple:
-    """Run a probe script on ``argv`` in a fresh interpreter: the JSON of its last line and its stderr."""
+def probe(script: str, argv: list, *options: str) -> tuple:
+    """Run a probe script on ``argv`` in a fresh interpreter with ``options``: its last line's JSON, and stderr."""
     src = str(Path(ordstat.cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, *argv],
+    done = subprocess.run([sys.executable, *options, "-c", script, *argv],
                           capture_output=True, text=True, env=env, cwd=DATA, check=True)
     return json.loads(done.stdout.splitlines()[-1]), done.stderr
 
 
+def layers_probe(argv: list) -> tuple:
+    return probe(LAYERS_PROBE, argv, "-S")
+
+
 # The ordstat modules each command loads: the rank commands never the trial layer, the trial commands never the
-# rank tests, --help and demo neither; ``import ordstat`` (no command) loads none. Of the standard library modules
-# that LAYERS_PROBE watches, only json is loaded, and only by the commands that read a trial document.
+# rank tests, --help and demo neither; ``import ordstat`` (no command) loads none.
 LAYERS = {
     None: [],
     "--help": ["files", "order"],
@@ -951,16 +965,17 @@ def test_no_command_loads_mpmath(argv):
     """No command loads mpmath, score vectors (fyt, vdw, laplace) and t statistics included.
 
     A second probe runs the command as ``python -m ordstat.cli`` does and checks that it loads only the
-    ordstat modules ``LAYERS`` names for it, never dataclasses or statistics, and json only to read a trial.
+    ordstat modules ``LAYERS`` names for it, and of the STDLIB_WATCHED modules only those listed for it.
     """
     assert probe(MPMATH_PROBE, argv)[0] == [0, False]
     command = argv[0] if argv else None
-    json_read = ["json"] if command in ("induce", "midp", "randomize") else []
-    assert probe(LAYERS_PROBE, argv)[0] == [0, [f"ordstat.{layer}" for layer in LAYERS[command]], json_read]
+    watched_as = "twosample mc" if "mc" in argv else command
+    stdlib = [name for name, commands in STDLIB_WATCHED.items() if watched_as in commands]
+    assert layers_probe(argv)[0] == [0, [f"ordstat.{layer}" for layer in LAYERS[command]], stdlib]
 
 
 def test_rank_theorem_failure_exits_4_without_the_trial_layer():
     """The rank side's TheoremCheckError is the trial layer's class, so main maps it to 4 with only the rank layer loaded."""
     argv = ["table", "6", "6", "laplace,fyt", "--precision", "6"]  # see test_non_transitive_ties_fail_loudly
-    assert probe(LAYERS_PROBE, argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]], []],
+    assert layers_probe(argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]], []],
                                          "theorem check failed: attainable groups are not strictly ascending\n")

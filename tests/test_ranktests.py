@@ -60,6 +60,7 @@ from ordstat.ranktests import (
     _value,
     _verify_range_exact,
     _walk,
+    _walked,
     compare_with_reference,
     reference_for,
 )
@@ -565,20 +566,36 @@ def pairwise_recount(values, group_value, ctx) -> int:
     return sum(1 for v in values if threshold_compare(v, group_value, ctx) is not Ordering.GT)
 
 
-def check_grouping_and_recount(cascade, m, n, precision) -> int:
-    """Int-key sort, grouping and bisection recount equal the Decimal brute force; returns grouping's imprecise ties.
+def table_slices(cascade, m, n, precision, ctx=None) -> tuple:
+    """(key parts, [(carry, slice, groups)]): every slice of the table, grouped on ``ctx`` and not verified."""
+    parts, carry, grouped = _key_parts(cascade, m + n, precision), 0, []
+    for slice_ in _sorted_keys(parts, m, m + n):
+        grouped.append((carry, slice_, _grouped(parts, slice_, carry, ctx if ctx is not None else CompareContext())))
+        carry += len(slice_[2])
+    return parts, grouped
 
-    Grouping walks each run of equal keys once, so the reference compares each distinct key once. The recount
-    flags nothing: grouping's flag alone must equal the reference's grouping-or-recount flag.
+
+def check_grouping_and_recount(cascade, m, n, precision) -> int:
+    """Slice-wise int-key sort, grouping and bisection recount equal the Decimal brute force.
+
+    Returns grouping's imprecise ties. Grouping walks each run of equal keys once, so the reference compares each
+    distinct key once. The recount flags nothing: grouping's flag alone must equal the reference's grouping-or-recount
+    flag.
     """
-    parts, columns, combos = _sorted_keys(m, n, cascade, precision, DEFAULT_MAX_ENUM)
+    ctx, ref, recount = CompareContext(), CompareContext(), CompareContext()
+    parts, grouped = table_slices(cascade, m, n, precision, ctx)
+    walked = _walked(parts)
+    combos = [c for _, (_, _, sl), _ in grouped for c in sl]
     assert sorted(combos) == list(itertools.combinations(range(1, m + n + 1), m))
-    assert list(zip(*columns)) == [tuple(part.total(c) for part in parts) for c in combos]
+    for _, (size, columns, sl), _ in grouped:
+        assert len(sl) == size
+        assert [list(column) for column in columns] == [[part.total(c) for c in sl] for part in walked]
+        if walked != parts:  # a slice per rank sum
+            assert len({sum(c) for c in sl}) == 1
     values = [decimal_value(c, cascade, m + n, precision) for c in combos]
     exact = [tuple(p.value for p in v.components) for v in values]
     assert exact == sorted(exact)
-    ctx, ref, recount = CompareContext(), CompareContext(), CompareContext()
-    groups = _grouped(parts, columns, combos, ctx)
+    groups = [g for _, _, found in grouped for g in found]
     starts = []
     for i, v in enumerate(values):
         if i and exact[i] == exact[i - 1]:
@@ -587,13 +604,35 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
             starts.append(i)
     assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
     assert ctx.imprecise_ties == ref.imprecise_ties
-    for g, start in zip(groups, starts):
-        # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
-        assert format_ord(g.value) == format_ord(values[start])
-        got = _count_not_above(_steps(parts, start, columns), columns, 0, len(combos))
-        assert got == pairwise_recount(values, values[start], recount)
+    for carry, (size, columns, _), found in grouped:
+        for g in found:
+            start = g.cum_count - g.size
+            # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
+            assert format_ord(g.value) == format_ord(values[start])
+            got = carry + _count_not_above(_steps(walked, start - carry, columns), columns, 0, size)
+            assert got == pairwise_recount(values, values[start], recount)
     assert ctx.imprecise == (ref.imprecise or recount.imprecise)
     return ref.imprecise_ties
+
+
+def whole_table(cascade, m, n, precision) -> tuple:
+    """(key parts, columns, groups, imprecise): one sort and one grouping of all assignments, a table before slices."""
+    parts, ranks = _key_parts(cascade, m + n, precision), range(1, m + n + 1)
+    columns = [list(map(sum, itertools.combinations([part.total((r,)) for r in ranks], m))) for part in parts]
+    order = range(len(columns[0]))
+    for column in reversed(columns):
+        order = sorted(order, key=column.__getitem__)
+    combos = list(itertools.combinations(ranks, m))
+    columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
+    combos = tuple(map(combos.__getitem__, order))
+    ctx, starts, start, steps = CompareContext(), [0], 0, _steps(parts, 0, columns)
+    for _, run in itertools.groupby(zip(*columns)):
+        if _walk(steps, start, ctx) != 0:
+            starts.append(start)
+            steps = _steps(parts, start, columns)
+        start += len(list(run))
+    groups = tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(combos)]))
+    return parts, columns, groups, ctx.imprecise
 
 
 def check_pvalues(cascade, m, n, precision, observed_sets) -> int:
@@ -689,23 +728,48 @@ class TestIntegerKernel:
 
     def test_corrupted_grouping_rejected_at_every_size(self):
         # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
-        cascade = CascadeStatistic.parse("wilcoxon,vdw")
-        parts, columns, combos = _sorted_keys(8, 8, cascade, 50, DEFAULT_MAX_ENUM)
-        groups = _grouped(parts, columns, combos, CompareContext())
-        assert len(combos) * len(groups) > 2_000_000
-        _verify_range_exact(parts, columns, groups)
-        i = len(groups) // 2
-        a, b = groups[i], groups[i + 1]
+        parts, grouped = table_slices(CascadeStatistic.parse("wilcoxon,vdw"), 8, 8, 50)
+        total = math.comb(16, 8)
+        assert total * sum(len(found) for _, _, found in grouped) > 2_000_000
+        for carry, slice_, found in grouped:
+            assert _verify_range_exact(parts, slice_, found, carry, total) == carry + slice_[0]
+        carry, slice_, found = grouped[len(grouped) // 2]
+        i = len(found) // 2
+        a, b = found[i], found[i + 1]
         merged = TieGroup(parts=a.parts, members=a.members + b.members, cum_count=a.cum_count)
         with pytest.raises(TheoremCheckError):
-            _verify_range_exact(parts, columns, groups[:i] + (merged,) + groups[i + 2 :])
+            _verify_range_exact(parts, slice_, found[:i] + (merged,) + found[i + 2 :], carry, total)
+
+
+class TestSliceWiseTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(RANK_CASCADES), st.integers(1, 7), st.integers(1, 7), st.sampled_from((4, 8, 50)))
+    @example(CascadeStatistic.parse("wilcoxon,fyt,vdw"), 7, 7, 4)  # a slice's groups out of order
+    @example(CascadeStatistic.parse("laplace,vdw"), 7, 7, 50)  # the one slice's groups out of order
+    @example(CascadeStatistic.parse("wilcoxon,laplace"), 7, 7, 8)  # imprecise ties
+    @example(W, 7, 7, 50)
+    def test_slices_equal_the_whole_table(self, cascade, m, n, precision):
+        # Group boundaries, member order, printed values and the imprecise flag, or the same failed order check.
+        parts, columns, groups, imprecise = whole_table(cascade, m, n, precision)
+        try:
+            att = attainable_set(m, n, cascade, precision)
+        except TheoremCheckError as e:
+            starts = [g.cum_count - g.size for g in groups]
+            ascending = all(_walk(_steps(parts, b, columns), a, CompareContext()) == -1
+                            for a, b in zip(starts, starts[1:]))
+            assert (str(e), ascending) == ("attainable groups are not strictly ascending", False)
+            return
+        assert [g.cum_count for g in att.groups] == [g.cum_count for g in groups]
+        assert [g.members for g in att.groups] == [g.members for g in groups]
+        assert [format_ord(g.value) for g in att.groups] == [format_ord(g.value) for g in groups]
+        assert att.imprecise == imprecise
 
 
 def _group(like, members, cum_count) -> TieGroup:
     return TieGroup(like.parts, members, cum_count)
 
 
-# Corruptions of two adjacent groups a, b, and the message of the one check that rejects each.
+# Corruptions of two adjacent groups a, b of one slice, and the message of the one check that rejects each.
 CORRUPTIONS = {
     "drop a member": (lambda a, b: (_group(a, a.members[1:], a.cum_count), b), r"group sizes do not add up"),
     "swap": (lambda a, b: (b, a), r"attainable groups are not strictly ascending"),
@@ -718,21 +782,57 @@ CORRUPTIONS = {
 }
 
 
+def sorted_slice(parts, size, combos) -> tuple:
+    """A slice of ``combos`` that claims ``size``, its rank sets sorted on their walked keys as _sorted_keys sorts."""
+    walked = _walked(parts)
+    combos = tuple(sorted(combos, key=lambda c: tuple(part.total(c) for part in walked)))
+    return size, tuple(tuple(part.total(c) for c in combos) for part in walked), combos
+
+
 class TestRangeExactChecks:
     @pytest.fixture(scope="class")
     def table(self):
-        parts, columns, combos = _sorted_keys(8, 8, CascadeStatistic.parse("wilcoxon,vdw"), 50, DEFAULT_MAX_ENUM)
-        return parts, columns, _grouped(parts, columns, combos, CompareContext())
+        return table_slices(CascadeStatistic.parse("wilcoxon,vdw"), 8, 8, 50)
 
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
     def test_each_check_rejects_its_corruption(self, table, corruption):
-        parts, columns, groups = table
-        _verify_range_exact(parts, columns, groups)
+        parts, grouped = table
+        total = math.comb(16, 8)
+        carry, slice_, found = next(
+            t for t in grouped[len(grouped) // 2 :] if any(g.size > 1 for g in t[2][:-1])
+        )
+        assert _verify_range_exact(parts, slice_, found, carry, total) == carry + slice_[0]
         corrupt, message = CORRUPTIONS[corruption]
-        i = next(i for i in range(len(groups) // 2, len(groups)) if groups[i].size > 1)
-        corrupted = groups[:i] + corrupt(groups[i], groups[i + 1]) + groups[i + 2 :]
+        i = next(i for i, g in enumerate(found[:-1]) if g.size > 1)
+        corrupted = found[:i] + corrupt(found[i], found[i + 1]) + found[i + 2 :]
         with pytest.raises(TheoremCheckError, match=message):
-            _verify_range_exact(parts, columns, corrupted)
+            _verify_range_exact(parts, slice_, corrupted, carry, total)
+
+    def test_slice_size_check_rejects_a_moved_assignment(self, table):
+        # An assignment moved from its rank-sum slice to the next keeps the total, and each slice groups and recounts
+        # consistently: only the Gaussian binomial coefficient of the slice it left rejects it.
+        parts, grouped = table
+        total = math.comb(16, 8)
+        i = len(grouped) // 2
+        (carry, (size, _, combos), _), (_, (size_next, _, combos_next), _) = grouped[i : i + 2]
+        short = sorted_slice(parts, size, combos[1:])
+        long = sorted_slice(parts, size_next, combos_next + combos[:1])
+        ctx = CompareContext()
+        found, found_next = _grouped(parts, short, carry, ctx), _grouped(parts, long, carry + size - 1, ctx)
+        message = rf"a slice holds {size - 1} assignments, not its Gaussian binomial coefficient {size}$"
+        with pytest.raises(TheoremCheckError, match=message):
+            _verify_range_exact(parts, short, found, carry, total)
+        # Held to their own lengths, both slices pass every other check, and together they hold the same total.
+        after = _verify_range_exact(parts, (size - 1,) + short[1:], found, carry, total)
+        end = _verify_range_exact(parts, (size_next + 1,) + long[1:], found_next, after, total)
+        assert end == carry + size + size_next
+
+    def test_final_carry_rejects_a_lost_slice(self, monkeypatch):
+        # Every slice passes its own checks when the last one goes missing; only the carry against C(N, m) rejects it.
+        sorted_keys = ranktests._sorted_keys
+        monkeypatch.setattr(ranktests, "_sorted_keys", lambda *args: list(sorted_keys(*args))[:-1])
+        with pytest.raises(TheoremCheckError, match=r"^the slices hold 3431 assignments, not C\(14,7\) = 3432$"):
+            attainable_set(7, 7, WF)
 
 
 # ---------------------------------------------------------------------------
