@@ -929,10 +929,6 @@ def probe(script: str, argv: list, *options: str) -> tuple:
     return json.loads(done.stdout.splitlines()[-1]), done.stderr
 
 
-def layers_probe(argv: list) -> tuple:
-    return probe(LAYERS_PROBE, argv, "-S")
-
-
 # The ordstat modules each command loads: the rank commands never the trial layer, the trial commands never the
 # rank tests, --help and demo neither; ``import ordstat`` (no command) loads none.
 LAYERS = {
@@ -970,12 +966,12 @@ def test_no_command_loads_mpmath(argv):
     assert probe(MPMATH_PROBE, argv)[0] == [0, False]
     command = argv[0] if argv else None
     watched_as = "twosample mc" if "mc" in argv else command
-    stdlib = [name for name, commands in STDLIB_WATCHED.items() if watched_as in commands]
-    assert layers_probe(argv)[0] == [0, [f"ordstat.{layer}" for layer in LAYERS[command]], stdlib]
+    stdlib = sorted(name for name, commands in STDLIB_WATCHED.items() if watched_as in commands)
+    assert probe(LAYERS_PROBE, argv, "-S")[0] == [0, [f"ordstat.{layer}" for layer in LAYERS[command]], stdlib]
 
 
 def test_rank_theorem_failure_exits_4_without_the_trial_layer():
     """The rank side's TheoremCheckError is the trial layer's class, so main maps it to 4 with only the rank layer loaded."""
     argv = ["table", "6", "6", "laplace,fyt", "--precision", "6"]  # see test_non_transitive_ties_fail_loudly
-    assert layers_probe(argv) == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]], []],
-                                         "theorem check failed: attainable groups are not strictly ascending\n")
+    assert probe(LAYERS_PROBE, argv, "-S") == ([4, [f"ordstat.{layer}" for layer in LAYERS["table"]], []],
+                                               "theorem check failed: attainable groups are not strictly ascending\n")
