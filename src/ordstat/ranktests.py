@@ -580,9 +580,9 @@ class _ScoreSum:
 
     def window(self, v: int) -> tuple:
         """(lo, hi): the sums u that tie with v, |u - v| * 10**p <= 100 * max(|u|, |v|), decided exactly."""
-        a = abs(v)
-        lo, hi = a - a * 100 // self.scale, a * self.scale // (self.scale - 100)
-        return (lo, hi) if v >= 0 else (-hi, -lo)
+        if v < 0:  # the mirror of window(-v), without the second call
+            return -(-v * self.scale // (self.scale - 100)), -v * 100 // self.scale + v
+        return v - v * 100 // self.scale, v * self.scale // (self.scale - 100)
 
     def value(self, ranks) -> Score:
         """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
@@ -792,7 +792,7 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
     Threshold (near-)equality is grouping's business.
     """
     ranks = range(1, pool + 1)
-    terms = [tuple(part.total((r,)) for r in range(pool + 1)) for part in _walked(parts)]  # by rank; rank 0 scores 0
+    terms = [[part.total((r,)) for r in ranks] for part in _walked(parts)]
     if parts[0] is _RankSum:
         sizes, least = _gaussian_binomial(m, pool, m * (pool - m) + 1), m * (m + 1) // 2
         by_sum = [[] for _ in sizes]
@@ -800,8 +800,8 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
             by_sum[sum(combo) - least].append(combo)
         slices = map(by_sum.pop, itertools.repeat(0, len(by_sum)))  # each let go once sorted
         unsorted = ((_columns(terms, combos, m), size, combos) for size, combos in zip(sizes, slices))
-    else:  # one slice, its columns built in C as the sums of combinations of per-rank terms
-        unsorted = [([list(map(sum, itertools.combinations(t[1:], m))) for t in terms], math.comb(pool, m),
+    else:  # one slice in combinations order: summing combinations of the terms is about twice as fast as _columns
+        unsorted = [([list(map(sum, itertools.combinations(t, m))) for t in terms], math.comb(pool, m),
                      list(itertools.combinations(ranks, m)))]
     for columns, size, combos in unsorted:
         order = range(len(combos))
@@ -812,17 +812,18 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
 
 
 def _columns(terms: list, combos: list, m: int) -> list:
-    """Per term tuple t of ``terms``, the sums of t[r] over each rank set's ranks r, added a rank position at a time.
+    """Per term list t of ``terms``, by rank from 1, the sums of t over each rank set's ranks, a rank position at a time.
 
     The sums run in C and make no object per rank set, as zip(*combos) would: the cyclic collector tracks such
     objects, and at 12x12 their churn more than tripled the full collections, each over every rank set kept.
     """
     if len(combos) == 1 or not terms:  # one rank set's itemgetter would return a term, not a 1-tuple
-        return [[sum(map(t.__getitem__, combos[0]))] for t in terms]
+        return [[sum(t[r - 1] for r in combos[0])] for t in terms]
     flat = list(itertools.chain.from_iterable(combos))
     getters = [operator.itemgetter(*flat[j::m]) for j in range(m)]
     columns = []
     for t in terms:
+        t = (0, *t)  # index ranks directly
         column = getters[0](t)
         for getter in getters[1:]:
             column = map(operator.add, column, getter(t))
