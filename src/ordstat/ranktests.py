@@ -580,7 +580,7 @@ class _ScoreSum:
 
     def window(self, v: int) -> tuple:
         """(lo, hi): the sums u that tie with v, |u - v| * 10**p <= 100 * max(|u|, |v|), decided exactly."""
-        if v < 0:  # the mirror of window(-v), without the second call
+        if v < 0:  # the mirror of window(-v)
             return -(-v * self.scale // (self.scale - 100)), -v * 100 // self.scale + v
         return v - v * 100 // self.scale, v * self.scale // (self.scale - 100)
 
