@@ -800,7 +800,7 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
             by_sum[sum(combo) - least].append(combo)
         slices = map(by_sum.pop, itertools.repeat(0, len(by_sum)))  # each let go once sorted
         unsorted = ((_columns(terms, combos, m), size, combos) for size, combos in zip(sizes, slices))
-    else:  # one slice in combinations order: summing combinations of the terms is about twice as fast as _columns
+    else:  # one slice in combinations order, where summing combinations of the terms is faster than _columns
         unsorted = [([list(map(sum, itertools.combinations(t, m))) for t in terms], math.comb(pool, m),
                      list(itertools.combinations(ranks, m)))]
     for columns, size, combos in unsorted:
