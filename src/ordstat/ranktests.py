@@ -812,7 +812,7 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
 
 
 def _columns(terms: list, combos: list, m: int) -> list:
-    """Per term list t of ``terms``, by rank from 1, the sums of t over each rank set's ranks, a rank position at a time.
+    """Per term list t of ``terms`` (by rank, from 1), its sums over each rank set's ranks, a rank position at a time.
 
     The sums run in C and make no object per rank set, as zip(*combos) would: the cyclic collector tracks such
     objects, and at 12x12 their churn more than tripled the full collections, each over every rank set kept.
