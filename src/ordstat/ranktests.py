@@ -33,10 +33,15 @@ one slice at a time, so it holds one slice's keys at once: a wilcoxon-first
 cascade has one slice per rank sum, in rank-sum order, keyed by the parts
 after W alone; any other cascade has one slice of all assignments. An
 attainable set builds a tie group's value when it is read, and is verified
-range-exact at every size by an independent recount that bisects each
-slice's key columns on the same windows. The count of the slices before it
-is carried from slice to slice; each slice's size is checked against its
-Gaussian binomial coefficient, and the final carry against C(m+n, m).
+range-exact at every size by a recount that bisects each slice's key columns
+on the same windows. Grouping builds each group's steps (the windows of its
+first key) once, keyed by its start in the slice; verification derives each
+start from the group's count and size, reads the steps there, and builds any
+that grouping did not. So the order check and the recount share grouping's
+steps; their walks, bisections and counts are their own. The count of the
+slices before it is carried from slice to slice; each slice's size is
+checked against its Gaussian binomial coefficient, and the final carry
+against C(m+n, m).
 Score vectors and t values are computed with the decimal module alone, whose
 exp, ln and sqrt are correctly rounded; each printed digit is decided by an
 error interval or an exact bracket.
@@ -735,9 +740,7 @@ class TieGroup(_Record):
     _fields = __slots__[1:3]  # parts, the cascade's key parts, is neither compared nor shown
 
     def __init__(self, parts: tuple, members: tuple, cum_count: int):
-        _set(self, "parts", parts)
-        _set(self, "members", members)
-        _set(self, "cum_count", cum_count)
+        self._hold(parts, members, cum_count)
 
     @property
     def size(self) -> int:
@@ -746,6 +749,10 @@ class TieGroup(_Record):
     @functools.cached_property
     def value(self) -> LexTuple:
         return _value(self.parts, self.members[0])
+
+
+# A table's groups are made by filling these slots (_grouped), past __init__ and its _set calls.
+_PUT_PARTS, _PUT_MEMBERS, _PUT_COUNT = TieGroup.parts.__set__, TieGroup.members.__set__, TieGroup.cum_count.__set__
 
 
 class AttainableSet(_Record):
@@ -795,10 +802,10 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
     terms = [[part.total((r,)) for r in ranks] for part in _walked(parts)]
     if parts[0] is _RankSum:
         sizes, least = _gaussian_binomial(m, pool, m * (pool - m) + 1), m * (m + 1) // 2
-        by_sum = [[] for _ in sizes]
+        by_sum = [[] for _ in range(least + len(sizes))]  # by rank sum, from 0: the lists below the least stay empty
         for combo in itertools.combinations(ranks, m):
-            by_sum[sum(combo) - least].append(combo)
-        slices = map(by_sum.pop, itertools.repeat(0, len(by_sum)))  # each let go once sorted
+            by_sum[sum(combo)].append(combo)
+        slices = map(by_sum.pop, itertools.repeat(least, len(sizes)))  # each let go once sorted
         unsorted = ((_columns(terms, combos, m), size, combos) for size, combos in zip(sizes, slices))
     else:  # one slice in combinations order, where summing combinations of the terms is faster than _columns
         unsorted = [([list(map(sum, itertools.combinations(t, m))) for t in terms], math.comb(pool, m),
@@ -807,8 +814,11 @@ def _sorted_keys(parts: tuple, m: int, pool: int):
         order = range(len(combos))
         for column in reversed(columns):
             order = sorted(order, key=column.__getitem__)
-        columns = tuple(tuple(map(column.__getitem__, order)) for column in columns)
-        yield size, columns, tuple(map(combos.__getitem__, order))
+        if columns:  # else the slice is one key, in combinations order
+            columns = [tuple(map(column.__getitem__, order)) for column in columns]
+            combos = tuple(map(combos.__getitem__, order))
+            del order  # not held while the slice is grouped: with its ints, 2 MB at 12x12's largest slice
+        yield size, tuple(columns), tuple(combos)
 
 
 def _columns(terms: list, combos: list, m: int) -> list:
@@ -832,21 +842,27 @@ def _columns(terms: list, combos: list, m: int) -> list:
 
 
 def _grouped(parts: tuple, slice_: tuple, carry: int, ctx: CompareContext) -> tuple:
-    """The tie groups of one slice, counted on from the ``carry`` assignments of the slices before it."""
+    """(the tie groups of one slice, counting on from the ``carry`` assignments before it, their steps by start)."""
     # A run of equal sorted keys joins the group if it walks to 0 against its first key. Only grouping flags a table's
     # imprecise ties, as tie windows are intervals, ties symmetric and keys sorted exactly: if keys a < b first differ
     # at part d and tie there (all the order check or recount can meet), the first run r after a greater at d ties a
     # there, and r walked against a start equal to a through d, or a joined a start it differs from by d: one flagged.
     # Keys of two slices differ on W, exactly. With no walked part (wilcoxon alone) a slice is one group.
     _, columns, combos = slice_
-    walked, starts = _walked(parts), [0]
-    steps = _steps(walked, 0, columns)
-    differs = map(operator.ne, zip(*(column[1:] for column in columns)), zip(*columns))  # key i + 1 from key i
+    walked, built = _walked(parts), {}
+    steps = built[0] = _steps(walked, 0, columns)
+    differs = map(operator.ne, itertools.islice(zip(*columns), 1, None), zip(*columns))  # key i + 1 from key i
     for start in itertools.compress(range(1, len(combos)), differs):  # where a run of equal keys starts
         if _walk(steps, start, ctx) != 0:
-            starts.append(start)
-            steps = _steps(walked, start, columns)
-    return tuple(TieGroup(parts, combos[a:b], carry + b) for a, b in zip(starts, starts[1:] + [len(combos)]))
+            steps = built[start] = _steps(walked, start, columns)
+    groups, bounds = [], [*built, len(combos)]
+    for a, b in zip(bounds, bounds[1:]):
+        group = object.__new__(TieGroup)
+        _PUT_PARTS(group, parts)
+        _PUT_MEMBERS(group, combos[a:b])
+        _PUT_COUNT(group, carry + b)
+        groups.append(group)
+    return tuple(groups), built
 
 
 def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth: int = 0) -> int:
@@ -875,11 +891,13 @@ def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth:
     return count
 
 
-def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, total: int) -> int:
+def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, total: int, built: dict) -> int:
     """Check one slice's groups, after the ``carry`` assignments of the slices before it; return the carry past it.
 
     The slice must hold its size, its Gaussian binomial coefficient (or all
-    ``total`` assignments), and its groups must hold the slice.
+    ``total`` assignments), and its groups must hold the slice. A group's
+    start comes from its count and size; its steps are those grouping
+    ``built`` at that start, or are built here if grouping made none there.
     """
     size, columns, combos = slice_
     walked = _walked(parts)
@@ -891,7 +909,7 @@ def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, 
     if sum(sizes) != size:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
     starts = [g.cum_count - carry - k for g, k in zip(groups, sizes)]
-    group_steps = [_steps(walked, start, columns) for start in starts]
+    group_steps = [built[start] if start in built else _steps(walked, start, columns) for start in starts]
     unread = CompareContext()  # the ties it meets are grouping's (_grouped)
     for start, steps in zip(starts, group_steps[1:]):
         if _walk(steps, start, unread) != -1:
@@ -924,8 +942,8 @@ def attainable_set(
     parts = _key_parts(cascade, m + n, precision)
     ctx, groups, carry = CompareContext(), [], 0
     for slice_ in _sorted_keys(parts, m, m + n):
-        found = _grouped(parts, slice_, carry, ctx)
-        carry = _verify_range_exact(parts, slice_, found, carry, total)
+        found, built = _grouped(parts, slice_, carry, ctx)
+        carry = _verify_range_exact(parts, slice_, found, carry, total, built)
         groups += found
     if carry != total:
         raise TheoremCheckError(f"the slices hold {carry} assignments, not C({m + n},{m}) = {total}")
@@ -1015,19 +1033,18 @@ def _deciding_groups(att: AttainableSet, k: int) -> tuple:
 
 def compare_with_reference(att: AttainableSet, reference: ReferenceTable) -> list:
     """Mismatches between the exact attainable set and a published reference window."""
-    window = reference.window_hi
-    ours = {v for v in att.values if v <= window}
-    mismatches = []
-    for value in sorted(ours.symmetric_difference(reference.values)):
-        k = value.numerator * (att.total // value.denominator)
-        mismatches.append(
-            ReferenceMismatch(
-                value=value,
-                in_ours=value in ours,
-                groups=_deciding_groups(att, k),
-            )
-        )
-    return mismatches
+    # Window membership and attainment are decided on int counts over att.total; only a mismatch makes a Fraction.
+    window, total = reference.window_hi, att.total
+    ours = {g.cum_count for g in att.groups if g.cum_count * window.denominator <= window.numerator * total}
+    listed, mismatches = set(), []
+    for value in reference.values:
+        k = value.numerator * (total // value.denominator)  # value's count, if its denominator divides total
+        if total % value.denominator == 0 and k in ours:
+            listed.add(k)
+        else:
+            mismatches.append((value, False, k))
+    mismatches += [(Fraction(k, total), True, k) for k in ours - listed]  # no value is in both lists
+    return [ReferenceMismatch(value, in_ours, _deciding_groups(att, k)) for value, in_ours, k in sorted(mismatches)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from ordstat import (
 from ordstat.ranktests import (
     DEFAULT_MAX_ENUM,
     RANK_SCHEMES,
+    ReferenceTable,
     TieGroup,
     _count_not_above,
     _deciding_groups,
@@ -399,6 +400,27 @@ class TestReferenceComparison:
         for k in range(att.total + 2):
             assert _deciding_groups(att, k) == self.linear_deciding_groups(att, k)
 
+    @staticmethod
+    def fraction_mismatches(att, reference) -> list:
+        """The Fraction comparison that compare_with_reference's int counts replaced, kept as its reference."""
+        window = reference.window_hi
+        ours = {v for v in att.values if v <= window}
+        return [(value, value in ours, _deciding_groups(att, value.numerator * (att.total // value.denominator)))
+                for value in sorted(ours.symmetric_difference(reference.values))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("wilcoxon", "wilcoxon,fyt", "laplace", "vdw,wilcoxon")), st.integers(1, 6),
+           st.integers(1, 6), st.data())
+    def test_int_counts_match_the_fraction_comparison(self, cascade, m, n, data):
+        # Listed values attained or not, in the window or above it, and whose denominators do not divide the total.
+        att = attainable_set(m, n, CascadeStatistic.parse(cascade), precision=50)
+        fractions = st.fractions(0, 1, max_denominator=2 * att.total)
+        window = data.draw(fractions)
+        values = data.draw(st.frozensets(st.one_of(st.sampled_from(att.values), fractions), max_size=12))
+        reference = ReferenceTable("a drawn table", window, values)
+        got = [(mm.value, mm.in_ours, mm.groups) for mm in compare_with_reference(att, reference)]
+        assert got == self.fraction_mismatches(att, reference)
+
     def test_no_reference_off_registry(self):
         assert reference_for(5, 5, W) is None
         assert reference_for(6, 6, CascadeStatistic.parse("wilcoxon,laplace")) is None
@@ -567,10 +589,10 @@ def pairwise_recount(values, group_value, ctx) -> int:
 
 
 def table_slices(cascade, m, n, precision, ctx=None) -> tuple:
-    """(key parts, [(carry, slice, groups)]): every slice of the table, grouped on ``ctx`` and not verified."""
+    """(key parts, [(carry, slice, groups, steps by start)]): every slice, grouped on ``ctx`` and not verified."""
     parts, carry, grouped = _key_parts(cascade, m + n, precision), 0, []
     for slice_ in _sorted_keys(parts, m, m + n):
-        grouped.append((carry, slice_, _grouped(parts, slice_, carry, ctx if ctx is not None else CompareContext())))
+        grouped.append((carry, slice_, *_grouped(parts, slice_, carry, ctx if ctx is not None else CompareContext())))
         carry += len(slice_[2])
     return parts, grouped
 
@@ -585,9 +607,9 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
     ctx, ref, recount = CompareContext(), CompareContext(), CompareContext()
     parts, grouped = table_slices(cascade, m, n, precision, ctx)
     walked = _walked(parts)
-    combos = [c for _, (_, _, sl), _ in grouped for c in sl]
+    combos = [c for _, (_, _, sl), _, _ in grouped for c in sl]
     assert sorted(combos) == list(itertools.combinations(range(1, m + n + 1), m))
-    for _, (size, columns, sl), _ in grouped:
+    for _, (size, columns, sl), _, _ in grouped:
         assert len(sl) == size
         assert [list(column) for column in columns] == [[part.total(c) for c in sl] for part in walked]
         if walked != parts:  # a slice per rank sum
@@ -595,7 +617,7 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
     values = [decimal_value(c, cascade, m + n, precision) for c in combos]
     exact = [tuple(p.value for p in v.components) for v in values]
     assert exact == sorted(exact)
-    groups = [g for _, _, found in grouped for g in found]
+    groups = [g for _, _, found, _ in grouped for g in found]
     starts = []
     for i, v in enumerate(values):
         if i and exact[i] == exact[i - 1]:
@@ -604,7 +626,7 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
             starts.append(i)
     assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
     assert ctx.imprecise_ties == ref.imprecise_ties
-    for carry, (size, columns, _), found in grouped:
+    for carry, (size, columns, _), found, _ in grouped:
         for g in found:
             start = g.cum_count - g.size
             # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
@@ -730,15 +752,16 @@ class TestIntegerKernel:
         # 8x8 wilcoxon,vdw lies above the size bound under which the recount used to run.
         parts, grouped = table_slices(CascadeStatistic.parse("wilcoxon,vdw"), 8, 8, 50)
         total = math.comb(16, 8)
-        assert total * sum(len(found) for _, _, found in grouped) > 2_000_000
-        for carry, slice_, found in grouped:
-            assert _verify_range_exact(parts, slice_, found, carry, total) == carry + slice_[0]
-        carry, slice_, found = grouped[len(grouped) // 2]
+        assert total * sum(len(found) for _, _, found, _ in grouped) > 2_000_000
+        for carry, slice_, found, built in grouped:
+            assert _verify_range_exact(parts, slice_, found, carry, total, built) == carry + slice_[0]
+        carry, slice_, found, built = grouped[len(grouped) // 2]
         i = len(found) // 2
         a, b = found[i], found[i + 1]
         merged = TieGroup(parts=a.parts, members=a.members + b.members, cum_count=a.cum_count)
-        with pytest.raises(TheoremCheckError):
-            _verify_range_exact(parts, slice_, found[:i] + (merged,) + found[i + 2 :], carry, total)
+        for steps in (built, {}):  # the uncorrupted grouping's steps, or none: every start's steps built anew
+            with pytest.raises(TheoremCheckError):
+                _verify_range_exact(parts, slice_, found[:i] + (merged,) + found[i + 2 :], carry, total, steps)
 
 
 class TestSliceWiseTable:
@@ -763,6 +786,17 @@ class TestSliceWiseTable:
         assert [g.members for g in att.groups] == [g.members for g in groups]
         assert [format_ord(g.value) for g in att.groups] == [format_ord(g.value) for g in groups]
         assert att.imprecise == imprecise
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(RANK_CASCADES), st.integers(1, 7), st.integers(1, 7), st.sampled_from((4, 8, 50)))
+    def test_grouping_hands_over_the_steps_of_each_group_start(self, cascade, m, n, precision):
+        # Verification reads these in place of building its own: they must be the steps of each start, and only those.
+        parts, grouped = table_slices(cascade, m, n, precision)
+        walked = _walked(parts)
+        for carry, (_, columns, _), found, built in grouped:
+            starts = [g.cum_count - carry - g.size for g in found]
+            assert list(built) == starts
+            assert [built[start] for start in starts] == [_steps(walked, start, columns) for start in starts]
 
 
 def _group(like, members, cum_count) -> TieGroup:
@@ -798,15 +832,34 @@ class TestRangeExactChecks:
     def test_each_check_rejects_its_corruption(self, table, corruption):
         parts, grouped = table
         total = math.comb(16, 8)
-        carry, slice_, found = next(
+        carry, slice_, found, built = next(
             t for t in grouped[len(grouped) // 2 :] if any(g.size > 1 for g in t[2][:-1])
         )
-        assert _verify_range_exact(parts, slice_, found, carry, total) == carry + slice_[0]
         corrupt, message = CORRUPTIONS[corruption]
         i = next(i for i, g in enumerate(found[:-1]) if g.size > 1)
         corrupted = found[:i] + corrupt(found[i], found[i + 1]) + found[i + 2 :]
-        with pytest.raises(TheoremCheckError, match=message):
-            _verify_range_exact(parts, slice_, corrupted, carry, total)
+        for steps in (built, {}):  # the uncorrupted grouping's steps, or none: every start's steps built anew
+            assert _verify_range_exact(parts, slice_, found, carry, total, steps) == carry + slice_[0]
+            with pytest.raises(TheoremCheckError, match=message):
+                _verify_range_exact(parts, slice_, corrupted, carry, total, steps)
+
+    @pytest.mark.parametrize("other", ["the key before", "the key after", "the group before"])
+    def test_steps_of_another_key_are_rejected(self, table, other):
+        # Verification reads grouping's steps by start. Handed the steps of another key at each start (the first
+        # start of a slice keeps its own), the uncorrupted groups fail the order check or the recount.
+        parts, grouped = table
+        total, walked = math.comb(16, 8), _walked(parts)
+        with pytest.raises(TheoremCheckError):
+            for carry, slice_, found, built in grouped:
+                size, columns, _ = slice_
+                starts = list(built)
+                moved = {
+                    "the key before": lambda i: max(starts[i] - 1, 0),
+                    "the key after": lambda i: min(starts[i] + 1, size - 1) if i else 0,
+                    "the group before": lambda i: starts[max(i - 1, 0)],
+                }[other]
+                steps = {start: _steps(walked, moved(i), columns) for i, start in enumerate(starts)}
+                _verify_range_exact(parts, slice_, found, carry, total, steps)
 
     def test_slice_size_check_rejects_a_moved_assignment(self, table):
         # An assignment moved from its rank-sum slice to the next keeps the total, and each slice groups and recounts
@@ -814,17 +867,18 @@ class TestRangeExactChecks:
         parts, grouped = table
         total = math.comb(16, 8)
         i = len(grouped) // 2
-        (carry, (size, _, combos), _), (_, (size_next, _, combos_next), _) = grouped[i : i + 2]
+        (carry, (size, _, combos), _, _), (_, (size_next, _, combos_next), _, _) = grouped[i : i + 2]
         short = sorted_slice(parts, size, combos[1:])
         long = sorted_slice(parts, size_next, combos_next + combos[:1])
         ctx = CompareContext()
-        found, found_next = _grouped(parts, short, carry, ctx), _grouped(parts, long, carry + size - 1, ctx)
+        found, built = _grouped(parts, short, carry, ctx)
+        found_next, built_next = _grouped(parts, long, carry + size - 1, ctx)
         message = rf"a slice holds {size - 1} assignments, not its Gaussian binomial coefficient {size}$"
         with pytest.raises(TheoremCheckError, match=message):
-            _verify_range_exact(parts, short, found, carry, total)
+            _verify_range_exact(parts, short, found, carry, total, built)
         # Held to their own lengths, both slices pass every other check, and together they hold the same total.
-        after = _verify_range_exact(parts, (size - 1,) + short[1:], found, carry, total)
-        end = _verify_range_exact(parts, (size_next + 1,) + long[1:], found_next, after, total)
+        after = _verify_range_exact(parts, (size - 1,) + short[1:], found, carry, total, built)
+        end = _verify_range_exact(parts, (size_next + 1,) + long[1:], found_next, after, total, built_next)
         assert end == carry + size + size_next
 
     def test_final_carry_rejects_a_lost_slice(self, monkeypatch):
@@ -949,6 +1003,17 @@ class TestTieGroupValues:
         value = group.value
         assert built == [group.members[0]]
         assert group.value is value and len(built) == 1
+
+    def test_table_groups_equal_constructed_ones(self):
+        # A table fills its groups' slots past __init__: fields, equality, hash, repr and immutability stay.
+        att = attainable_set(4, 4, WF, 8)
+        for g in att.groups:
+            twin = TieGroup(g.parts, g.members, g.cum_count)
+            assert type(g) is TieGroup and g.parts is twin.parts
+            assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+            assert vars(g) == {}  # no value until read
+            with pytest.raises(AttributeError):
+                g.cum_count = 0
 
     @pytest.mark.parametrize(
         "m,n,cascade,precision", [(4, 4, "wilcoxon,fyt", 8), (5, 4, "laplace", 4), (4, 5, "fyt,wilcoxon,vdw", 50)]
