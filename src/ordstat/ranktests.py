@@ -28,15 +28,23 @@ window of sums that tie with a sum, decided exactly, and one walk over those
 windows (_walk) makes every comparison: of rank sets for p-values and draws,
 of indices into the sorted key columns for a table. A wilcoxon-first exact
 p-value counts the smaller rank sums from their Gaussian binomial and visits
-only the observed rank sum's slice. A table is built, grouped and verified
-one slice at a time, so it holds one slice's keys at once: a wilcoxon-first
-cascade has one slice per rank sum, in rank-sum order, keyed by the parts
-after W alone; any other cascade has one slice of all assignments. An
-attainable set builds a tie group's value when it is read, and is verified
-range-exact at every size by a recount that bisects each slice's key columns
-on the same windows. Grouping builds each group's steps (the windows of its
-first key) once, keyed by its start in the slice; verification derives each
-start from the group's count and size, reads the steps there, and builds any
+only the observed rank sum's slice. A table is built over mirror-pair
+classes, not assignments: every rank component's per-rank ints are
+antisymmetric about the middle rank (checked; wilcoxon's once centred), so a
+rank set's key depends only on its c-vector, c_j = [j in A] - [N+1-j in A],
+and a class is one key with a multiplicity, the number of its rank sets. A
+table is grouped and verified one slice at a time, with cumulative
+multiplicities where positions were: a wilcoxon-first cascade has one slice
+per rank sum, in rank-sum order, keyed by the parts after W alone; any other
+cascade has one slice of all classes. A tie group holds its size and its
+classes, and expands its members, the rank sets, only when they are read:
+run by run in key order, each run's in combinations order; its value is
+built from its first member when read. An attainable set is verified
+range-exact at every size by a recount that bisects each slice's key
+columns on the same windows and counts the classes' multiplicities. Grouping
+builds each group's steps (the windows of its first key) once, keyed by its
+first class; verification finds the class holding the first assignment of
+each group from its count and size, reads the steps there, and builds any
 that grouping did not. So the order check and the recount share grouping's
 steps; their walks, bisections and counts are their own. The count of the
 slices before it is carried from slice to slice; each slice's size is
@@ -558,6 +566,11 @@ class _RankSum:
     def value(ranks) -> Rank:
         return Rank(sum(ranks))
 
+    @staticmethod
+    def terms(pool: int) -> list:
+        """Per-rank ints, centred: 2r - (pool + 1) orders the rank sets of one size as their sums do."""
+        return [2 * r - pool - 1 for r in range(1, pool + 1)]
+
 
 # scaleb under this context only moves the exponent, and add never rounds.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
@@ -593,6 +606,10 @@ class _ScoreSum:
         """The exact Decimal sum: it keeps the smallest exponent of its terms and of Decimal(0)."""
         total = functools.reduce(_EXACT.add, map(self.decimals.__getitem__, ranks), Decimal(0))
         return Score(total, self.precision)
+
+    def terms(self, pool: int) -> list:
+        """Per-rank ints: the scores' own, ``pool`` of them."""
+        return list(self.ints[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -734,17 +751,30 @@ def _rank_sum_slice(m: int, pool: int, w: int, prefix: tuple = (), low: int = 1)
 
 
 class TieGroup(_Record):
-    """Assignments sharing one cascade value, built from the first member when read; cum_count counts those <= it."""
+    """Assignments sharing one cascade value; cum_count counts those <= it.
 
-    __slots__ = ("parts", "members", "cum_count", "__dict__")  # __dict__ holds the cached value
-    _fields = __slots__[1:3]  # parts, the cascade's key parts, is neither compared nor shown
+    A table's group holds its size and its mirror-pair classes (_sorted_keys), and expands its members, the rank
+    sets, when they are first read (_expanded); its value is built from the first member when read.
+    """
+
+    # _table is (parts, m, pool), one tuple per table; __dict__ holds the cached value.
+    __slots__ = ("_table", "cum_count", "size", "classes", "_members", "__dict__")
+    _fields = ("members", "cum_count")  # parts, the cascade's key parts, is neither compared nor shown
 
     def __init__(self, parts: tuple, members: tuple, cum_count: int):
-        self._hold(parts, members, cum_count)
+        self._hold((parts, None, None), cum_count, len(members), None, members)
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def parts(self) -> tuple:
+        return self._table[0]
+
+    @property
+    def members(self) -> tuple:
+        try:
+            return self._members
+        except AttributeError:  # a table's group, not read before
+            _set(self, "_members", _expanded(*self._table[1:], self.classes))
+            return self._members
 
     @functools.cached_property
     def value(self) -> LexTuple:
@@ -752,7 +782,44 @@ class TieGroup(_Record):
 
 
 # A table's groups are made by filling these slots (_grouped), past __init__ and its _set calls.
-_PUT_PARTS, _PUT_MEMBERS, _PUT_COUNT = TieGroup.parts.__set__, TieGroup.members.__set__, TieGroup.cum_count.__set__
+_PUT_TABLE, _PUT_COUNT, _PUT_SIZE, _PUT_CLASSES = (getattr(TieGroup, name).__set__ for name in TieGroup.__slots__[:4])
+
+
+def _layout(m: int, pool: int) -> tuple:
+    """The low fields of a class int (_sorted_keys): (the bits of k, the bits of a rank or 0, the shift of the parts).
+
+    Above k and z, a class's ranks in no full pair are held in min(m, pool - m) fields of a rank each, or as a mask
+    (bit r - 1 for rank r) when that is narrower: the fields serve a small group against a large pool.
+    """
+    most, width = min(m, pool - m), pool.bit_length()
+    if most * width >= pool:
+        width = 0
+    return most.bit_length(), width, most.bit_length() + 1 + (most * width or pool)
+
+
+def _class_members(key: int, m: int, pool: int) -> list:
+    """The m-subsets of 1..pool in a class, in combinations order: its ranks in no full pair, and free pairs."""
+    kbits, width, _ = _layout(m, pool)
+    k, z, held, half = key & (1 << kbits) - 1, key >> kbits & 1, key >> kbits + 1, pool // 2
+    if width:
+        ranks = [held >> i * width & (1 << width) - 1 for i in range(k)]
+    else:
+        ranks = [r for r, bit in enumerate(bin(held & (1 << pool) - 1)[:1:-1], 1) if bit == "1"]
+    taken = {r if r <= half else pool + 1 - r for r in ranks}
+    free = [(j, pool + 1 - j) for j in range(1, half + 1) if j not in taken]
+    ranks += [half + 1] * z
+    # Pair choices in combinations order give rank sets in combinations order, as high ranks lie above every low one.
+    filled = itertools.combinations(free, (m - k - z) // 2)
+    return [tuple(sorted([*ranks, *itertools.chain.from_iterable(pairs)])) for pairs in filled]
+
+
+def _expanded(m: int, pool: int, classes: tuple) -> tuple:
+    """A table group's members: run by run in key order, each run's rank sets in combinations order."""
+    shift = _layout(m, pool)[2]
+    runs = itertools.groupby(classes, key=lambda key: key >> shift)  # classes of one run have equal part fields
+    return tuple(itertools.chain.from_iterable(
+        sorted(itertools.chain.from_iterable(_class_members(key, m, pool) for key in run)) for _, run in runs
+    ))
 
 
 class AttainableSet(_Record):
@@ -787,106 +854,137 @@ def _walked(parts: tuple) -> tuple:
 
 
 def _sorted_keys(parts: tuple, m: int, pool: int):
-    """A table's slices in ascending key order: (the size it must have, one column per walked part, rank sets).
+    """A table's slices in ascending key order: (the size it must have, one column per walked part, offsets, classes).
 
-    A wilcoxon-first cascade has one slice per rank sum W, in W order, which
-    must hold W's Gaussian binomial coefficient of assignments. W is constant
-    on a slice, so its columns, the walked parts (_walked), are the parts
-    after W. Any other cascade has one slice of all C(pool, m) assignments.
-    A slice starts in combinations order and is sorted stably on each column
-    from the last one, so the slices in turn are the lexicographic order of
-    all exact int keys, and only one slice's columns are held at a time.
-    Threshold (near-)equality is grouping's business.
+    Every part's per-rank ints are antisymmetric, term(pool + 1 - j) = -term(j), which puts 0 at the middle rank of
+    an odd pool (checked here; wilcoxon's once centred). So a rank set's key depends only on its mirror-pair
+    c-vector, c_j = [j in A] - [pool + 1 - j in A] for j <= pool // 2: it is the sum over the ranks in no full pair.
+    A class is the m-subsets of one c-vector. With k nonzero c_j, and z = 1 when they hold the middle rank, it holds
+    C(pool // 2 - k, (m - k - z) / 2) subsets, one per choice of the free pairs they fill. The classes are built over
+    the pairs, each with k nonzero c_j from one with k - 1 before its last pair, so their number, not 3^(pool // 2),
+    sets the cost; k <= min(m, pool - m). A class is one int: from the lowest bits, k, z, its ranks in no full pair
+    (_layout), then one field per part, the first part highest, each the part's sum plus a bias that keeps it in
+    [0, 2 bias]. So sums add field by field, and the ints order as the keys do, lexicographically. A slice's offsets
+    count the subsets of the classes before each of its classes, and after its last, on from those of the slices
+    before it.
+    A wilcoxon-first cascade has one slice per rank sum W, in W order, which must hold W's Gaussian binomial
+    coefficient of subsets: W = m(pool + 1)/2 + sum of c_j (j - (pool + 1)/2) is one per class. W is constant on
+    a slice, so its columns, the walked parts (_walked), are the parts after W. Any other cascade has one slice of
+    all C(pool, m) subsets. Threshold (near-)equality is grouping's business.
     """
-    ranks = range(1, pool + 1)
-    terms = [[part.total((r,)) for r in ranks] for part in _walked(parts)]
-    if parts[0] is _RankSum:
-        sizes, least = _gaussian_binomial(m, pool, m * (pool - m) + 1), m * (m + 1) // 2
-        by_sum = [[] for _ in range(least + len(sizes))]  # by rank sum, from 0: the lists below the least stay empty
-        for combo in itertools.combinations(ranks, m):
-            by_sum[sum(combo)].append(combo)
-        slices = map(by_sum.pop, itertools.repeat(least, len(sizes)))  # each let go once sorted
-        unsorted = ((_columns(terms, combos, m), size, combos) for size, combos in zip(sizes, slices))
-    else:  # one slice in combinations order, where summing combinations of the terms is faster than _columns
-        unsorted = [([list(map(sum, itertools.combinations(t, m))) for t in terms], math.comb(pool, m),
-                     list(itertools.combinations(ranks, m)))]
-    for columns, size, combos in unsorted:
-        order = range(len(combos))
-        for column in reversed(columns):
-            order = sorted(order, key=column.__getitem__)
-        if columns:  # else the slice is one key, in combinations order
-            columns = [tuple(map(column.__getitem__, order)) for column in columns]
-            combos = tuple(map(combos.__getitem__, order))
-            del order  # not held while the slice is grouped: with its ints, 2 MB at 12x12's largest slice
-        yield size, tuple(columns), tuple(combos)
+    half, most = pool // 2, min(m, pool - m)
+    terms = [part.terms(pool) for part in parts]
+    for i, t in enumerate(terms):
+        if t != [-v for v in reversed(t)]:
+            raise TheoremCheckError(f"key part {i + 1}'s per-rank ints are not antisymmetric at pool={pool}")
+    kbits, width, shift = _layout(m, pool)
+    low = kbits + 1  # past k and the middle rank's flag
+    # A rank adds 1 to k, itself to the mask or its rank field, and its terms.
+    rank = [1] * pool if width else [1 + (1 << low + r) for r in range(pool)]
+    fields, base = [], 0
+    for t in reversed(terms):
+        bias = sum(map(abs, t))
+        rank = list(map(operator.add, rank, map(operator.lshift, t, itertools.repeat(shift))))
+        fields.append((shift, (1 << (2 * bias).bit_length()) - 1, bias))
+        base += bias << shift
+        shift += (2 * bias).bit_length()
+    fields.reverse()
+    by_k = [[base]]  # by_k[k]: the classes with k nonzero c_j, by the pair j of the last, each from one before j
+    for k in range(1, most + 1):
+        fewer, field = by_k[-1], low + (k - 1) * width  # the field of the k-th nonzero c_j's rank
+        by_k.append([
+            x + t
+            for j in range(k, half + 1)
+            for before in (fewer[: math.comb(j - 1, k - 1) << k - 1],)  # fewer's classes of the pairs before j
+            for r in (j, pool + 1 - j)
+            for t in (rank[r - 1] + (r << field if width else 0),)
+            for x in before
+        ])
+    middle = 1 << kbits if pool % 2 else 0
+    classes, multiplicity = [], [0] * (1 << kbits)
+    for k, found in enumerate(by_k):
+        z = (m - k) % 2  # the middle rank fills what pairs cannot; an even pool has none
+        if z and not middle:
+            continue
+        classes += map(operator.add, found, itertools.repeat(middle)) if z else found
+        multiplicity[k] = math.comb(half - k, (m - k - z) // 2)
+    del by_k
+    classes.sort()
+    ks = map(operator.and_, classes, itertools.repeat(len(multiplicity) - 1))
+    counts = list(itertools.accumulate(map(multiplicity.__getitem__, ks), initial=0))
+    if parts[0] is _RankSum:  # W = m(m + 1)/2 + t has the centred sum 2t - m(pool - m), held plus bias
+        spread = m * (pool - m)
+        sizes = _gaussian_binomial(m, pool, spread + 1)
+        s, _, bias = fields[0]
+        above = map(operator.lshift, range(bias - spread + 1, bias + spread + 2, 2), itertools.repeat(s))
+        ends = list(map(bisect.bisect_left, itertools.repeat(classes), above))  # past each W's classes
+    else:
+        sizes, ends = [math.comb(pool, m)], [len(classes)]
+    columns = [
+        tuple(map(operator.sub, map(operator.and_, map(operator.rshift, classes, itertools.repeat(s)),
+                                    itertools.repeat(ones)), itertools.repeat(bias)))
+        for s, ones, bias in fields[len(parts) - len(_walked(parts)) :]
+    ]
+    spans = list(map(slice, [0, *ends], ends))
+    column_spans = zip(*(map(column.__getitem__, spans) for column in columns)) if columns else itertools.repeat(())
+    offsets = map(counts.__getitem__, map(slice, [0, *ends], [end + 1 for end in ends]))
+    return zip(sizes, column_spans, offsets, map(tuple(classes).__getitem__, spans))
 
 
-def _columns(terms: list, combos: list, m: int) -> list:
-    """Per term list t of ``terms`` (by rank, from 1), its sums over each rank set's ranks, a rank position at a time.
+def _grouped(table: tuple, slice_: tuple, carry: int, ctx: CompareContext) -> tuple:
+    """(the tie groups of one slice, counting on from the ``carry`` assignments before it, their steps by start).
 
-    The sums run in C and make no object per rank set, as zip(*combos) would: the cyclic collector tracks such
-    objects, and at 12x12 their churn more than tripled the full collections, each over every rank set kept.
+    A group is a run of the slice's classes, and its start the index of its first class. ``table`` is (key parts,
+    m, pool), which the groups keep to expand their members.
     """
-    if len(combos) == 1 or not terms:  # one rank set's itemgetter would return a term, not a 1-tuple
-        return [[sum(t[r - 1] for r in combos[0])] for t in terms]
-    flat = list(itertools.chain.from_iterable(combos))
-    getters = [operator.itemgetter(*flat[j::m]) for j in range(m)]
-    columns = []
-    for t in terms:
-        t = (0, *t)  # index ranks directly
-        column = getters[0](t)
-        for getter in getters[1:]:
-            column = map(operator.add, column, getter(t))
-        columns.append(list(column))
-    return columns
-
-
-def _grouped(parts: tuple, slice_: tuple, carry: int, ctx: CompareContext) -> tuple:
-    """(the tie groups of one slice, counting on from the ``carry`` assignments before it, their steps by start)."""
     # A run of equal sorted keys joins the group if it walks to 0 against its first key. Only grouping flags a table's
     # imprecise ties, as tie windows are intervals, ties symmetric and keys sorted exactly: if keys a < b first differ
     # at part d and tie there (all the order check or recount can meet), the first run r after a greater at d ties a
     # there, and r walked against a start equal to a through d, or a joined a start it differs from by d: one flagged.
     # Keys of two slices differ on W, exactly. With no walked part (wilcoxon alone) a slice is one group.
-    _, columns, combos = slice_
-    walked, built = _walked(parts), {}
-    steps = built[0] = _steps(walked, 0, columns)
-    differs = map(operator.ne, itertools.islice(zip(*columns), 1, None), zip(*columns))  # key i + 1 from key i
-    for start in itertools.compress(range(1, len(combos)), differs):  # where a run of equal keys starts
-        if _walk(steps, start, ctx) != 0:
-            steps = built[start] = _steps(walked, start, columns)
-    groups, bounds = [], [*built, len(combos)]
+    _, columns, offsets, classes = slice_
+    walked, built, base = _walked(table[0]), {0: ()}, carry - offsets[0]
+    if walked:  # else the slice is one group, of no steps
+        steps = built[0] = _steps(walked, 0, columns)
+        keys = columns[0] if len(columns) == 1 else list(zip(*columns))
+        differs = map(operator.ne, itertools.islice(keys, 1, None), keys)  # key i + 1 from key i
+        for start in itertools.compress(range(1, len(classes)), differs):  # where a run of equal keys starts
+            if _walk(steps, start, ctx) != 0:
+                steps = built[start] = _steps(walked, start, columns)
+    groups, bounds = [], [*built, len(classes)]
     for a, b in zip(bounds, bounds[1:]):
         group = object.__new__(TieGroup)
-        _PUT_PARTS(group, parts)
-        _PUT_MEMBERS(group, combos[a:b])
-        _PUT_COUNT(group, carry + b)
+        _PUT_TABLE(group, table)
+        _PUT_COUNT(group, base + offsets[b])
+        _PUT_SIZE(group, offsets[b] - offsets[a])
+        _PUT_CLASSES(group, classes[a:b])
         groups.append(group)
     return tuple(groups), built
 
 
-def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth: int = 0) -> int:
-    """#{i in start..stop-1 : _walk(steps, i) is not 1}, by bisection.
+def _count_not_above(steps: tuple, columns: tuple, offsets: tuple, start: int, stop: int, depth: int = 0) -> int:
+    """The assignments of classes start..stop-1 whose _walk(steps, class) is not 1, by bisection.
 
     The keys at start..stop-1 must be exactly equal on the components before
     ``depth``, so they ascend on component ``depth``. There the walk ties
     on the closed window [lo, hi] of the step, goes to -1 below it and to
-    1 above it, so two bisections on the window's ends split the slice.
-    With no component left, every key ties.
+    1 above it, so two bisections on the window's ends split the classes,
+    and the offsets count their assignments. With no component left, every
+    key ties.
     It flags no imprecise tie: any it meets, grouping has flagged (_grouped).
     """
     if depth == len(steps):
-        return stop - start
+        return offsets[stop] - offsets[start]
     _, lo, hi, _ = steps[depth]
     column = columns[depth]
     first = bisect.bisect_left(column, lo, start, stop)
     last = bisect.bisect_right(column, hi, first, stop)
-    count = first - start
     if depth + 1 == len(steps):
-        return count + last - first
+        return offsets[last] - offsets[start]
+    count = offsets[first] - offsets[start]
     while first < last:
         block = bisect.bisect_right(column, column[first], first, last)
-        count += _count_not_above(steps, columns, first, block, depth + 1)
+        count += _count_not_above(steps, columns, offsets, first, block, depth + 1)
         first = block
     return count
 
@@ -894,22 +992,29 @@ def _count_not_above(steps: tuple, columns: tuple, start: int, stop: int, depth:
 def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, total: int, built: dict) -> int:
     """Check one slice's groups, after the ``carry`` assignments of the slices before it; return the carry past it.
 
-    The slice must hold its size, its Gaussian binomial coefficient (or all
-    ``total`` assignments), and its groups must hold the slice. A group's
-    start comes from its count and size; its steps are those grouping
-    ``built`` at that start, or are built here if grouping made none there.
+    The slice's classes must hold its size, its Gaussian binomial coefficient
+    (or all ``total`` assignments), and its groups must hold the slice. A
+    group starts at the class that holds the assignment its count and size
+    put first; its steps are those grouping ``built`` at that start, or are
+    built here if grouping made none there.
     """
-    size, columns, combos = slice_
+    size, columns, offsets, _ = slice_
     walked = _walked(parts)
-    if len(combos) != size:
+    if offsets[-1] - offsets[0] != size:
         raise TheoremCheckError(
-            f"a slice holds {len(combos)} assignments, not its Gaussian binomial coefficient {size}"
+            f"a slice holds {offsets[-1] - offsets[0]} assignments, not its Gaussian binomial coefficient {size}"
         )
-    sizes = [len(g.members) for g in groups]
+    sizes = [g.size for g in groups]
     if sum(sizes) != size:
         raise TheoremCheckError("group sizes do not add up to the assignment count")
-    starts = [g.cum_count - carry - k for g, k in zip(groups, sizes)]
-    group_steps = [built[start] if start in built else _steps(walked, start, columns) for start in starts]
+    base = carry - offsets[0]
+    firsts = [g.cum_count - base - k for g, k in zip(groups, sizes)]  # in offsets' terms
+    starts = list(built)  # grouping's starts, if each is the class that starts at its group's first assignment
+    if list(map(offsets.__getitem__, starts)) == firsts:
+        group_steps = list(built.values())
+    else:
+        starts = [bisect.bisect_right(offsets, first) - 1 for first in firsts]
+        group_steps = [built[start] if start in built else _steps(walked, start, columns) for start in starts]
     unread = CompareContext()  # the ties it meets are grouping's (_grouped)
     for start, steps in zip(starts, group_steps[1:]):
         if _walk(steps, start, unread) != -1:
@@ -917,9 +1022,9 @@ def _verify_range_exact(parts: tuple, slice_: tuple, groups: tuple, carry: int, 
     # Independent recount of P[value <= group value] at every group: the
     # slices before it, then a bisection of this one. The groups up to each
     # one must hold exactly that many assignments.
-    held = carry
+    held, classes = carry, len(offsets) - 1
     for g, k, steps in zip(groups, sizes, group_steps):
-        count = carry + _count_not_above(steps, columns, 0, size)
+        count = carry + _count_not_above(steps, columns, offsets, 0, classes)
         held += k
         if count != g.cum_count:
             raise TheoremCheckError(f"range-exactness failed at {g.cum_count}/{total}: recounted {count}")
@@ -940,9 +1045,9 @@ def attainable_set(
         raise TCascadeNotExactError("t cascades have no data-free permutation distribution")
     total = _check_enum_size(m, n, max_enum)
     parts = _key_parts(cascade, m + n, precision)
-    ctx, groups, carry = CompareContext(), [], 0
+    ctx, groups, carry, table = CompareContext(), [], 0, (parts, m, m + n)
     for slice_ in _sorted_keys(parts, m, m + n):
-        found, built = _grouped(parts, slice_, carry, ctx)
+        found, built = _grouped(table, slice_, carry, ctx)
         carry = _verify_range_exact(parts, slice_, found, carry, total, built)
         groups += found
     if carry != total:

@@ -48,13 +48,16 @@ from ordstat.ranktests import (
     RANK_SCHEMES,
     ReferenceTable,
     TieGroup,
+    _class_members,
     _count_not_above,
     _deciding_groups,
+    _expanded,
     _grouped,
     _key_parts,
     _normals,
     _rank_sum_below,
     _rank_sum_slice,
+    _RankSum,
     _ScoreSum,
     _sorted_keys,
     _steps,
@@ -592,29 +595,48 @@ def table_slices(cascade, m, n, precision, ctx=None) -> tuple:
     """(key parts, [(carry, slice, groups, steps by start)]): every slice, grouped on ``ctx`` and not verified."""
     parts, carry, grouped = _key_parts(cascade, m + n, precision), 0, []
     for slice_ in _sorted_keys(parts, m, m + n):
-        grouped.append((carry, slice_, *_grouped(parts, slice_, carry, ctx if ctx is not None else CompareContext())))
-        carry += len(slice_[2])
+        found = _grouped((parts, m, m + n), slice_, carry, ctx if ctx is not None else CompareContext())
+        grouped.append((carry, slice_, *found))
+        carry += slice_[2][-1] - slice_[2][0]
     return parts, grouped
 
 
-def check_grouping_and_recount(cascade, m, n, precision) -> int:
-    """Slice-wise int-key sort, grouping and bisection recount equal the Decimal brute force.
+def centred_total(part, ranks, m, pool) -> int:
+    """A rank set's int for one key part as a table keys it: a rank sum W centred, 2W - m(pool + 1)."""
+    return 2 * sum(ranks) - m * (pool + 1) if part is _RankSum else part.total(ranks)
 
-    Returns grouping's imprecise ties. Grouping walks each run of equal keys once, so the reference compares each
-    distinct key once. The recount flags nothing: grouping's flag alone must equal the reference's grouping-or-recount
-    flag.
+
+def slice_members(m, pool, slice_) -> list:
+    """A slice's rank sets in table order: its classes expanded run by run (equal exact keys), each run sorted."""
+    _, columns, _, classes = slice_
+    runs = itertools.groupby(range(len(classes)), key=lambda i: tuple(column[i] for column in columns))
+    return [c for _, run in runs for c in sorted(c for i in run for c in _class_members(classes[i], m, pool))]
+
+
+def check_grouping_and_recount(cascade, m, n, precision) -> int:
+    """Slice-wise class sort, grouping and bisection recount equal the Decimal brute force.
+
+    Every class holds as many rank sets as its multiplicity says, and each of them has the class's columns; the
+    classes expanded together are every assignment once. Returns grouping's imprecise ties. Grouping walks each run
+    of equal keys once, so the reference compares each distinct key once. The recount flags nothing: grouping's flag
+    alone must equal the reference's grouping-or-recount flag.
     """
     ctx, ref, recount = CompareContext(), CompareContext(), CompareContext()
     parts, grouped = table_slices(cascade, m, n, precision, ctx)
-    walked = _walked(parts)
-    combos = [c for _, (_, _, sl), _, _ in grouped for c in sl]
-    assert sorted(combos) == list(itertools.combinations(range(1, m + n + 1), m))
-    for _, (size, columns, sl), _, _ in grouped:
-        assert len(sl) == size
-        assert [list(column) for column in columns] == [[part.total(c) for c in sl] for part in walked]
+    walked, pool, combos = _walked(parts), m + n, []
+    for _, slice_, _, _ in grouped:
+        size, columns, offsets, classes = slice_
+        members = [_class_members(key, m, pool) for key in classes]
+        assert [b - a for a, b in zip(offsets, offsets[1:])] == list(map(len, members))
+        assert offsets[-1] - offsets[0] == size
+        for i, sets in enumerate(members):
+            for c in sets:
+                assert [column[i] for column in columns] == [centred_total(part, c, m, pool) for part in walked]
         if walked != parts:  # a slice per rank sum
-            assert len({sum(c) for c in sl}) == 1
-    values = [decimal_value(c, cascade, m + n, precision) for c in combos]
+            assert len({sum(c) for sets in members for c in sets}) == 1
+        combos += slice_members(m, pool, slice_)
+    assert sorted(combos) == list(itertools.combinations(range(1, pool + 1), m))
+    values = [decimal_value(c, cascade, pool, precision) for c in combos]
     exact = [tuple(p.value for p in v.components) for v in values]
     assert exact == sorted(exact)
     groups = [g for _, _, found, _ in grouped for g in found]
@@ -626,19 +648,41 @@ def check_grouping_and_recount(cascade, m, n, precision) -> int:
             starts.append(i)
     assert [g.cum_count for g in groups] == starts[1:] + [len(values)]
     assert ctx.imprecise_ties == ref.imprecise_ties
-    for carry, (size, columns, _), found, _ in grouped:
+    for carry, (_, columns, offsets, classes), found, _ in grouped:
         for g in found:
             start = g.cum_count - g.size
             # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
             assert format_ord(g.value) == format_ord(values[start])
-            got = carry + _count_not_above(_steps(walked, start - carry, columns), columns, 0, size)
+            at = offsets.index(start - carry + offsets[0])  # the class the group starts at
+            got = carry + _count_not_above(_steps(walked, at, columns), columns, offsets, 0, len(classes))
             assert got == pairwise_recount(values, values[start], recount)
     assert ctx.imprecise == (ref.imprecise or recount.imprecise)
     return ref.imprecise_ties
 
 
+def position_count(steps, columns, start, stop, depth=0) -> int:
+    """#{i in start..stop-1 : _walk(steps, i) is not 1} over sorted assignments, by bisection."""
+    if depth == len(steps):
+        return stop - start
+    _, lo, hi, _ = steps[depth]
+    column = columns[depth]
+    first = bisect.bisect_left(column, lo, start, stop)
+    last = bisect.bisect_right(column, hi, first, stop)
+    count = first - start
+    while first < last:
+        block = bisect.bisect_right(column, column[first], first, last)
+        count += position_count(steps, columns, first, block, depth + 1)
+        first = block
+    return count
+
+
 def whole_table(cascade, m, n, precision) -> tuple:
-    """(key parts, columns, groups, imprecise): one sort and one grouping of all assignments, a table before slices."""
+    """(key parts, columns, groups, grouping's imprecise ties, failure): a table before slices and classes.
+
+    One sort and one grouping of all assignments, then the order check and the recount run slice by slice in slice
+    order (a slice per rank sum for a wilcoxon-first cascade), each slice's order check before its recount; failure
+    is the message of the first check that fails, or None.
+    """
     parts, ranks = _key_parts(cascade, m + n, precision), range(1, m + n + 1)
     columns = [list(map(sum, itertools.combinations([part.total((r,)) for r in ranks], m))) for part in parts]
     order = range(len(columns[0]))
@@ -654,7 +698,21 @@ def whole_table(cascade, m, n, precision) -> tuple:
             steps = _steps(parts, start, columns)
         start += len(list(run))
     groups = tuple(TieGroup(parts, combos[a:b], b) for a, b in zip(starts, starts[1:] + [len(combos)]))
-    return parts, columns, groups, ctx.imprecise
+    total, failure = len(combos), None
+    by_slice = itertools.groupby(range(len(starts)), key=lambda i: columns[0][starts[i]] if parts[0] is _RankSum else 0)
+    for _, indices in by_slice:
+        indices = list(indices)
+        if any(_walk(_steps(parts, starts[j], columns), starts[i], CompareContext()) != -1
+               for i, j in zip(indices, indices[1:])):
+            failure = "attainable groups are not strictly ascending"
+            break
+        counts = ((groups[i].cum_count, position_count(_steps(parts, starts[i], columns), columns, 0, total))
+                  for i in indices)
+        failure = next((f"range-exactness failed at {want}/{total}: recounted {got}"
+                        for want, got in counts if want != got), None)
+        if failure:
+            break
+    return parts, columns, groups, ctx.imprecise_ties, failure
 
 
 def check_pvalues(cascade, m, n, precision, observed_sets) -> int:
@@ -764,37 +822,88 @@ class TestIntegerKernel:
                 _verify_range_exact(parts, slice_, found[:i] + (merged,) + found[i + 2 :], carry, total, steps)
 
 
-class TestSliceWiseTable:
+def check_class_table(cascade, m, n, precision) -> None:
+    """The class table equals the whole assignment table: groups, members, values, imprecise ties, or its failure."""
+    _, _, groups, ties, failure = whole_table(cascade, m, n, precision)
+    ctx = CompareContext()
+    table_slices(cascade, m, n, precision, ctx)  # grouping alone, over every slice, as attainable_set groups
+    assert ctx.imprecise_ties == ties
+    try:
+        att = attainable_set(m, n, cascade, precision)
+    except TheoremCheckError as e:
+        assert str(e) == failure
+        return
+    assert failure is None
+    assert [(g.cum_count, g.size) for g in att.groups] == [(g.cum_count, g.size) for g in groups]
+    assert [g.members for g in att.groups] == [g.members for g in groups]
+    # format_ord prints every coefficient digit, so this pins the Decimal exponent too.
+    assert [format_ord(g.value) for g in att.groups] == [format_ord(g.value) for g in groups]
+    assert att.imprecise == (ties > 0)
+
+
+class TestClassTable:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(RANK_CASCADES), st.integers(1, 7), st.integers(1, 7), st.sampled_from((4, 8, 50)))
     @example(CascadeStatistic.parse("wilcoxon,fyt,vdw"), 7, 7, 4)  # a slice's groups out of order
     @example(CascadeStatistic.parse("laplace,vdw"), 7, 7, 50)  # the one slice's groups out of order
     @example(CascadeStatistic.parse("wilcoxon,laplace"), 7, 7, 8)  # imprecise ties
+    @example(CascadeStatistic.parse("fyt,wilcoxon"), 2, 7, 4)  # out of order with no laplace component
     @example(W, 7, 7, 50)
-    def test_slices_equal_the_whole_table(self, cascade, m, n, precision):
-        # Group boundaries, member order, printed values and the imprecise flag, or the same failed order check.
-        parts, columns, groups, imprecise = whole_table(cascade, m, n, precision)
-        try:
-            att = attainable_set(m, n, cascade, precision)
-        except TheoremCheckError as e:
-            starts = [g.cum_count - g.size for g in groups]
-            ascending = all(_walk(_steps(parts, b, columns), a, CompareContext()) == -1
-                            for a, b in zip(starts, starts[1:]))
-            assert (str(e), ascending) == ("attainable groups are not strictly ascending", False)
-            return
-        assert [g.cum_count for g in att.groups] == [g.cum_count for g in groups]
-        assert [g.members for g in att.groups] == [g.members for g in groups]
-        assert [format_ord(g.value) for g in att.groups] == [format_ord(g.value) for g in groups]
-        assert att.imprecise == imprecise
+    def test_class_table_equals_the_whole_table(self, cascade, m, n, precision):
+        check_class_table(cascade, m, n, precision)
 
+    @pytest.mark.parametrize(
+        "cascade,m,n,precision",
+        [
+            ("wilcoxon,vdw", 8, 8, 50),
+            ("vdw,laplace", 8, 8, 8),
+            ("wilcoxon,fyt", 8, 8, 20),
+            ("wilcoxon,fyt,vdw", 1, 9, 4),
+            ("laplace,wilcoxon", 9, 1, 8),
+            ("wilcoxon,vdw", 2, 11, 50),
+            ("fyt,vdw", 11, 2, 8),
+            ("wilcoxon", 11, 2, 50),
+        ],
+    )
+    def test_fixed_and_unbalanced_shapes(self, cascade, m, n, precision):
+        check_class_table(CascadeStatistic.parse(cascade), m, n, precision)
+
+    @pytest.mark.parametrize("pool,rank", [(9, 3), (9, 5), (10, 1)])  # rank 5 is pool 9's middle rank
+    def test_antisymmetry_check_rejects_a_perturbed_int(self, pool, rank):
+        part = _ScoreSum(scheme_scores(Component.VDW, pool, 8), 8)
+        assert list(_sorted_keys((_RankSum, part), 4, pool))  # the scores' own ints pass
+        part.ints = part.ints[:rank] + (part.ints[rank] + 1,) + part.ints[rank + 1 :]
+        message = rf"^key part 2's per-rank ints are not antisymmetric at pool={pool}$"
+        with pytest.raises(TheoremCheckError, match=message):
+            _sorted_keys((_RankSum, part), 4, pool)
+
+    @pytest.mark.parametrize("cascade", ["wilcoxon,vdw", "laplace"])
+    def test_slice_size_check_rejects_a_dropped_class(self, cascade):
+        # Each slice must hold its Gaussian binomial coefficient of assignments (C(N, m) for the one slice of a
+        # score-first cascade): a slice that lost a class groups and recounts consistently, and only that check fails.
+        parts, grouped = table_slices(CascadeStatistic.parse(cascade), 6, 6, 8)
+        carry, (size, columns, offsets, classes), _, _ = max(grouped, key=lambda t: len(t[1][3]))
+        i = len(classes) // 2
+        lost = offsets[i + 1] - offsets[i]
+        dropped = (size, [c[:i] + c[i + 1 :] for c in columns], offsets[: i + 1] + [o - lost for o in offsets[i + 2 :]],
+                   classes[:i] + classes[i + 1 :])
+        found, built = _grouped((parts, 6, 12), dropped, carry, CompareContext())
+        message = rf"^a slice holds {size - lost} assignments, not its Gaussian binomial coefficient {size}$"
+        with pytest.raises(TheoremCheckError, match=message):
+            _verify_range_exact(parts, dropped, found, carry, math.comb(12, 6), built)
+        assert _verify_range_exact(parts, (size - lost,) + dropped[1:], found, carry, math.comb(12, 6), built) == \
+            carry + size - lost
+
+
+class TestSliceWiseTable:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(RANK_CASCADES), st.integers(1, 7), st.integers(1, 7), st.sampled_from((4, 8, 50)))
     def test_grouping_hands_over_the_steps_of_each_group_start(self, cascade, m, n, precision):
         # Verification reads these in place of building its own: they must be the steps of each start, and only those.
         parts, grouped = table_slices(cascade, m, n, precision)
         walked = _walked(parts)
-        for carry, (_, columns, _), found, built in grouped:
-            starts = [g.cum_count - carry - g.size for g in found]
+        for carry, (_, columns, offsets, _), found, built in grouped:
+            starts = [offsets.index(g.cum_count - carry - g.size + offsets[0]) for g in found]  # each group's class
             assert list(built) == starts
             assert [built[start] for start in starts] == [_steps(walked, start, columns) for start in starts]
 
@@ -816,11 +925,18 @@ CORRUPTIONS = {
 }
 
 
-def sorted_slice(parts, size, combos) -> tuple:
-    """A slice of ``combos`` that claims ``size``, its rank sets sorted on their walked keys as _sorted_keys sorts."""
-    walked = _walked(parts)
-    combos = tuple(sorted(combos, key=lambda c: tuple(part.total(c) for part in walked)))
-    return size, tuple(tuple(part.total(c) for c in combos) for part in walked), combos
+def class_entries(slice_) -> list:
+    """A slice's classes as (walked key, multiplicity, class)."""
+    _, columns, offsets, classes = slice_
+    return [(tuple(c[i] for c in columns), offsets[i + 1] - offsets[i], key) for i, key in enumerate(classes)]
+
+
+def sorted_slice(size, entries) -> tuple:
+    """A slice of (walked key, multiplicity, class) entries that claims ``size``, sorted on the keys as tables sort."""
+    entries = sorted(entries, key=lambda entry: entry[0])
+    columns = list(zip(*(key for key, _, _ in entries)))
+    offsets = [0, *itertools.accumulate(weight for _, weight, _ in entries)]
+    return size, columns, offsets, tuple(c for _, _, c in entries)
 
 
 class TestRangeExactChecks:
@@ -851,34 +967,37 @@ class TestRangeExactChecks:
         total, walked = math.comb(16, 8), _walked(parts)
         with pytest.raises(TheoremCheckError):
             for carry, slice_, found, built in grouped:
-                size, columns, _ = slice_
+                _, columns, _, classes = slice_
                 starts = list(built)
                 moved = {
                     "the key before": lambda i: max(starts[i] - 1, 0),
-                    "the key after": lambda i: min(starts[i] + 1, size - 1) if i else 0,
+                    "the key after": lambda i: min(starts[i] + 1, len(classes) - 1) if i else 0,
                     "the group before": lambda i: starts[max(i - 1, 0)],
                 }[other]
                 steps = {start: _steps(walked, moved(i), columns) for i, start in enumerate(starts)}
                 _verify_range_exact(parts, slice_, found, carry, total, steps)
 
     def test_slice_size_check_rejects_a_moved_assignment(self, table):
-        # An assignment moved from its rank-sum slice to the next keeps the total, and each slice groups and recounts
-        # consistently: only the Gaussian binomial coefficient of the slice it left rejects it.
+        # A class moved from its rank-sum slice to the next, with its assignments, keeps the total, and each slice
+        # groups and recounts consistently: only the Gaussian binomial coefficient of the slice it left rejects it.
         parts, grouped = table
-        total = math.comb(16, 8)
+        total, table_shape = math.comb(16, 8), (parts, 8, 16)
         i = len(grouped) // 2
-        (carry, (size, _, combos), _, _), (_, (size_next, _, combos_next), _, _) = grouped[i : i + 2]
-        short = sorted_slice(parts, size, combos[1:])
-        long = sorted_slice(parts, size_next, combos_next + combos[:1])
+        (carry, this, _, _), (_, following, _, _) = grouped[i : i + 2]
+        size, size_next = this[0], following[0]
+        moved, *rest = class_entries(this)
+        short = sorted_slice(size, rest)
+        long = sorted_slice(size_next, class_entries(following) + [moved])
+        weight = moved[1]
         ctx = CompareContext()
-        found, built = _grouped(parts, short, carry, ctx)
-        found_next, built_next = _grouped(parts, long, carry + size - 1, ctx)
-        message = rf"a slice holds {size - 1} assignments, not its Gaussian binomial coefficient {size}$"
+        found, built = _grouped(table_shape, short, carry, ctx)
+        found_next, built_next = _grouped(table_shape, long, carry + size - weight, ctx)
+        message = rf"a slice holds {size - weight} assignments, not its Gaussian binomial coefficient {size}$"
         with pytest.raises(TheoremCheckError, match=message):
             _verify_range_exact(parts, short, found, carry, total, built)
         # Held to their own lengths, both slices pass every other check, and together they hold the same total.
-        after = _verify_range_exact(parts, (size - 1,) + short[1:], found, carry, total, built)
-        end = _verify_range_exact(parts, (size_next + 1,) + long[1:], found_next, after, total, built_next)
+        after = _verify_range_exact(parts, (size - weight,) + short[1:], found, carry, total, built)
+        end = _verify_range_exact(parts, (size_next + weight,) + long[1:], found_next, after, total, built_next)
         assert end == carry + size + size_next
 
     def test_final_carry_rejects_a_lost_slice(self, monkeypatch):
@@ -1003,6 +1122,21 @@ class TestTieGroupValues:
         value = group.value
         assert built == [group.members[0]]
         assert group.value is value and len(built) == 1
+
+    def test_members_expanded_only_when_read(self, monkeypatch):
+        expanded = []
+
+        def spy(*args):
+            expanded.append(args[-1])
+            return _expanded(*args)
+
+        monkeypatch.setattr(ranktests, "_expanded", spy)
+        att = attainable_set(8, 8, CascadeStatistic.parse("wilcoxon,vdw"), 50)
+        assert att.values and att.residual_ties and expanded == []  # counts and sizes need no member
+        group = max(att.groups, key=lambda g: g.size)
+        members = group.members
+        assert expanded == [group.classes] and len(members) == group.size
+        assert group.members is members and len(expanded) == 1  # held after the first read
 
     def test_table_groups_equal_constructed_ones(self):
         # A table fills its groups' slots past __init__: fields, equality, hash, repr and immutability stay.
